@@ -23,6 +23,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -199,11 +200,12 @@ def _table(header: Sequence[str], rows: Sequence[Sequence]) -> list[str]:
 
 @dataclass
 class Emission:
-    """One command's output in all three formats."""
+    """One command's output in the three formats; a handler may build only
+    the one the configuration asks for and leave the others None."""
 
-    payload: dict
-    csv_text: str
-    table_lines: list[str]
+    payload: dict | None = None
+    csv_text: str | None = None
+    table_lines: list[str] | None = None
 
 
 # -- command handlers ----------------------------------------------------
@@ -232,18 +234,22 @@ def _calibrate(cfg: RunConfig) -> CalibrationResult:
 def _cmd_distribution(cfg: RunConfig) -> Emission:
     beta, calib = _resolve_beta(cfg)
     dist = posterior(cfg.prior_spec(), cfg.utilities(), beta, cfg.policy())
-    payload = dist.to_json()
-    if calib is not None:
-        payload["meta"]["calibration"] = calib.to_json()
-    buf = io.StringIO()
-    dist.to_csv(buf)
-    rows = [
-        (r["n"], r["u"], r["prob"]) for r in payload["rows"][: cfg.rows]
-    ]
-    lines = _table(("n", "U_n", "prob"), rows)
+    # a support can run to 10^5+ rows: render only the requested format
+    if cfg.output_format == "json":
+        payload = dist.to_json()
+        if calib is not None:
+            payload["meta"]["calibration"] = calib.to_json()
+        return Emission(payload=payload)
+    if cfg.output_format == "csv":
+        buf = io.StringIO()
+        dist.to_csv(buf)
+        return Emission(csv_text=buf.getvalue())
+    u = dist.utilities[: cfg.rows].tolist()
+    p = dist.probs[: cfg.rows].tolist()
+    lines = _table(("n", "U_n", "prob"), list(zip(range(1, len(u) + 1), u, p)))
     if dist.n_trunc > cfg.rows:
         lines.append(f"... ({dist.n_trunc - cfg.rows} more rows; see csv/json)")
-    return Emission(payload, buf.getvalue(), lines)
+    return Emission(table_lines=lines)
 
 
 def _cmd_optimal(cfg: RunConfig) -> Emission:
@@ -310,6 +316,7 @@ def _cmd_repeated(cfg: RunConfig) -> Emission:
             "beta": dist.beta,
             "n_trunc": dist.n_trunc,
             "tail_bound": dist.tail_bound,
+            "tail_rule": dist.tail_rule,
         },
         "rows": [
             {"n": k + 1, "u": float(dist.utilities[k]), "prob": float(dist.probs[k])}
@@ -325,6 +332,7 @@ def _cmd_repeated(cfg: RunConfig) -> Emission:
     buf.write(f"# n_opt: {result.n_opt}\n")
     buf.write(f"# n_trunc: {dist.n_trunc}\n")
     buf.write(f"# tail_bound: {_fmt(dist.tail_bound)}\n")
+    buf.write(f"# tail_rule: {dist.tail_rule}\n")
     buf.write("N,U_N,prob\n")
     for row in payload["rows"]:
         buf.write(f"{row['n']},{row['u']:.12g},{row['prob']:.12g}\n")
@@ -418,6 +426,14 @@ _HANDLERS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e-3" for an option unless it matches this
+        # pattern, whose default omits exponents; no flag looks like a number
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
+
     def error(self, message: str) -> None:  # exit code 1, not argparse's 2
         raise _ConfigError(message)
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 PROB_TOL = 1e-12
@@ -258,6 +260,9 @@ class ExpectedUtilitySeq:
 
     ``unbounded`` may be declared by the constructor; when left None it is
     probed heuristically (strict growth across geometrically spaced indices).
+    ``array_fn`` optionally maps a float array of indices to their values in
+    one call, for ``values``.  ``identity`` declares U_n = n for every n, the
+    declaration that licenses the posterior's certified tail bounds.
     """
 
     def __init__(
@@ -267,10 +272,14 @@ class ExpectedUtilitySeq:
         size: int | None = None,
         unbounded: bool | None = None,
         label: str = "",
+        array_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        identity: bool = False,
     ) -> None:
         self._fn = fn
         self.size = size
         self.label = label
+        self.identity = identity
+        self._array_fn = array_fn
         self._unbounded = False if size is not None else unbounded
         self._cache: dict[int, float] = {}
 
@@ -310,6 +319,29 @@ class ExpectedUtilitySeq:
                 raise DomainError(f"expected utility at index {n} is not finite")
             self._cache[n] = value
             return value
+
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """U_n for lo <= n < hi as a float array.
+
+        Without an array form each index is evaluated through ``__call__``
+        with its checks.  The result then stops short at the first index that
+        raises DomainError (past a finite family's end, a non-finite value, a
+        generator that cannot go further); that error propagates when it is
+        U_lo itself.
+        """
+        if not isinstance(lo, int) or isinstance(lo, bool) or lo < 1:
+            raise DomainError(f"index must be a positive integer, got {lo}")
+        if self._array_fn is not None:
+            return self._array_fn(np.arange(lo, hi, dtype=float))
+        out = []
+        for n in range(lo, hi):
+            try:
+                out.append(self(n))
+            except DomainError:
+                if n == lo:
+                    raise
+                break
+        return np.array(out, dtype=float)
 
     @property
     def finite(self) -> bool:
@@ -354,5 +386,9 @@ def bernoulli_utilities() -> ExpectedUtilitySeq:
     1023; the closed form is exact for every index.
     """
     return ExpectedUtilitySeq(
-        float, unbounded=True, label="bernoulli-linear"
+        float,
+        unbounded=True,
+        label="bernoulli-linear",
+        array_fn=lambda n: n,
+        identity=True,
     )

@@ -3,18 +3,28 @@
 The distribution over lotteries with expected utilities U_n has weights
 attribute_weight(prior, U_n) * exp(beta * U_n), normalized over the support.
 For unbounded utility families the normalizing series converges only for
-beta < 0, and a finite implementation must truncate it: construction streams
-log-domain weights and stops once an analytic bound on the omitted tail mass
-drops below ``rel_tol`` times the accumulated sum.
+beta < 0, and a finite implementation must truncate it: construction
+evaluates log-domain weights in chunks of growing size and stops at the first
+index n >= 4 where a bound on the omitted tail mass drops below ``rel_tol``
+times the accumulated sum.
 
-Three tail bounds are used, in order of preference:
+Which certified bound applies is declared by the utility sequence, never
+inferred from the terms already evaluated.  ``bernoulli_utilities()``
+declares U_n = n (``ExpectedUtilitySeq.identity``); no other built-in
+sequence declares anything.  The rule that stopped the sum is recorded in
+``PosteriorDistribution.tail_rule``:
 
-1. exact geometric-series tail for weights n * r^n (luce prior over U_n = n),
-2. a geometric majorant w_n * q/(1-q) when utility increments are positive
-   and nondecreasing and attribute ratios are nonincreasing (then every
-   future weight ratio is at most q = ratio * exp(beta * increment)),
-3. a heuristic stop after 50 consecutive terms each below rel_tol times the
-   accumulated sum, recording 50 times the last term as the bound.
+- ``exact-geometric``: the luce prior on a sequence declaring U_n = n has the
+  exact tail of sum m r^m, r = exp(beta);
+- ``majorant``: the power, log and logit priors on such a sequence have a
+  log weight concave in u > 0, so every later weight ratio is at most
+  q = exp(la(n) - la(n-1) + beta) and the tail is at most w_n q/(1-q);
+- ``heuristic``: on every sequence, a stop after 50 consecutive terms each
+  below rel_tol times the accumulated sum, recording 50 times the last term
+  as the bound.  It is not a bound: a sequence that rises again later can
+  hide any mass past the stop.  On a declared sequence it fires when it
+  comes before the certificate, which happens for small |beta|.
+- ``finite``: a finite family needs no truncation.
 """
 
 from __future__ import annotations
@@ -28,9 +38,12 @@ import numpy as np
 
 from .errors import DomainError, SignError, TruncationError
 from .lotteries import ExpectedUtilitySeq
-from .priors import PriorSpec, log_attribute_weight
+from .priors import PriorSpec, log_attribute_weights
 
 _SMALL_TERM_RUN = 50
+
+# "integral" is the run-length family's own remainder bound (scenarios).
+TAIL_RULES = ("finite", "exact-geometric", "majorant", "heuristic", "integral")
 
 
 @dataclass(frozen=True)
@@ -55,10 +68,12 @@ class TruncationPolicy:
 class PosteriorDistribution:
     """Normalized probabilities over lottery indices 1..n_trunc.
 
-    ``tail_bound`` is an upper bound on the probability mass discarded by
-    truncation, expressed relative to the retained (pre-normalization) total;
-    it is 0 for finite families and may be ``inf`` when the untruncated series
-    diverges.  Instances are immutable and safe to share across threads.
+    ``tail_bound`` is the probability mass discarded by truncation, as an
+    upper bound, relative to the retained (pre-normalization) total; it is 0
+    for finite families and may be ``inf`` when the untruncated series
+    diverges.  ``tail_rule`` names the rule behind it, one of TAIL_RULES;
+    under ``heuristic`` the figure is an estimate, not a bound.
+    Instances are immutable and safe to share across threads.
     """
 
     probs: np.ndarray
@@ -66,6 +81,7 @@ class PosteriorDistribution:
     beta: float
     n_trunc: int
     tail_bound: float
+    tail_rule: str
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float).copy()
@@ -82,6 +98,8 @@ class PosteriorDistribution:
             raise DomainError(f"probabilities sum to {probs.sum()}, expected 1")
         if self.tail_bound < 0.0:
             raise DomainError("tail bound must be nonnegative")
+        if self.tail_rule not in TAIL_RULES:
+            raise DomainError(f"unknown tail rule {self.tail_rule!r}")
 
     def prob(self, n: int) -> float:
         self._check_index(n)
@@ -101,10 +119,13 @@ class PosteriorDistribution:
                 "beta": self.beta,
                 "n_trunc": self.n_trunc,
                 "tail_bound": self.tail_bound,
+                "tail_rule": self.tail_rule,
             },
             "rows": [
-                {"n": n + 1, "u": float(self.utilities[n]), "prob": float(self.probs[n])}
-                for n in range(self.n_trunc)
+                {"n": n, "u": u, "prob": p}
+                for n, (u, p) in enumerate(
+                    zip(self.utilities.tolist(), self.probs.tolist()), start=1
+                )
             ],
         }
 
@@ -113,12 +134,16 @@ class PosteriorDistribution:
         fh.write(f"# beta: {self.beta:.12g}\n")
         fh.write(f"# n_trunc: {self.n_trunc}\n")
         fh.write(f"# tail_bound: {self.tail_bound:.12g}\n")
+        fh.write(f"# tail_rule: {self.tail_rule}\n")
         fh.write("n,U_n,prob\n")
         stop = self.n_trunc if max_rows is None else min(max_rows, self.n_trunc)
-        for i in range(stop):
-            fh.write(
-                f"{i + 1},{self.utilities[i]:.12g},{self.probs[i]:.12g}\n"
+        fh.write("".join(
+            f"{n},{u:.12g},{p:.12g}\n"
+            for n, (u, p) in enumerate(
+                zip(self.utilities[:stop].tolist(), self.probs[:stop].tolist()),
+                start=1,
             )
+        ))
 
 
 class Preference(enum.Enum):
@@ -127,8 +152,9 @@ class Preference(enum.Enum):
     INDIFFERENT = "indifferent"
 
 
-def _log_weight(prior: PriorSpec, u: float, beta: float) -> float:
-    return log_attribute_weight(prior, u) + beta * u
+_FIRST_CHUNK = 16
+_MAX_CHUNK = 1 << 16
+_TINY = 1e-290  # below this a shifted partial sum may have lost precision
 
 
 def _stream_truncated(
@@ -136,101 +162,122 @@ def _stream_truncated(
     utilities: ExpectedUtilitySeq,
     beta: float,
     policy: TruncationPolicy,
-) -> tuple[list[float], list[float], float]:
-    """Stream log-weights until a tail bound certifies the stopping rule.
+) -> tuple[np.ndarray, np.ndarray, float, str]:
+    """Stream log-weights in chunks until a tail rule stops the sum.
 
-    Returns (log_weights, utility_values, tail_fraction) with the tail
-    expressed relative to the retained sum.  Raises TruncationError when no
-    rule fires by ``policy.max_index``.
+    Returns (log_weights, utility_values, tail_fraction, tail_rule) with the
+    tail expressed relative to the retained sum.  The stop is the first
+    index n >= 4 where the sequence's declared certificate or the small-term
+    heuristic fires, the certificate winning a tie.  Raises TruncationError
+    when no rule fires by ``policy.max_index`` or the family cannot be
+    evaluated that far.
     """
     rel_log = math.log(policy.rel_tol)
-    log_weights: list[float] = []
-    values: list[float] = []
+    if utilities.identity and prior.kind == "luce" and beta < 0.0:
+        certificate = "exact-geometric"
+        one_minus_r = -math.expm1(beta)
+        log_scale = beta - 2.0 * math.log(one_minus_r)
+    elif utilities.identity and prior.kind != "luce":
+        certificate = "majorant"
+    else:
+        certificate = None
+    lw_chunks: list[np.ndarray] = []
+    u_chunks: list[np.ndarray] = []
+    log_sum = -math.inf  # log of the retained sum before this chunk
+    prev_la = prev_lw = math.nan  # log weights of the last retained term
+    small_run = 0  # trailing run of small terms before this chunk
+    lo, size = 1, _FIRST_CHUNK
 
-    run_max = -math.inf  # streaming log-sum-exp state
-    run_sum = 0.0
-    arithmetic = prior.kind == "luce"
-    monotone = True
-    incs_nondecreasing = True
-    ratios_nonincreasing = True
-    prev_u: float | None = None
-    prev_la: float | None = None
-    prev_inc: float | None = None
-    prev_ratio: float | None = None
-    small_run = 0
-
-    for n in range(1, policy.max_index + 1):
+    while lo <= policy.max_index:
         try:
-            u = utilities(n)
+            u = utilities.values(lo, min(lo + size, policy.max_index + 1))
         except DomainError as exc:
-            if n == 1:
+            if lo == 1:
                 raise
             raise TruncationError(
-                f"family evaluation ended at index {n - 1} before the tail "
-                f"bound was met ({exc})"
+                f"family evaluation ended at index {lo - 1} before the "
+                f"tail bound was met ({exc})"
             ) from exc
-        la = log_attribute_weight(prior, u)
-        lw = la + beta * u
-        log_weights.append(lw)
-        values.append(u)
+        m = len(u)
+        la = log_attribute_weights(prior, u)
+        lw = beta * u
+        lw += la
 
-        if lw != -math.inf:
-            if lw > run_max:
-                run_sum = run_sum * math.exp(run_max - lw) + 1.0
-                run_max = lw
-            else:
-                run_sum += math.exp(lw - run_max)
-
-        arithmetic = arithmetic and u == float(n)
-        if prev_u is not None:
-            inc = u - prev_u
-            monotone = monotone and inc > 0.0
-            if prev_inc is not None and inc < prev_inc - 1e-15:
-                incs_nondecreasing = False
-            prev_inc = inc
-            ratio = la - prev_la
-            if prev_ratio is not None and not ratio <= prev_ratio + 1e-12:
-                ratios_nonincreasing = False
-            prev_ratio = ratio
-        prev_u, prev_la = u, la
-
-        if run_sum <= 0.0 or n < 4:
-            continue
-        log_sum = run_max + math.log(run_sum)
-        log_tail: float | None = None
-
-        if arithmetic and beta < 0.0:
-            # Exact tail of sum_{m>n} m r^m with r = exp(beta):
-            # r^(n+1) * (n+1 - n*r) / (1-r)^2
-            r = math.exp(beta)
-            log_tail = (
-                (n + 1) * beta
-                + math.log((n + 1) - n * r)
-                - 2.0 * math.log1p(-r)
-            )
-        elif (
-            monotone
-            and incs_nondecreasing
-            and ratios_nonincreasing
-            and prev_inc is not None
-            and prev_inc > 0.0
-            and prev_ratio is not None
-            and math.isfinite(prev_ratio)
-        ):
-            log_q = prev_ratio + beta * prev_inc
-            if log_q < 0.0:
-                log_tail = lw + log_q - math.log1p(-math.exp(log_q))
-
-        if log_tail is not None and log_tail <= rel_log + log_sum:
-            return log_weights, values, math.exp(log_tail - log_sum)
-
-        if lw <= rel_log + log_sum:
-            small_run += 1
-            if small_run >= _SMALL_TERM_RUN:
-                log_tail = math.log(_SMALL_TERM_RUN) + lw
-                return log_weights, values, math.exp(log_tail - log_sum)
+        # log_sums[i]: log of the retained sum through this chunk's term i
+        if log_sum == -math.inf:  # first chunk, or only zero weights so far
+            log_sums = np.logaddexp.accumulate(lw)
         else:
-            small_run = 0
+            shift = max(log_sum, float(lw.max()))
+            partial = np.exp(lw - shift)
+            partial[0] += math.exp(log_sum - shift)
+            np.cumsum(partial, out=partial)
+            if partial[0] >= _TINY:
+                log_sums = np.log(partial)
+                log_sums += shift
+            else:  # the shifted sums underflowed
+                log_sums = np.logaddexp(log_sum, np.logaddexp.accumulate(lw))
+        first = max(4 - lo, 0)  # no rule is tested before n = 4
+        if log_sums[0] == -math.inf:  # nor before any weight is nonzero
+            first = max(first, int(np.searchsorted(log_sums, -math.inf, "right")))
+        # the rules below work on the tested terms lw[first:]
+        tested = lw[first:]
+        thresholds = log_sums[first:] + rel_log
+
+        stop, rule = m, None
+        if certificate == "exact-geometric":
+            # exact tail of sum_{k>n} k r^k: r^(n+1) (1 + n(1-r)) / (1-r)^2
+            n = u[first:]
+            log_tail = beta * n
+            log_tail += np.log1p(n * one_minus_r)
+            log_tail += log_scale
+            fires = log_tail <= thresholds
+        elif certificate == "majorant":
+            # each prior's log weight is concave on u > 0, so with unit steps
+            # every later weight ratio is at most q = exp(la(n) - la(n-1) +
+            # beta) = w_n / w_(n-1); the tail is at most w_n q/(1-q), which
+            # is below the threshold t exactly when q (w_n + t) <= t
+            before = lw[first - 1 : -1] if first else np.append(prev_lw, lw[:-1])
+            fires = tested - before + np.logaddexp(tested, thresholds) <= thresholds
+        if certificate is not None:
+            hits = fires.nonzero()[0]
+            if hits.size:
+                stop, rule = int(hits[0]), certificate
+
+        # heuristic: 50 consecutive terms each below rel_tol times the
+        # retained sum; edges are the terms that break a run
+        if rule is None or _SMALL_TERM_RUN - 1 - small_run < stop:
+            breaks = (tested > thresholds).nonzero()[0]
+            if breaks.size == len(tested):  # no small term in this chunk
+                small_run = 0
+            else:
+                edges = np.concatenate(([-1 - small_run], breaks, [len(tested)]))
+                runs = (np.diff(edges) > _SMALL_TERM_RUN).nonzero()[0]
+                if runs.size and edges[runs[0]] + _SMALL_TERM_RUN < stop:
+                    stop = int(edges[runs[0]]) + _SMALL_TERM_RUN
+                    rule = "heuristic"
+                small_run = len(tested) - 1 - int(edges[-2])
+
+        if rule is not None:
+            if rule == "heuristic":
+                log_tail = math.log(_SMALL_TERM_RUN) + float(tested[stop])
+            elif rule == "majorant":
+                at = first + stop
+                lq = float(la[at]) - (float(la[at - 1]) if at else prev_la) + beta
+                log_tail = float(tested[stop]) + lq - math.log1p(-math.exp(lq))
+            else:
+                log_tail = float(log_tail[stop])
+            tail = math.exp(log_tail - float(log_sums[first + stop]))
+            lw, u = lw[: first + stop + 1], u[: first + stop + 1]
+            if lw_chunks:
+                lw = np.concatenate(lw_chunks + [lw])
+                u = np.concatenate(u_chunks + [u])
+            return lw, u, tail, rule
+        lw_chunks.append(lw)
+        u_chunks.append(u)
+        log_sum = float(log_sums[-1])
+        prev_la, prev_lw = float(la[-1]), float(lw[-1])
+        lo += m
+        size = min(2 * size, _MAX_CHUNK)
 
     raise TruncationError(
         f"tail bound not reached within max_index={policy.max_index} "
@@ -238,12 +285,11 @@ def _stream_truncated(
     )
 
 
-def _normalize(log_weights: list[float]) -> np.ndarray:
-    lw = np.asarray(log_weights, dtype=float)
-    finite = lw[np.isfinite(lw)]
+def _normalize(log_weights: np.ndarray) -> np.ndarray:
+    finite = log_weights[np.isfinite(log_weights)]
     if finite.size == 0:
         raise DomainError("all prior weights are zero; distribution undefined")
-    shifted = np.exp(lw - finite.max())
+    shifted = np.exp(log_weights - finite.max())
     total = shifted.sum()
     return shifted / total
 
@@ -264,24 +310,27 @@ def posterior(
     """
     policy = policy if policy is not None else TruncationPolicy()
     if utilities.finite:
-        values = [utilities(n) for n in range(1, utilities.size + 1)]
-        log_weights = [_log_weight(prior, u, beta) for u in values]
-        tail = 0.0
+        values = np.array(
+            [utilities(n) for n in range(1, utilities.size + 1)], dtype=float
+        )
+        log_weights = log_attribute_weights(prior, values) + beta * values
+        tail, rule = 0.0, "finite"
     else:
         if beta >= 0.0 and utilities.is_unbounded(policy.max_index):
             raise SignError(
                 f"beta must be negative for unbounded utilities, got {beta}"
             )
-        log_weights, values, tail = _stream_truncated(
+        log_weights, values, tail, rule = _stream_truncated(
             prior, utilities, beta, policy
         )
     probs = _normalize(log_weights)
     return PosteriorDistribution(
         probs=probs,
-        utilities=np.asarray(values, dtype=float),
+        utilities=values,
         beta=beta,
         n_trunc=len(probs),
         tail_bound=tail,
+        tail_rule=rule,
     )
 
 

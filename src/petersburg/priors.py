@@ -15,7 +15,10 @@ unique interior maximizer in U, returned by ``continuous_optimum``.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, SolverError
 from .rootfind import bisect_root
@@ -128,6 +131,31 @@ def log_attribute_weight(prior: PriorSpec, u: float) -> float:
         w = math.log1p(u / prior.u0)
         return math.log(w) if w > 0.0 else -math.inf
     return prior.b * u ** prior.gamma + prior.c
+
+
+def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
+    """``log_attribute_weight`` over an array of utilities, elementwise.
+
+    Raises DomainError for a negative utility under any family but luce.
+    """
+    lowest = np.minimum.reduce(u, initial=math.inf)
+    if prior.kind != "luce" and lowest < 0.0:
+        raise DomainError(
+            f"{prior.kind} prior is defined for nonnegative utilities, "
+            f"got {lowest}"
+        )
+    if prior.kind == "logit":
+        return prior.b * u ** prior.gamma + prior.c
+    # a zero utility weighs 0, so ln 0 = -inf is intended, not a warning
+    with np.errstate(divide="ignore") if lowest <= 0.0 else nullcontext():
+        if prior.kind == "luce" and lowest < 0.0:
+            la = np.log(np.abs(u))
+            return np.where(u < 0.0, -la, la)
+        if prior.kind == "luce":
+            return np.log(u)
+        if prior.kind == "power":
+            return prior.alpha * np.log(u)
+        return np.log(np.log1p(u / prior.u0))
 
 
 def _second_order_ok(prior: PriorSpec, x: float, beta: float) -> bool:

@@ -83,7 +83,10 @@ def repeated_game_value(n: int) -> float:
 def repeated_game_utilities() -> ExpectedUtilitySeq:
     """U_N = 1 + log2(N) for N = 1, 2, ... as a lazy sequence."""
     return ExpectedUtilitySeq(
-        lambda n: 1.0 + math.log2(n), unbounded=True, label="repeated-games"
+        lambda n: 1.0 + math.log2(n),
+        unbounded=True,
+        label="repeated-games",
+        array_fn=lambda n: 1.0 + np.log2(n),
     )
 
 
@@ -136,6 +139,7 @@ def repeated_game_posterior(
         beta=beta,
         n_trunc=m,
         tail_bound=tail_fraction,
+        tail_rule="integral",
     )
 
 

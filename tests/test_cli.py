@@ -90,9 +90,10 @@ class TestDistributionCommand:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[3] == "n,U_n,prob"
+        assert lines[3] == "# tail_rule: exact-geometric"
+        assert lines[4] == "n,U_n,prob"
         np.testing.assert_allclose(
-            float(lines[4].split(",")[2]), 0.39957640089, rtol=1e-9
+            float(lines[5].split(",")[2]), 0.39957640089, rtol=1e-9
         )
 
 
@@ -142,6 +143,37 @@ class TestRepeatedCommand:
         doc = json.loads(out)
         assert doc["result"]["n_opt"] == 8
         assert doc["result"]["u_opt"] == 4.0
+
+
+class TestNegativeFloatFlags:
+    # argparse reads a separate "-1e-3" as an option unless told otherwise
+    def test_beta_in_exponent_form(self, capsys):
+        code, out, err = run(
+            capsys, "optimal", "--beta", "-1e-3", "--format", "json",
+            "--no-timestamp",
+        )
+        assert code == 0, err
+        assert json.loads(out)["beta"] == -0.001
+
+    def test_logit_offset_in_exponent_form(self, capsys):
+        code, out, err = run(
+            capsys, "optimal", "--prior", "logit", "--b", "1.0", "--gamma",
+            "0.5", "--c", "-8.3e-05", "--beta", "-0.3", "--format", "json",
+            "--no-timestamp",
+        )
+        assert code == 0, err
+        separate = out
+        code, out, _ = run(
+            capsys, "optimal", "--prior", "logit", "--b", "1.0", "--gamma",
+            "0.5", "--c=-8.3e-05", "--beta=-0.3", "--format", "json",
+            "--no-timestamp",
+        )
+        assert code == 0 and out == separate
+
+    def test_unknown_dash_argument_still_rejected(self, capsys):
+        code, _, err = run(capsys, "optimal", "--beta", "-1e-3x")
+        assert code == 1
+        assert err.startswith("error:config:")
 
 
 class TestConfigHandling:

@@ -278,8 +278,9 @@ class TestSerialization:
         dist.to_csv(buf)
         lines = buf.getvalue().splitlines()
         assert lines[0].startswith("# beta: -1")
-        assert lines[3] == "n,U_n,prob"
-        first = lines[4].split(",")
+        assert lines[3] == "# tail_rule: exact-geometric"
+        assert lines[4] == "n,U_n,prob"
+        first = lines[5].split(",")
         assert first[0] == "1" and first[1] == "1"
         np.testing.assert_allclose(float(first[2]), dist.prob(1), rtol=1e-11)
 
