@@ -19,6 +19,7 @@ The environment variable PETERSBURG_OUTDIR redirects relative output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -27,7 +28,10 @@ import re
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Sequence
+from itertools import repeat
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .calibration import (
     CalibrationResult,
@@ -42,7 +46,9 @@ from .lotteries import (
     bernoulli_utilities,
 )
 from .posteriors import (
+    CSV_ROW,
     TruncationPolicy,
+    format_rows,
     optimal_bracket,
     posterior,
     stochastically_optimal,
@@ -198,14 +204,47 @@ def _table(header: Sequence[str], rows: Sequence[Sequence]) -> list[str]:
     return lines
 
 
+# One element of a JSON "rows" array at json.dumps(indent=2) depth 2, keys
+# sorted; filled from the columns (n, prob, u).
+_JSON_ROW = '    {\n      "n": %d,\n      "prob": %s,\n      "u": %s\n    }'
+
+
+def _json_floats(values: np.ndarray) -> list:
+    """What ``_round_floats`` makes of each value, mapped over the column
+    without a Python loop: ``float(format(x, ".12g"))``, whose ``str`` is the
+    token ``json.dumps`` writes.  The rare non-finite result is encoded by
+    ``json.dumps`` itself and substituted as a string."""
+    values = values.tolist()
+    rounded = list(map(float, map(format, values, repeat(".12g", len(values)))))
+    for i in np.flatnonzero(~np.isfinite(rounded)).tolist():
+        rounded[i] = json.dumps(_round_floats(values[i]))
+    return rounded
+
+
+def _json_rows(n: range, u: np.ndarray, prob: np.ndarray) -> Iterator[str]:
+    """The JSON text ``json.dumps(_round_floats(rows), sort_keys=True,
+    indent=2)`` gives for the rows ``{"n", "u", "prob"}`` at depth 1."""
+    if not len(n):
+        yield "[]"
+        return
+    yield "[\n"
+    yield from format_rows(_JSON_ROW, (n, prob, u), ",\n", _json_floats)
+    yield "\n  ]"
+
+
 @dataclass
 class Emission:
-    """One command's output in the three formats; a handler may build only
-    the one the configuration asks for and leave the others None."""
+    """One command's output in the format the configuration asks for; a
+    handler builds only that one and leaves the others None.
+
+    For JSON, ``rows`` may hold the columns (n, U, prob) of a table that
+    ``_emit`` renders in bulk as the payload's top-level ``"rows"`` array.
+    """
 
     payload: dict | None = None
     csv_text: str | None = None
     table_lines: list[str] | None = None
+    rows: tuple[range, np.ndarray, np.ndarray] | None = None
 
 
 # -- command handlers ----------------------------------------------------
@@ -236,10 +275,10 @@ def _cmd_distribution(cfg: RunConfig) -> Emission:
     dist = posterior(cfg.prior_spec(), cfg.utilities(), beta, cfg.policy())
     # a support can run to 10^5+ rows: render only the requested format
     if cfg.output_format == "json":
-        payload = dist.to_json()
+        meta = dist.meta()
         if calib is not None:
-            payload["meta"]["calibration"] = calib.to_json()
-        return Emission(payload=payload)
+            meta["calibration"] = calib.to_json()
+        return Emission(payload={"meta": meta}, rows=dist.columns(dist.n_trunc))
     if cfg.output_format == "csv":
         buf = io.StringIO()
         dist.to_csv(buf)
@@ -273,69 +312,56 @@ def _cmd_optimal(cfg: RunConfig) -> Emission:
         "bracket_low": bracket[0] if bracket else None,
         "bracket_high": bracket[1] if bracket else None,
     }
-    if calib is not None:
-        payload["calibration"] = calib.to_json()
-    header = list(payload)
-    csv_buf = io.StringIO()
-    csv_buf.write(",".join(h for h in header if h != "calibration") + "\n")
-    csv_buf.write(
-        ",".join(
-            _fmt(payload[h]) if payload[h] is not None else ""
-            for h in header
-            if h != "calibration"
+    if cfg.output_format == "json":
+        if calib is not None:
+            payload["calibration"] = calib.to_json()
+        return Emission(payload=payload)
+    if cfg.output_format == "csv":
+        values = (_fmt(v) if v is not None else "" for v in payload.values())
+        return Emission(
+            csv_text=",".join(payload) + "\n" + ",".join(values) + "\n"
         )
-        + "\n"
-    )
-    rows = [(k, v) for k, v in payload.items() if k != "calibration"]
-    return Emission(payload, csv_buf.getvalue(), _table(("field", "value"), rows))
+    return Emission(table_lines=_table(("field", "value"), list(payload.items())))
 
 
 def _cmd_calibrate(cfg: RunConfig) -> Emission:
     result = _calibrate(cfg)
+    if cfg.output_format == "csv":
+        return Emission(
+            csv_text="abs_beta,residual,iterations,method\n"
+            f"{result.abs_beta:.12g},{result.residual:.12g},"
+            f"{result.iterations},{result.method}\n"
+        )
     payload = result.to_json()
     payload["route"] = (
         "closed" if cfg.is_bernoulli_luce() and cfg.command != "repeated" else "general"
     )
-    csv_buf = io.StringIO()
-    csv_buf.write("abs_beta,residual,iterations,method\n")
-    csv_buf.write(
-        f"{result.abs_beta:.12g},{result.residual:.12g},"
-        f"{result.iterations},{result.method}\n"
-    )
-    rows = list(payload.items())
-    return Emission(payload, csv_buf.getvalue(), _table(("field", "value"), rows))
+    if cfg.output_format == "json":
+        return Emission(payload=payload)
+    return Emission(table_lines=_table(("field", "value"), list(payload.items())))
 
 
 def _cmd_repeated(cfg: RunConfig) -> Emission:
     beta, calib = _resolve_beta(cfg)
     result = repeated_optimal(beta)
     dist = repeated_game_posterior(beta, cfg.policy())
-    payload = {
-        "result": result.to_json(),
-        "posterior_meta": {
-            "beta": dist.beta,
-            "n_trunc": dist.n_trunc,
-            "tail_bound": dist.tail_bound,
-            "tail_rule": dist.tail_rule,
-        },
-        "rows": [
-            {"n": k + 1, "u": float(dist.utilities[k]), "prob": float(dist.probs[k])}
-            for k in range(min(cfg.rows, dist.n_trunc))
-        ],
-    }
-    if calib is not None:
-        payload["calibration"] = calib.to_json()
-    buf = io.StringIO()
-    buf.write(f"# beta: {beta:.12g}\n")
-    buf.write(f"# u_opt: {result.u_opt:.12g}\n")
-    buf.write(f"# n_opt_continuous: {result.n_opt_continuous:.12g}\n")
-    buf.write(f"# n_opt: {result.n_opt}\n")
-    buf.write(f"# n_trunc: {dist.n_trunc}\n")
-    buf.write(f"# tail_bound: {_fmt(dist.tail_bound)}\n")
-    buf.write(f"# tail_rule: {dist.tail_rule}\n")
-    buf.write("N,U_N,prob\n")
-    for row in payload["rows"]:
-        buf.write(f"{row['n']},{row['u']:.12g},{row['prob']:.12g}\n")
+    columns = dist.columns(cfg.rows)
+    if cfg.output_format == "json":
+        payload = {"result": result.to_json(), "posterior_meta": dist.meta()}
+        if calib is not None:
+            payload["calibration"] = calib.to_json()
+        return Emission(payload=payload, rows=columns)
+    if cfg.output_format == "csv":
+        return Emission(csv_text=(
+            f"# beta: {beta:.12g}\n"
+            f"# u_opt: {result.u_opt:.12g}\n"
+            f"# n_opt_continuous: {result.n_opt_continuous:.12g}\n"
+            f"# n_opt: {result.n_opt}\n"
+            f"# n_trunc: {dist.n_trunc}\n"
+            f"# tail_bound: {_fmt(dist.tail_bound)}\n"
+            f"# tail_rule: {dist.tail_rule}\n"
+            "N,U_N,prob\n"
+        ) + "".join(format_rows(CSV_ROW, columns)))
     lines = _table(
         ("field", "value"),
         [
@@ -346,69 +372,67 @@ def _cmd_repeated(cfg: RunConfig) -> Emission:
         ],
     )
     lines.append("")
-    lines.extend(
-        _table(("N", "U_N", "prob"), [(r["n"], r["u"], r["prob"]) for r in payload["rows"]])
-    )
-    return Emission(payload, buf.getvalue(), lines)
+    n, u, p = columns
+    lines.extend(_table(("N", "U_N", "prob"), list(zip(n, u.tolist(), p.tolist()))))
+    return Emission(table_lines=lines)
+
+
+_ROULETTE_COLUMNS = ("stage", "u_stop", "u_continue", "p_stop", "p_continue")
 
 
 def _cmd_roulette(cfg: RunConfig) -> Emission:
     beta = float(cfg.beta) if cfg.beta is not None else 0.0
     choices = roulette_sequence(cfg.stages, beta, cfg.x0, cfg.p_win)
-    payload = {
-        "beta": beta,
-        "x0": cfg.x0,
-        "p_win": cfg.p_win,
-        "stages": [
-            {
-                "stage": c.stage,
-                "u_stop": c.u_stop,
-                "u_continue": c.u_continue,
-                "p_stop": c.p_stop,
-                "p_continue": c.p_continue,
-            }
-            for c in choices
-        ],
-    }
-    buf = io.StringIO()
-    roulette_sequence_to_csv(choices, buf)
+    if cfg.output_format == "csv":
+        buf = io.StringIO()
+        roulette_sequence_to_csv(choices, buf)
+        return Emission(csv_text=buf.getvalue())
     rows = [
         (c.stage, c.u_stop, c.u_continue, c.p_stop, c.p_continue) for c in choices
     ]
-    lines = _table(
-        ("stage", "u_stop", "u_continue", "p_stop", "p_continue"), rows
-    )
-    return Emission(payload, buf.getvalue(), lines)
+    if cfg.output_format == "json":
+        return Emission(payload={
+            "beta": beta,
+            "x0": cfg.x0,
+            "p_win": cfg.p_win,
+            "stages": [dict(zip(_ROULETTE_COLUMNS, row)) for row in rows],
+        })
+    return Emission(table_lines=_table(_ROULETTE_COLUMNS, rows))
 
 
 def _cmd_simulate(cfg: RunConfig) -> Emission:
     sim = cfg.sim_config()
+    buf = io.StringIO()
     if cfg.target == "repeated":
         summaries = [simulate_repeated(n, sim) for n in cfg.n_games]
-        payload = {"target": "repeated", "runs": [s.to_json() for s in summaries]}
-        buf = io.StringIO()
-        repeated_summaries_to_csv(summaries, buf)
+        if cfg.output_format == "json":
+            return Emission(payload={
+                "target": "repeated", "runs": [s.to_json() for s in summaries]
+            })
+        if cfg.output_format == "csv":
+            repeated_summaries_to_csv(summaries, buf)
+            return Emission(csv_text=buf.getvalue())
         rows = [
             (s.n_games, s.per_game_mean, s.per_game_median_of_means, s.stderr_proxy)
             for s in summaries
         ]
-        lines = _table(
+        return Emission(table_lines=_table(
             ("n_games", "mean", "median_of_means", "stderr_proxy"), rows
-        )
-        return Emission(payload, buf.getvalue(), lines)
+        ))
     if cfg.target == "martingale":
         summary = simulate_martingale(cfg.stages, cfg.x0, cfg.p_win, sim)
-        payload = {"target": "martingale", **summary.to_json()}
-        buf = io.StringIO()
-        summary.to_csv(buf)
+        if cfg.output_format == "json":
+            return Emission(payload={"target": "martingale", **summary.to_json()})
+        if cfg.output_format == "csv":
+            summary.to_csv(buf)
+            return Emission(csv_text=buf.getvalue())
         rows = [
             (k + 1, m, s)
             for k, (m, s) in enumerate(
                 zip(summary.stage_means, summary.stage_stderrs)
             )
         ]
-        lines = _table(("stage", "mean", "stderr"), rows)
-        return Emission(payload, buf.getvalue(), lines)
+        return Emission(table_lines=_table(("stage", "mean", "stderr"), rows))
     raise _ConfigError(f"unknown simulate target {cfg.target!r}")
 
 
@@ -438,7 +462,11 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call: it holds no state
+    between ``parse_args`` calls, and building it costs more than most
+    commands."""
     parser = _Parser(prog="petersburg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -550,15 +578,31 @@ def _output_stream(cfg: RunConfig):
 
 
 def _emit(cfg: RunConfig, emission: Emission) -> None:
+    """Write the emission in ``cfg.output_format``.
+
+    JSON is ``json.dumps(payload, sort_keys=True, indent=2)`` with every
+    float rounded to 12 significant digits (``_round_floats``).  A table in
+    ``emission.rows`` is rendered in bulk by ``_json_rows`` and spliced in
+    where ``json.dumps`` wrote the key ``"rows"`` with an empty list; the
+    bytes are those of encoding the rows as dicts inside the payload.
+    """
     stream, close = _output_stream(cfg)
     try:
         if cfg.output_format == "json":
             payload = dict(emission.payload)
+            if emission.rows is not None:
+                payload["rows"] = []
             if cfg.timestamp:
                 payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-            stream.write(
-                json.dumps(_round_floats(payload), sort_keys=True, indent=2)
-            )
+            text = json.dumps(_round_floats(payload), sort_keys=True, indent=2)
+            if emission.rows is not None:
+                # only a top-level key sits at indent 2 after a line break
+                head, tail = text.split('\n  "rows": []', 1)
+                stream.write(head)
+                stream.write('\n  "rows": ')
+                stream.writelines(_json_rows(*emission.rows))
+                text = tail
+            stream.write(text)
             stream.write("\n")
         elif cfg.output_format == "csv":
             if cfg.timestamp:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -113,14 +113,18 @@ class PosteriorDistribution:
         if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= self.n_trunc:
             raise DomainError(f"index {n} outside support 1..{self.n_trunc}")
 
+    def meta(self) -> dict:
+        """The table's provenance: beta, support size and tail rule."""
+        return {
+            "beta": self.beta,
+            "n_trunc": self.n_trunc,
+            "tail_bound": self.tail_bound,
+            "tail_rule": self.tail_rule,
+        }
+
     def to_json(self) -> dict:
         return {
-            "meta": {
-                "beta": self.beta,
-                "n_trunc": self.n_trunc,
-                "tail_bound": self.tail_bound,
-                "tail_rule": self.tail_rule,
-            },
+            "meta": self.meta(),
             "rows": [
                 {"n": n, "u": u, "prob": p}
                 for n, (u, p) in enumerate(
@@ -136,14 +140,43 @@ class PosteriorDistribution:
         fh.write(f"# tail_bound: {self.tail_bound:.12g}\n")
         fh.write(f"# tail_rule: {self.tail_rule}\n")
         fh.write("n,U_n,prob\n")
-        stop = self.n_trunc if max_rows is None else min(max_rows, self.n_trunc)
-        fh.write("".join(
-            f"{n},{u:.12g},{p:.12g}\n"
-            for n, (u, p) in enumerate(
-                zip(self.utilities[:stop].tolist(), self.probs[:stop].tolist()),
-                start=1,
-            )
-        ))
+        stop = self.n_trunc if max_rows is None else max_rows
+        fh.writelines(format_rows(CSV_ROW, self.columns(stop)))
+
+    def columns(self, stop: int) -> tuple[range, np.ndarray, np.ndarray]:
+        """The first ``stop`` rows (all of them if there are fewer, none if
+        ``stop`` < 1) as columns (n, U_n, prob)."""
+        stop = max(0, min(stop, self.n_trunc))
+        return range(1, stop + 1), self.utilities[:stop], self.probs[:stop]
+
+
+CSV_ROW = "%d,%.12g,%.12g\n"
+_ROW_BLOCK = 1 << 14
+
+
+def format_rows(
+    template: str,
+    columns: tuple[range, np.ndarray, np.ndarray],
+    sep: str = "",
+    cells: Callable[[np.ndarray], list] = np.ndarray.tolist,
+) -> Iterator[str]:
+    """Yield ``sep.join(template % row for row in zip(n, cells(a), cells(b)))``
+    in pieces, for ``columns`` = (n, a, b).
+
+    Each block of up to ``_ROW_BLOCK`` rows is filled by one ``%`` over the
+    template repeated once per row, so no Python code runs per row, and
+    the temporaries stay small however long the table is.  ``cells`` maps
+    a block of a float column to the values that fill the template.
+    """
+    width = len(columns)
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        hi = lo + _ROW_BLOCK
+        n = columns[0][lo:hi]
+        flat: list = [None] * (width * len(n))
+        flat[0::width] = n
+        for j, column in enumerate(columns[1:], start=1):
+            flat[j::width] = cells(column[lo:hi])
+        yield (sep if lo else "") + sep.join([template] * len(n)) % tuple(flat)
 
 
 class Preference(enum.Enum):
