@@ -30,7 +30,6 @@ from .lotteries import (
     bernoulli_utilities,
     expected_utility,
     geometric_expected_utility,
-    residual_excluded,
 )
 from .posteriors import (
     PosteriorDistribution,
@@ -61,15 +60,12 @@ from .scenarios import (
     roulette_asymptotic_value,
     roulette_expected_value,
     roulette_sequence,
-    roulette_sequence_to_csv,
     roulette_stage_choice,
 )
 from .simulate import (
     MartingaleSummary,
     SimConfig,
     SimSummary,
-    play_bernoulli_game,
-    repeated_summaries_to_csv,
     simulate_martingale,
     simulate_repeated,
 )
@@ -113,18 +109,14 @@ __all__ = [
     "log_attribute_weight",
     "optimal_bracket",
     "pair_probabilities",
-    "play_bernoulli_game",
     "posterior",
     "repeated_game_posterior",
     "repeated_game_utilities",
     "repeated_game_value",
     "repeated_optimal",
-    "repeated_summaries_to_csv",
-    "residual_excluded",
     "roulette_asymptotic_value",
     "roulette_expected_value",
     "roulette_sequence",
-    "roulette_sequence_to_csv",
     "roulette_stage_choice",
     "simulate_martingale",
     "simulate_repeated",

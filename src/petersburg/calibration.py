@@ -48,14 +48,6 @@ class CalibrationResult:
         if not math.isfinite(self.residual):
             raise DomainError("calibration residual must be finite")
 
-    def to_json(self) -> dict:
-        return {
-            "abs_beta": self.abs_beta,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "method": self.method,
-        }
-
 
 def bernoulli_variance_closed(abs_beta: float) -> float:
     """Closed-form variance of the index under probs proportional to

@@ -13,6 +13,10 @@ configuration and explicit flags win.  Exit codes: 1 config error, 2 domain
 or sign error, 3 solver/truncation failure.  Errors print one
 machine-parsable line to stderr: ``error:<category>:<message>``.
 
+Each handler returns its output as one ``Result`` and never looks at the
+format; ``_emit`` renders it as a text table, CSV or JSON, whichever was
+asked for.  No other module writes these formats.
+
 The environment variable PETERSBURG_OUTDIR redirects relative output paths.
 """
 
@@ -20,13 +24,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import repeat
 from typing import Iterator, Sequence
@@ -46,9 +49,7 @@ from .lotteries import (
     bernoulli_utilities,
 )
 from .posteriors import (
-    CSV_ROW,
     TruncationPolicy,
-    format_rows,
     optimal_bracket,
     posterior,
     stochastically_optimal,
@@ -60,11 +61,9 @@ from .scenarios import (
     repeated_game_utilities,
     repeated_optimal,
     roulette_sequence,
-    roulette_sequence_to_csv,
 )
 from .simulate import (
     SimConfig,
-    repeated_summaries_to_csv,
     simulate_martingale,
     simulate_repeated,
 )
@@ -109,9 +108,6 @@ class RunConfig:
     n_games: list[int] = field(
         default_factory=lambda: [8, 16, 32, 64, 128, 256, 512, 1024]
     )
-
-    def to_json(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":
@@ -168,13 +164,7 @@ class RunConfig:
 
 
 def _fmt(x, sig: int = 12) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return f"{x:.{sig}g}"
-    return str(x)
+    return format(x, f".{sig}g") if isinstance(x, float) else str(x)
 
 
 def _round_floats(obj, sig: int = 12):
@@ -191,60 +181,190 @@ def _round_floats(obj, sig: int = 12):
     return obj
 
 
-def _table(header: Sequence[str], rows: Sequence[Sequence]) -> list[str]:
-    cells = [[_fmt(v, 4) for v in row] for row in rows]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(header)
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    return lines
+@dataclass
+class Result:
+    """One command's output before it has a format; ``_emit`` renders it as
+    a table, CSV or JSON.
+
+    - ``doc`` is the JSON document.
+    - ``comments`` are ``# key: value`` lines that only CSV writes.
+    - ``fields`` are named values.  The table format lists them as
+      field/value rows.  CSV writes them as a header line and one row, or,
+      when there is a table, as comment lines before ``comments``.
+    - The table is ``header`` over ``columns``: per column a range, a list
+      or tuple of ints, floats or strings, or a numpy array.  JSON holds it
+      at the top-level key ``rows_key`` (not at all when None) as one object
+      per row, keyed by ``keys`` (the header when empty).  The table format
+      prints its first ``shown`` rows (all when None) and counts the rest.
+    """
+
+    doc: dict
+    comments: dict = field(default_factory=dict)
+    fields: dict = field(default_factory=dict)
+    header: tuple[str, ...] = ()
+    columns: tuple = ()
+    rows_key: str | None = None
+    keys: tuple[str, ...] = ()
+    shown: int | None = None
 
 
-# One element of a JSON "rows" array at json.dumps(indent=2) depth 2, keys
-# sorted; filled from the columns (n, prob, u).
-_JSON_ROW = '    {\n      "n": %d,\n      "prob": %s,\n      "u": %s\n    }'
+_ROW_BLOCK = 1 << 14
 
 
-def _json_floats(values: np.ndarray) -> list:
+def format_rows(
+    template: str, columns: Sequence, cells: Sequence, sep: str = ""
+) -> Iterator[str]:
+    """Yield ``sep.join(template % row for row in zip(*columns))`` in pieces,
+    where ``cells[j]`` maps a block of column j to the values in its slots.
+
+    Each block of up to ``_ROW_BLOCK`` rows is filled by one ``%`` over the
+    template repeated once per row, so no Python code runs per row, and
+    the temporaries stay small however long the table is.
+    """
+    width = len(columns)
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [c[lo : lo + _ROW_BLOCK] for c in columns]
+        flat: list = [None] * (width * len(block[0]))
+        for j, convert in enumerate(cells):
+            flat[j::width] = convert(block[j])
+        yield (sep if lo else "") + sep.join([template] * len(block[0])) % tuple(flat)
+
+
+def _plain(block) -> Sequence:
+    """A block of a column as Python values."""
+    return block.tolist() if isinstance(block, np.ndarray) else block
+
+
+def _json_floats(values: Sequence) -> list:
     """What ``_round_floats`` makes of each value, mapped over the column
     without a Python loop: ``float(format(x, ".12g"))``, whose ``str`` is the
     token ``json.dumps`` writes.  The rare non-finite result is encoded by
     ``json.dumps`` itself and substituted as a string."""
-    values = values.tolist()
+    values = _plain(values)
     rounded = list(map(float, map(format, values, repeat(".12g", len(values)))))
     for i in np.flatnonzero(~np.isfinite(rounded)).tolist():
         rounded[i] = json.dumps(_round_floats(values[i]))
     return rounded
 
 
-def _json_rows(n: range, u: np.ndarray, prob: np.ndarray) -> Iterator[str]:
+def _kind(column) -> str:
+    """``i``, ``f`` or ``U``: whether a column holds integers, floats or text."""
+    if isinstance(column, np.ndarray):
+        return "i" if column.dtype.kind in "iu" else column.dtype.kind
+    first = column[0] if len(column) else 0
+    return "f" if isinstance(first, float) else "i" if isinstance(first, int) else "U"
+
+
+# per column kind: the CSV slot, and the cells of a JSON or table block
+_CSV_SLOT = {"i": "%d", "f": "%.12g", "U": "%s"}
+_JSON_CELLS = {
+    "i": _plain,
+    "f": _json_floats,
+    "U": lambda block: list(map(json.dumps, _plain(block))),
+}
+_TABLE_CELLS = {
+    "i": lambda block: list(map(str, _plain(block))),
+    "f": lambda block: list(map(format, _plain(block), repeat(".4g"))),
+    "U": _plain,
+}
+
+
+def _text_table(header: Sequence[str], cells: Sequence[list]) -> list[str]:
+    """Lines of a table of cell strings, left-aligned columns two spaces apart."""
+    widths = [max(len(h), max(map(len, c), default=0)) for h, c in zip(header, cells)]
+    template = "  ".join([*(f"%-{w}s" for w in widths[:-1]), "%s"])
+    lines = [template % tuple(header), "  ".join("-" * w for w in widths)]
+    if cells[0]:
+        lines.append("".join(format_rows(template, cells, [_plain] * len(cells), "\n")))
+    return lines
+
+
+def _write_table(stream, result: Result) -> None:
+    lines = []
+    if result.fields:
+        values = [_fmt(v, 4) for v in result.fields.values()]
+        lines = _text_table(("field", "value"), (list(result.fields), values))
+    if result.header:
+        if lines:
+            lines.append("")
+        columns = [c[: result.shown] for c in result.columns]
+        cells = [_TABLE_CELLS[_kind(c)](c) for c in columns]
+        lines.extend(_text_table(result.header, cells))
+        more = len(result.columns[0]) - len(columns[0])
+        if more:
+            lines.append(f"... ({more} more rows; see csv/json)")
+    stream.write("\n".join(lines))
+    stream.write("\n")
+
+
+def _write_csv(stream, result: Result, timestamp: bool) -> None:
+    text = [f"# timestamp: {datetime.now(timezone.utc).isoformat()}\n"] if timestamp else []
+    if result.header:
+        named = [*result.fields.items(), *result.comments.items()]
+        text += [f"# {key}: {_fmt(value)}\n" for key, value in named]
+        text.append(",".join(result.header) + "\n")
+        template = ",".join([_CSV_SLOT[_kind(c)] for c in result.columns]) + "\n"
+        text += format_rows(template, result.columns, [_plain] * len(result.columns))
+    else:
+        values = ("" if v is None else _fmt(v) for v in result.fields.values())
+        text += [",".join(result.fields), "\n", ",".join(values), "\n"]
+    # one write: an empty StringIO then keeps the string itself; written
+    # block by block, the sweep workload's peak RSS rose by 5-9 MB
+    stream.write("".join(text))
+
+
+def _json_rows(keys: Sequence[str], columns: Sequence) -> Iterator[str]:
     """The JSON text ``json.dumps(_round_floats(rows), sort_keys=True,
-    indent=2)`` gives for the rows ``{"n", "u", "prob"}`` at depth 1."""
-    if not len(n):
+    indent=2)`` gives at depth 1 for the rows as objects keyed by ``keys``."""
+    if not len(columns[0]):
         yield "[]"
         return
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    slots = ",\n".join(f"      {json.dumps(keys[j])}: %s" for j in order)
     yield "[\n"
-    yield from format_rows(_JSON_ROW, (n, prob, u), ",\n", _json_floats)
+    yield from format_rows(
+        "    {\n" + slots + "\n    }",
+        [columns[j] for j in order],
+        [_JSON_CELLS[_kind(columns[j])] for j in order],
+        ",\n",
+    )
     yield "\n  ]"
 
 
-@dataclass
-class Emission:
-    """One command's output in the format the configuration asks for; a
-    handler builds only that one and leaves the others None.
+def _write_json(stream, result: Result, timestamp: bool) -> None:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` with every float rounded
+    by ``_round_floats``.  The table is rendered in bulk by ``_json_rows``
+    and spliced in where ``json.dumps`` wrote its key with an empty list; the
+    bytes are those of encoding the rows as objects inside the document."""
+    doc = dict(result.doc)
+    if result.rows_key is not None:
+        doc[result.rows_key] = []
+    if timestamp:
+        doc["timestamp"] = datetime.now(timezone.utc).isoformat()
+    text = json.dumps(_round_floats(doc), sort_keys=True, indent=2)
+    if result.rows_key is not None:
+        # only a top-level key sits at indent 2 after a line break
+        key = f"\n  {json.dumps(result.rows_key)}: "
+        head, text = text.split(key + "[]", 1)
+        stream.write(head + key)
+        stream.writelines(_json_rows(result.keys or result.header, result.columns))
+    stream.write(text)
+    stream.write("\n")
 
-    For JSON, ``rows`` may hold the columns (n, U, prob) of a table that
-    ``_emit`` renders in bulk as the payload's top-level ``"rows"`` array.
-    """
 
-    payload: dict | None = None
-    csv_text: str | None = None
-    table_lines: list[str] | None = None
-    rows: tuple[range, np.ndarray, np.ndarray] | None = None
+def _emit(cfg: RunConfig, result: Result) -> None:
+    """Write the result in ``cfg.output_format``."""
+    stream, close = _output_stream(cfg)
+    try:
+        if cfg.output_format == "json":
+            _write_json(stream, result, cfg.timestamp)
+        elif cfg.output_format == "csv":
+            _write_csv(stream, result, cfg.timestamp)
+        else:
+            _write_table(stream, result)
+    finally:
+        if close:
+            stream.close()
 
 
 # -- command handlers ----------------------------------------------------
@@ -260,38 +380,30 @@ def _resolve_beta(cfg: RunConfig) -> tuple[float, CalibrationResult | None]:
 
 def _calibrate(cfg: RunConfig) -> CalibrationResult:
     if cfg.command == "repeated":
-        return calibrate_disbelief_general(
-            repeated_game_utilities(), cfg.prior_spec(), cfg.policy()
-        )
-    if cfg.is_bernoulli_luce():
+        utilities = repeated_game_utilities()
+    elif cfg.is_bernoulli_luce():
         return calibrate_bernoulli_disbelief()
-    return calibrate_disbelief_general(
-        cfg.utilities(), cfg.prior_spec(), cfg.policy()
+    else:
+        utilities = cfg.utilities()
+    return calibrate_disbelief_general(utilities, cfg.prior_spec(), cfg.policy())
+
+
+def _cmd_distribution(cfg: RunConfig) -> Result:
+    beta, calib = _resolve_beta(cfg)
+    dist = posterior(cfg.prior_spec(), cfg.utilities(), beta, cfg.policy())
+    meta = dist.meta()
+    return Result(
+        doc={"meta": meta if calib is None else {**meta, "calibration": vars(calib)}},
+        comments=meta,
+        header=("n", "U_n", "prob"),
+        columns=dist.columns(dist.n_trunc),
+        rows_key="rows",
+        keys=("n", "u", "prob"),
+        shown=cfg.rows,
     )
 
 
-def _cmd_distribution(cfg: RunConfig) -> Emission:
-    beta, calib = _resolve_beta(cfg)
-    dist = posterior(cfg.prior_spec(), cfg.utilities(), beta, cfg.policy())
-    # a support can run to 10^5+ rows: render only the requested format
-    if cfg.output_format == "json":
-        meta = dist.meta()
-        if calib is not None:
-            meta["calibration"] = calib.to_json()
-        return Emission(payload={"meta": meta}, rows=dist.columns(dist.n_trunc))
-    if cfg.output_format == "csv":
-        buf = io.StringIO()
-        dist.to_csv(buf)
-        return Emission(csv_text=buf.getvalue())
-    u = dist.utilities[: cfg.rows].tolist()
-    p = dist.probs[: cfg.rows].tolist()
-    lines = _table(("n", "U_n", "prob"), list(zip(range(1, len(u) + 1), u, p)))
-    if dist.n_trunc > cfg.rows:
-        lines.append(f"... ({dist.n_trunc - cfg.rows} more rows; see csv/json)")
-    return Emission(table_lines=lines)
-
-
-def _cmd_optimal(cfg: RunConfig) -> Emission:
+def _cmd_optimal(cfg: RunConfig) -> Result:
     beta, calib = _resolve_beta(cfg)
     prior = cfg.prior_spec()
     dist = posterior(prior, cfg.utilities(), beta, cfg.policy())
@@ -303,7 +415,7 @@ def _cmd_optimal(cfg: RunConfig) -> Emission:
         and cfg.utility.get("kind") == "linear"
         else None
     )
-    payload = {
+    fields = {
         "beta": beta,
         "n_opt": n_opt,
         "prob_opt": dist.prob(n_opt),
@@ -312,127 +424,82 @@ def _cmd_optimal(cfg: RunConfig) -> Emission:
         "bracket_low": bracket[0] if bracket else None,
         "bracket_high": bracket[1] if bracket else None,
     }
-    if cfg.output_format == "json":
-        if calib is not None:
-            payload["calibration"] = calib.to_json()
-        return Emission(payload=payload)
-    if cfg.output_format == "csv":
-        values = (_fmt(v) if v is not None else "" for v in payload.values())
-        return Emission(
-            csv_text=",".join(payload) + "\n" + ",".join(values) + "\n"
-        )
-    return Emission(table_lines=_table(("field", "value"), list(payload.items())))
+    doc = fields if calib is None else {**fields, "calibration": vars(calib)}
+    return Result(doc=doc, fields=fields)
 
 
-def _cmd_calibrate(cfg: RunConfig) -> Emission:
-    result = _calibrate(cfg)
-    if cfg.output_format == "csv":
-        return Emission(
-            csv_text="abs_beta,residual,iterations,method\n"
-            f"{result.abs_beta:.12g},{result.residual:.12g},"
-            f"{result.iterations},{result.method}\n"
-        )
-    payload = result.to_json()
-    payload["route"] = (
-        "closed" if cfg.is_bernoulli_luce() and cfg.command != "repeated" else "general"
-    )
-    if cfg.output_format == "json":
-        return Emission(payload=payload)
-    return Emission(table_lines=_table(("field", "value"), list(payload.items())))
+def _cmd_calibrate(cfg: RunConfig) -> Result:
+    fields = dict(vars(_calibrate(cfg)))
+    fields["route"] = "closed" if cfg.is_bernoulli_luce() else "general"
+    return Result(doc=fields, fields=fields)
 
 
-def _cmd_repeated(cfg: RunConfig) -> Emission:
+def _cmd_repeated(cfg: RunConfig) -> Result:
+    if cfg.prior_spec().kind != "luce":
+        raise _ConfigError("repeated takes only the luce prior")
     beta, calib = _resolve_beta(cfg)
-    result = repeated_optimal(beta)
+    fields = vars(repeated_optimal(beta))
     dist = repeated_game_posterior(beta, cfg.policy())
-    columns = dist.columns(cfg.rows)
-    if cfg.output_format == "json":
-        payload = {"result": result.to_json(), "posterior_meta": dist.meta()}
-        if calib is not None:
-            payload["calibration"] = calib.to_json()
-        return Emission(payload=payload, rows=columns)
-    if cfg.output_format == "csv":
-        return Emission(csv_text=(
-            f"# beta: {beta:.12g}\n"
-            f"# u_opt: {result.u_opt:.12g}\n"
-            f"# n_opt_continuous: {result.n_opt_continuous:.12g}\n"
-            f"# n_opt: {result.n_opt}\n"
-            f"# n_trunc: {dist.n_trunc}\n"
-            f"# tail_bound: {_fmt(dist.tail_bound)}\n"
-            f"# tail_rule: {dist.tail_rule}\n"
-            "N,U_N,prob\n"
-        ) + "".join(format_rows(CSV_ROW, columns)))
-    lines = _table(
-        ("field", "value"),
-        [
-            ("beta", beta),
-            ("u_opt", result.u_opt),
-            ("n_opt_continuous", result.n_opt_continuous),
-            ("n_opt", result.n_opt),
-        ],
+    meta = dist.meta()
+    doc = {"result": fields, "posterior_meta": meta}
+    if calib is not None:
+        doc["calibration"] = vars(calib)
+    return Result(
+        doc=doc,
+        comments={k: meta[k] for k in ("n_trunc", "tail_bound", "tail_rule")},
+        fields=fields,
+        header=("N", "U_N", "prob"),
+        columns=dist.columns(cfg.rows),
+        rows_key="rows",
+        keys=("n", "u", "prob"),
     )
-    lines.append("")
-    n, u, p = columns
-    lines.extend(_table(("N", "U_N", "prob"), list(zip(n, u.tolist(), p.tolist()))))
-    return Emission(table_lines=lines)
 
 
 _ROULETTE_COLUMNS = ("stage", "u_stop", "u_continue", "p_stop", "p_continue")
 
 
-def _cmd_roulette(cfg: RunConfig) -> Emission:
+def _cmd_roulette(cfg: RunConfig) -> Result:
     beta = float(cfg.beta) if cfg.beta is not None else 0.0
     choices = roulette_sequence(cfg.stages, beta, cfg.x0, cfg.p_win)
-    if cfg.output_format == "csv":
-        buf = io.StringIO()
-        roulette_sequence_to_csv(choices, buf)
-        return Emission(csv_text=buf.getvalue())
-    rows = [
-        (c.stage, c.u_stop, c.u_continue, c.p_stop, c.p_continue) for c in choices
-    ]
-    if cfg.output_format == "json":
-        return Emission(payload={
-            "beta": beta,
-            "x0": cfg.x0,
-            "p_win": cfg.p_win,
-            "stages": [dict(zip(_ROULETTE_COLUMNS, row)) for row in rows],
-        })
-    return Emission(table_lines=_table(_ROULETTE_COLUMNS, rows))
+    return Result(
+        doc={"beta": beta, "x0": cfg.x0, "p_win": cfg.p_win},
+        header=_ROULETTE_COLUMNS,
+        columns=tuple([getattr(c, name) for c in choices] for name in _ROULETTE_COLUMNS),
+        rows_key="stages",
+    )
 
 
-def _cmd_simulate(cfg: RunConfig) -> Emission:
+_RUN_COLUMNS = (
+    "n_games", "per_game_mean", "per_game_median_of_means", "replications",
+    "stderr_proxy", "seed", "generator", "capped_tosses",
+)
+
+
+def _cmd_simulate(cfg: RunConfig) -> Result:
     sim = cfg.sim_config()
-    buf = io.StringIO()
     if cfg.target == "repeated":
         summaries = [simulate_repeated(n, sim) for n in cfg.n_games]
-        if cfg.output_format == "json":
-            return Emission(payload={
-                "target": "repeated", "runs": [s.to_json() for s in summaries]
-            })
-        if cfg.output_format == "csv":
-            repeated_summaries_to_csv(summaries, buf)
-            return Emission(csv_text=buf.getvalue())
-        rows = [
-            (s.n_games, s.per_game_mean, s.per_game_median_of_means, s.stderr_proxy)
-            for s in summaries
-        ]
-        return Emission(table_lines=_table(
-            ("n_games", "mean", "median_of_means", "stderr_proxy"), rows
-        ))
+        return Result(
+            doc={"target": "repeated"},
+            header=_RUN_COLUMNS,
+            columns=tuple([getattr(s, name) for s in summaries] for name in _RUN_COLUMNS),
+            rows_key="runs",
+        )
     if cfg.target == "martingale":
         summary = simulate_martingale(cfg.stages, cfg.x0, cfg.p_win, sim)
-        if cfg.output_format == "json":
-            return Emission(payload={"target": "martingale", **summary.to_json()})
-        if cfg.output_format == "csv":
-            summary.to_csv(buf)
-            return Emission(csv_text=buf.getvalue())
-        rows = [
-            (k + 1, m, s)
-            for k, (m, s) in enumerate(
-                zip(summary.stage_means, summary.stage_stderrs)
-            )
-        ]
-        return Emission(table_lines=_table(("stage", "mean", "stderr"), rows))
+        doc = {"target": "martingale", **vars(summary)}
+        return Result(
+            doc=doc,
+            comments={
+                k: doc[k] for k in ("replications", "x0", "p_win", "seed", "generator")
+            },
+            header=("stage", "mean", "stderr"),
+            columns=(
+                range(1, len(summary.stage_means) + 1),
+                summary.stage_means,
+                summary.stage_stderrs,
+            ),
+        )
     raise _ConfigError(f"unknown simulate target {cfg.target!r}")
 
 
@@ -532,38 +599,27 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             except OSError as exc:
                 raise _ConfigError(f"cannot read game file: {exc}") from exc
     if args.prior is not None:
-        doc: dict = {"kind": args.prior}
-        cfg.prior = doc
-    for key in ("alpha", "u0", "b", "c", "gamma"):
-        value = getattr(args, key)
-        if value is not None:
-            cfg.prior[key] = value
+        cfg.prior = {"kind": args.prior}
     if args.utility is not None:
         cfg.utility = {"kind": args.utility}
-    for key in ("exponent", "base"):
-        value = getattr(args, key)
-        if value is not None:
-            cfg.utility[key] = value
-    for key in ("beta", "output_format", "output_path", "rows",
-                "stages", "x0", "p_win"):
-        value = getattr(args, key)
-        if value is not None:
+    for section, keys in (
+        (cfg.prior, ("alpha", "u0", "b", "c", "gamma")),
+        (cfg.utility, ("exponent", "base")),
+        (cfg.truncation, ("rel_tol", "max_index")),
+        (cfg.sim, ("seed", "replications", "max_tosses", "parallel_shards")),
+    ):
+        for key in keys:
+            if (value := getattr(args, key)) is not None:
+                section[key] = value
+    # only simulate has the flags target and n_games
+    for key in ("beta", "output_format", "output_path", "rows", "stages", "x0",
+                "p_win", "target", "n_games"):
+        if (value := getattr(args, key, None)) is not None:
             setattr(cfg, key, value)
     if args.no_timestamp:
         cfg.timestamp = False
-    for key in ("rel_tol", "max_index"):
-        value = getattr(args, key)
-        if value is not None:
-            cfg.truncation[key] = value
-    for key in ("seed", "replications", "max_tosses", "parallel_shards"):
-        value = getattr(args, key)
-        if value is not None:
-            cfg.sim[key] = value
-    if cfg.command == "simulate":
-        if getattr(args, "target", None) is not None:
-            cfg.target = args.target
-        if getattr(args, "n_games", None) is not None:
-            cfg.n_games = list(args.n_games)
+    if not isinstance(cfg.rows, int) or isinstance(cfg.rows, bool) or cfg.rows < 0:
+        raise _ConfigError(f"rows must be a nonnegative integer, got {cfg.rows!r}")
     return cfg
 
 
@@ -577,47 +633,6 @@ def _output_stream(cfg: RunConfig):
     return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
-def _emit(cfg: RunConfig, emission: Emission) -> None:
-    """Write the emission in ``cfg.output_format``.
-
-    JSON is ``json.dumps(payload, sort_keys=True, indent=2)`` with every
-    float rounded to 12 significant digits (``_round_floats``).  A table in
-    ``emission.rows`` is rendered in bulk by ``_json_rows`` and spliced in
-    where ``json.dumps`` wrote the key ``"rows"`` with an empty list; the
-    bytes are those of encoding the rows as dicts inside the payload.
-    """
-    stream, close = _output_stream(cfg)
-    try:
-        if cfg.output_format == "json":
-            payload = dict(emission.payload)
-            if emission.rows is not None:
-                payload["rows"] = []
-            if cfg.timestamp:
-                payload["timestamp"] = datetime.now(timezone.utc).isoformat()
-            text = json.dumps(_round_floats(payload), sort_keys=True, indent=2)
-            if emission.rows is not None:
-                # only a top-level key sits at indent 2 after a line break
-                head, tail = text.split('\n  "rows": []', 1)
-                stream.write(head)
-                stream.write('\n  "rows": ')
-                stream.writelines(_json_rows(*emission.rows))
-                text = tail
-            stream.write(text)
-            stream.write("\n")
-        elif cfg.output_format == "csv":
-            if cfg.timestamp:
-                stream.write(
-                    f"# timestamp: {datetime.now(timezone.utc).isoformat()}\n"
-                )
-            stream.write(emission.csv_text)
-        else:
-            stream.write("\n".join(emission.table_lines))
-            stream.write("\n")
-    finally:
-        if close:
-            stream.close()
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -625,12 +640,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _merge_config(args)
         if args.emit_config:
             with open(args.emit_config, "w", encoding="utf-8") as fh:
-                json.dump(
-                    _round_floats(cfg.to_json()), fh, sort_keys=True, indent=2
-                )
+                json.dump(_round_floats(asdict(cfg)), fh, sort_keys=True, indent=2)
                 fh.write("\n")
-        emission = _HANDLERS[cfg.command](cfg)
-        _emit(cfg, emission)
+        _emit(cfg, _HANDLERS[cfg.command](cfg))
         return 0
     except _ConfigError as exc:
         print(f"error:config:{exc}", file=sys.stderr)

@@ -33,3 +33,9 @@ class TruncationError(SolverError):
 
 class CalibrationError(SolverError):
     """The self-consistency equation for the disbelief parameter has no root."""
+
+
+def check_positive_index(value: object, name: str) -> None:
+    """Raise DomainError unless ``value`` is an int >= 1; a bool is not."""
+    if type(value) is not int or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")

@@ -7,14 +7,13 @@ m = 1..n and keeps the leftover 2^-n on the losing branch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_positive_index
 
 PROB_TOL = 1e-12
 
@@ -45,10 +44,6 @@ class Lottery:
             total += prob
         if abs(total - 1.0) > PROB_TOL:
             raise DomainError(f"probabilities sum to {total}, expected 1")
-
-    @property
-    def payoffs(self) -> tuple[float, ...]:
-        return tuple(x for x, _ in self.outcomes)
 
     @property
     def probabilities(self) -> tuple[float, ...]:
@@ -145,8 +140,7 @@ class UtilitySpec:
 def bernoulli_lottery(n: int) -> Lottery:
     """The n-toss coin game: pays 2^m with probability 2^-m for m = 1..n,
     and nothing with the residual probability 2^-n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"lottery index must be a positive integer, got {n}")
+    check_positive_index(n, "n")
     if n > MAX_TOSS_INDEX:
         raise DomainError(
             f"payoff 2^{n} exceeds binary64 range (max index {MAX_TOSS_INDEX})"
@@ -160,7 +154,8 @@ def expected_utility(lottery: Lottery, utility: UtilitySpec) -> float:
 
     The residual zero-payoff branch contributes u(0) * residual when u(0) is
     finite (linear and power utilities, where it is 0) and is excluded
-    otherwise; ``residual_excluded`` reports whether the exclusion applied.
+    otherwise: under logarithmic utility a lottery with a residual branch
+    has the expected utility of its winning outcomes alone.
     """
     total = 0.0
     for m, (payoff, prob) in enumerate(lottery.outcomes, start=1):
@@ -171,11 +166,6 @@ def expected_utility(lottery: Lottery, utility: UtilitySpec) -> float:
     return total
 
 
-def residual_excluded(lottery: Lottery, utility: UtilitySpec) -> bool:
-    """True when the residual branch was dropped because u(0) is undefined."""
-    return lottery.residual_probability > 0.0 and utility.kind == "logarithmic"
-
-
 def geometric_expected_utility(n: int, x: float) -> tuple[float, bool]:
     """Expected utility of the n-toss game under u(x_m) = x^m:
     x (2^n - x^n) / (2^n (2 - x)), with the x = 2 special case equal to n.
@@ -183,8 +173,7 @@ def geometric_expected_utility(n: int, x: float) -> tuple[float, bool]:
     Returns (value, convergent) where ``convergent`` is True iff the sequence
     has a finite limit as n grows, i.e. iff x < 2.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"index must be a positive integer, got {n}")
+    check_positive_index(n, "n")
     if x <= 0.0:
         raise DomainError(f"geometric base must be positive, got {x}")
     if x == 2.0:
@@ -224,8 +213,7 @@ class GameFamily:
         return cls(gen, label=label, size=len(stored), lotteries=stored)
 
     def lottery(self, n: int) -> Lottery:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"lottery index must be a positive integer, got {n}")
+        check_positive_index(n, "n")
         return self.generator(n)
 
     def to_json(self) -> dict:
@@ -247,11 +235,6 @@ class GameFamily:
         if doc.get("family") == "custom":
             return cls.custom([Lottery.from_json(d) for d in doc["lotteries"]])
         raise DomainError(f"unknown family document {doc!r}")
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "GameFamily":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 class ExpectedUtilitySeq:
@@ -307,8 +290,7 @@ class ExpectedUtilitySeq:
         return cls(fn, size=family.size, label=label or family.label)
 
     def __call__(self, n: int) -> float:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"index must be a positive integer, got {n}")
+        check_positive_index(n, "n")
         if self.size is not None and n > self.size:
             raise DomainError(f"index {n} outside finite family of {self.size}")
         try:
@@ -329,8 +311,7 @@ class ExpectedUtilitySeq:
         generator that cannot go further); that error propagates when it is
         U_lo itself.
         """
-        if not isinstance(lo, int) or isinstance(lo, bool) or lo < 1:
-            raise DomainError(f"index must be a positive integer, got {lo}")
+        check_positive_index(lo, "lo")
         if self._array_fn is not None:
             return self._array_fn(np.arange(lo, hi, dtype=float))
         out = []
@@ -346,11 +327,6 @@ class ExpectedUtilitySeq:
     @property
     def finite(self) -> bool:
         return self.size is not None
-
-    def monotone_nondecreasing(self, upto: int = 64) -> bool:
-        """Checked on indices 1..upto (capped at the family size)."""
-        stop = min(upto, self.size) if self.size is not None else upto
-        return all(self(n + 1) >= self(n) for n in range(1, stop))
 
     def is_unbounded(self, max_index: int = 10 ** 6) -> bool:
         """Declared flag when available, otherwise a growth probe: the

@@ -32,13 +32,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator
 
 import numpy as np
 
-from .errors import DomainError, SignError, TruncationError
+from .errors import DomainError, SignError, TruncationError, check_positive_index
 from .lotteries import ExpectedUtilitySeq
-from .priors import PriorSpec, log_attribute_weights
+from .priors import PriorSpec, continuous_optimum, log_attribute_weights
 
 _SMALL_TERM_RUN = 50
 
@@ -110,7 +109,8 @@ class PosteriorDistribution:
         return float(self.utilities[n - 1])
 
     def _check_index(self, n: int) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= self.n_trunc:
+        check_positive_index(n, "n")
+        if n > self.n_trunc:
             raise DomainError(f"index {n} outside support 1..{self.n_trunc}")
 
     def meta(self) -> dict:
@@ -122,61 +122,11 @@ class PosteriorDistribution:
             "tail_rule": self.tail_rule,
         }
 
-    def to_json(self) -> dict:
-        return {
-            "meta": self.meta(),
-            "rows": [
-                {"n": n, "u": u, "prob": p}
-                for n, (u, p) in enumerate(
-                    zip(self.utilities.tolist(), self.probs.tolist()), start=1
-                )
-            ],
-        }
-
-    def to_csv(self, fh: IO[str], max_rows: int | None = None) -> None:
-        """Write `n,U_n,prob` rows preceded by `#`-comment metadata lines."""
-        fh.write(f"# beta: {self.beta:.12g}\n")
-        fh.write(f"# n_trunc: {self.n_trunc}\n")
-        fh.write(f"# tail_bound: {self.tail_bound:.12g}\n")
-        fh.write(f"# tail_rule: {self.tail_rule}\n")
-        fh.write("n,U_n,prob\n")
-        stop = self.n_trunc if max_rows is None else max_rows
-        fh.writelines(format_rows(CSV_ROW, self.columns(stop)))
-
     def columns(self, stop: int) -> tuple[range, np.ndarray, np.ndarray]:
         """The first ``stop`` rows (all of them if there are fewer, none if
         ``stop`` < 1) as columns (n, U_n, prob)."""
         stop = max(0, min(stop, self.n_trunc))
         return range(1, stop + 1), self.utilities[:stop], self.probs[:stop]
-
-
-CSV_ROW = "%d,%.12g,%.12g\n"
-_ROW_BLOCK = 1 << 14
-
-
-def format_rows(
-    template: str,
-    columns: tuple[range, np.ndarray, np.ndarray],
-    sep: str = "",
-    cells: Callable[[np.ndarray], list] = np.ndarray.tolist,
-) -> Iterator[str]:
-    """Yield ``sep.join(template % row for row in zip(n, cells(a), cells(b)))``
-    in pieces, for ``columns`` = (n, a, b).
-
-    Each block of up to ``_ROW_BLOCK`` rows is filled by one ``%`` over the
-    template repeated once per row, so no Python code runs per row, and
-    the temporaries stay small however long the table is.  ``cells`` maps
-    a block of a float column to the values that fill the template.
-    """
-    width = len(columns)
-    for lo in range(0, len(columns[0]), _ROW_BLOCK):
-        hi = lo + _ROW_BLOCK
-        n = columns[0][lo:hi]
-        flat: list = [None] * (width * len(n))
-        flat[0::width] = n
-        for j, column in enumerate(columns[1:], start=1):
-            flat[j::width] = cells(column[lo:hi])
-        yield (sep if lo else "") + sep.join([template] * len(n)) % tuple(flat)
 
 
 class Preference(enum.Enum):
@@ -389,8 +339,6 @@ def optimal_bracket(
 
     With the default luce prior x* = 1/|beta|.
     """
-    from .priors import continuous_optimum
-
     if beta >= 0.0:
         raise SignError(f"bracket requires beta < 0, got {beta}")
     prior = prior if prior is not None else PriorSpec.luce()
@@ -410,16 +358,7 @@ def compare(dist: PosteriorDistribution, i: int, j: int) -> Preference:
     return Preference.PREFER_I if pi > pj else Preference.PREFER_J
 
 
-def global_mean(
-    dist: PosteriorDistribution,
-    utilities: ExpectedUtilitySeq | None = None,
-) -> float:
+def global_mean(dist: PosteriorDistribution) -> float:
     """Mean expected utility under the distribution, over the truncated
-    support.  ``utilities`` defaults to the values the distribution stores."""
-    if utilities is None:
-        values = dist.utilities
-    else:
-        values = np.asarray(
-            [utilities(n) for n in range(1, dist.n_trunc + 1)], dtype=float
-        )
-    return float(np.dot(dist.probs, values))
+    support."""
+    return float(np.dot(dist.probs, dist.utilities))

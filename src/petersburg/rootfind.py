@@ -1,4 +1,4 @@
-"""Scalar root finding: bracketed bisection with an optional secant polish.
+"""Scalar root finding: bracketed bisection with a final secant polish.
 
 Bisection is deliberately preferred over faster methods: every equation
 solved in this package is continuous and strictly monotone on its bracket,
@@ -11,6 +11,8 @@ from typing import Callable
 
 from .errors import SolverError
 
+_MAX_ITER = 200
+
 
 def bisect_root(
     f: Callable[[float], float],
@@ -18,13 +20,12 @@ def bisect_root(
     hi: float,
     *,
     xtol: float = 1e-12,
-    max_iter: int = 200,
-    secant_polish: bool = True,
 ) -> tuple[float, int]:
     """Find x in [lo, hi] with f(x) = 0, given f(lo) and f(hi) of opposite sign.
 
-    Bisects until the bracket width falls below ``xtol``, then (optionally)
-    applies a single secant step inside the final bracket.  Returns
+    Bisects until the bracket width falls below ``xtol`` (at most
+    ``_MAX_ITER`` steps), then applies a single secant step inside the final
+    bracket.  Returns
     ``(root, iterations)``.
 
     Raises SolverError if the initial bracket does not straddle a sign change.
@@ -41,7 +42,7 @@ def bisect_root(
         )
 
     iterations = 0
-    while hi - lo > xtol and iterations < max_iter:
+    while hi - lo > xtol and iterations < _MAX_ITER:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket at floating-point resolution
@@ -55,7 +56,7 @@ def bisect_root(
             lo, flo = mid, fmid
 
     root = 0.5 * (lo + hi)
-    if secant_polish and fhi != flo:
+    if fhi != flo:
         candidate = lo - flo * (hi - lo) / (fhi - flo)
         if lo <= candidate <= hi:
             root = candidate

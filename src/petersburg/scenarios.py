@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
-
 import numpy as np
 
-from .errors import DomainError, SignError, SingularAttributeError
+from .errors import DomainError, SignError, SingularAttributeError, check_positive_index
 from .lotteries import ExpectedUtilitySeq
 from .posteriors import PosteriorDistribution, TruncationPolicy
 from .priors import PriorSpec, pair_probabilities
@@ -40,14 +38,6 @@ class RepeatedGameResult:
     u_opt: float
     n_opt_continuous: float
     n_opt: int
-
-    def to_json(self) -> dict:
-        return {
-            "beta": self.beta,
-            "u_opt": self.u_opt,
-            "n_opt_continuous": self.n_opt_continuous,
-            "n_opt": self.n_opt,
-        }
 
 
 @dataclass(frozen=True)
@@ -75,8 +65,7 @@ class StageChoice:
 
 def repeated_game_value(n: int) -> float:
     """Average per-game expected value of a run of n games: 1 + log2(n)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"number of games must be a positive integer, got {n}")
+    check_positive_index(n, "n")
     return 1.0 + math.log2(n)
 
 
@@ -169,8 +158,7 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
 
 
 def _check_roulette_args(n: int, x0: float, p_win: float) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"stage must be a positive integer, got {n}")
+    check_positive_index(n, "n")
     if x0 <= 0.0:
         raise DomainError(f"initial bid must be positive, got {x0}")
     if not 0.0 < p_win < 1.0:
@@ -207,7 +195,6 @@ def roulette_stage_choice(
     0 (neutral beliefs), where the pair reduces to |U_{n+1}| : |U_n| odds
     independent of the bid size.
     """
-    _check_roulette_args(n, x0, p_win)
     u_stop = roulette_expected_value(n, x0, p_win)
     u_continue = roulette_expected_value(n + 1, x0, p_win)
     for u in (u_stop, u_continue):
@@ -243,12 +230,3 @@ def roulette_sequence(
     return [
         roulette_stage_choice(n, beta, x0, p_win) for n in range(1, n_stages + 1)
     ]
-
-
-def roulette_sequence_to_csv(choices: Sequence[StageChoice], fh: IO[str]) -> None:
-    fh.write("stage,u_stop,u_continue,p_stop,p_continue\n")
-    for ch in choices:
-        fh.write(
-            f"{ch.stage},{ch.u_stop:.12g},{ch.u_continue:.12g},"
-            f"{ch.p_stop:.12g},{ch.p_continue:.12g}\n"
-        )

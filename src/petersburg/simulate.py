@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_positive_index
 
 GENERATOR_NAME = "philox-4x64-10"
 
@@ -66,18 +65,6 @@ class SimSummary:
     generator: str = GENERATOR_NAME
     capped_tosses: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "per_game_mean": self.per_game_mean,
-            "per_game_median_of_means": self.per_game_median_of_means,
-            "n_games": self.n_games,
-            "replications": self.replications,
-            "stderr_proxy": self.stderr_proxy,
-            "seed": self.seed,
-            "generator": self.generator,
-            "capped_tosses": self.capped_tosses,
-        }
-
 
 @dataclass(frozen=True)
 class MartingaleSummary:
@@ -94,27 +81,6 @@ class MartingaleSummary:
     p_win: float
     seed: int
     generator: str = GENERATOR_NAME
-
-    def to_json(self) -> dict:
-        return {
-            "stage_means": list(self.stage_means),
-            "stage_stderrs": list(self.stage_stderrs),
-            "replications": self.replications,
-            "x0": self.x0,
-            "p_win": self.p_win,
-            "seed": self.seed,
-            "generator": self.generator,
-        }
-
-    def to_csv(self, fh: IO[str]) -> None:
-        fh.write(f"# replications: {self.replications}\n")
-        fh.write(f"# x0: {self.x0:.12g}\n")
-        fh.write(f"# p_win: {self.p_win:.12g}\n")
-        fh.write(f"# seed: {self.seed}\n")
-        fh.write(f"# generator: {self.generator}\n")
-        fh.write("stage,mean,stderr\n")
-        for k, (m, s) in enumerate(zip(self.stage_means, self.stage_stderrs), 1):
-            fh.write(f"{k},{m:.12g},{s:.12g}\n")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -161,18 +127,6 @@ def _tosses_from_uniforms(u: np.ndarray, max_tosses: int) -> tuple[np.ndarray, i
     return np.minimum(raw, max_tosses), capped
 
 
-def play_bernoulli_game(
-    rng: np.random.Generator, max_tosses: int = 60
-) -> tuple[int, float]:
-    """Play one coin-toss game: returns (tosses, payoff) with payoff equal
-    to 2**tosses, tosses capped at ``max_tosses``."""
-    tosses, _ = _tosses_from_uniforms(
-        np.array([rng.random()]), max_tosses
-    )
-    t = int(tosses[0])
-    return t, float(2.0 ** t)
-
-
 def simulate_repeated(n_games: int, config: SimConfig) -> SimSummary:
     """Play ``n_games`` coin-toss games per replication and summarize the
     per-game average winnings across replications.
@@ -181,8 +135,7 @@ def simulate_repeated(n_games: int, config: SimConfig) -> SimSummary:
     the limit), so the median of the per-replication means is the robust
     statistic; it grows by about one unit per doubling of ``n_games``.
     """
-    if not isinstance(n_games, int) or isinstance(n_games, bool) or n_games < 1:
-        raise DomainError(f"n_games must be a positive integer, got {n_games}")
+    check_positive_index(n_games, "n_games")
 
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // n_games)
 
@@ -233,8 +186,7 @@ def simulate_martingale(
     -(2**n - 1) * x0 when all n spins lost.  Means converge to
     [1 - (2(1-p))^n] * x0.
     """
-    if not isinstance(n_stages, int) or isinstance(n_stages, bool) or n_stages < 1:
-        raise DomainError(f"n_stages must be a positive integer, got {n_stages}")
+    check_positive_index(n_stages, "n_stages")
     if x0 <= 0.0:
         raise DomainError(f"initial bid must be positive, got {x0}")
     if not 0.0 < p_win < 1.0:
@@ -268,18 +220,3 @@ def simulate_martingale(
         p_win=p_win,
         seed=config.seed,
     )
-
-
-def repeated_summaries_to_csv(
-    summaries: Sequence[SimSummary], fh: IO[str]
-) -> None:
-    fh.write(
-        "n_games,per_game_mean,per_game_median_of_means,replications,"
-        "stderr_proxy,seed,generator,capped_tosses\n"
-    )
-    for s in summaries:
-        fh.write(
-            f"{s.n_games},{s.per_game_mean:.12g},"
-            f"{s.per_game_median_of_means:.12g},{s.replications},"
-            f"{s.stderr_proxy:.12g},{s.seed},{s.generator},{s.capped_tosses}\n"
-        )

@@ -1,6 +1,8 @@
 """Disbelief calibration: closed moments and the self-consistency root."""
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from petersburg import (
     calibrate_disbelief_general,
     posterior,
 )
+from petersburg.cli import main
 
 LUCE = PriorSpec.luce()
 
@@ -130,8 +133,10 @@ class TestGeneralCalibration:
             sigmas.append(math.sqrt(var))
         assert all(b > a for a, b in zip(sigmas[1:], sigmas[:-1]))
 
-    def test_result_serialization(self):
+    def test_result_serialization(self, capsys):
         result = calibrate_bernoulli_disbelief()
-        doc = result.to_json()
-        assert set(doc) == {"abs_beta", "residual", "iterations", "method"}
-        assert doc["abs_beta"] == result.abs_beta
+        assert main(["calibrate", "--format", "json", "--no-timestamp"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(asdict(result)) == {"abs_beta", "residual", "iterations", "method"}
+        assert set(doc) == set(asdict(result)) | {"route"}
+        assert doc["abs_beta"] == float(f"{result.abs_beta:.12g}")

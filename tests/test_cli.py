@@ -1,6 +1,7 @@
 """Command-line surface: outputs, config handling, and exit codes."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -180,7 +181,7 @@ class TestConfigHandling:
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = RunConfig(command="optimal", beta=-0.25)
         path = tmp_path / "run.json"
-        path.write_text(json.dumps(cfg.to_json()))
+        path.write_text(json.dumps(asdict(cfg)))
         code, out, _ = run(
             capsys, "optimal", "--config", str(path), "--beta", "-1.157",
             "--format", "json", "--no-timestamp",
@@ -213,9 +214,36 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("error:config:")
 
+    @pytest.mark.parametrize("command", ["distribution", "repeated", "roulette"])
+    def test_negative_rows_exits_one(self, capsys, tmp_path, command):
+        # a negative --rows once sliced the table from its end
+        code, out, err = run(capsys, command, "--beta", "-2", "--rows", "-3")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:config:rows must be a nonnegative integer")
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"rows": -3}))
+        code, _, err = run(capsys, command, "--beta", "-2", "--config", str(path))
+        assert code == 1 and err.startswith("error:config:rows")
+        code, _, _ = run(capsys, command, "--beta", "-2", "--rows", "0")
+        assert code == 0
+
+    def test_repeated_rejects_other_priors(self, capsys, tmp_path):
+        # the run-length table has the luce weights whatever the prior
+        code, out, err = run(
+            capsys, "repeated", "--prior", "power", "--alpha", "3", "--beta", "-1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:config:repeated takes only the luce prior")
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps({"prior": {"kind": "log", "u0": 1.0}}))
+        code, _, err = run(capsys, "repeated", "--beta", "-1", "--config", str(path))
+        assert code == 1 and err.startswith("error:config:repeated")
+        code, _, _ = run(capsys, "repeated", "--prior", "luce", "--beta", "-1", "--rows", "2")
+        assert code == 0
+
     def test_run_config_json_round_trip(self):
         cfg = RunConfig(command="roulette", stages=7, beta=-0.5)
-        again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+        again = RunConfig.from_json(json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
 
 

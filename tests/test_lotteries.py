@@ -17,7 +17,6 @@ from petersburg import (
     bernoulli_utilities,
     expected_utility,
     geometric_expected_utility,
-    residual_excluded,
 )
 
 
@@ -79,12 +78,15 @@ class TestExpectedUtility:
         with pytest.raises(DomainError):
             expected_utility(lot, UtilitySpec.logarithmic())
 
-    def test_residual_exclusion_flag(self):
+    def test_logarithmic_residual_excluded(self):
+        # the residual branch pays 0, where ln is undefined: it adds nothing
         lot = bernoulli_lottery(3)
-        assert residual_excluded(lot, UtilitySpec.logarithmic())
-        assert not residual_excluded(lot, UtilitySpec.linear())
+        assert lot.residual_probability == 0.125
+        winning = sum(m * math.log(2.0) * 2.0 ** -m for m in range(1, 4))
+        value = expected_utility(lot, UtilitySpec.logarithmic())
+        np.testing.assert_allclose(value, winning, rtol=1e-15)
         full = Lottery(((2.0, 1.0),))
-        assert not residual_excluded(full, UtilitySpec.logarithmic())
+        assert expected_utility(full, UtilitySpec.logarithmic()) == math.log(2.0)
 
     def test_power_utility(self):
         lot = bernoulli_lottery(2)
@@ -218,7 +220,6 @@ class TestExpectedUtilitySeq:
         seq = ExpectedUtilitySeq.from_values([1.0, 3.0, 2.0])
         assert seq.finite and seq.size == 3
         assert seq(2) == 3.0
-        assert not seq.monotone_nondecreasing()
         with pytest.raises(DomainError):
             seq(4)
         with pytest.raises(DomainError):
@@ -235,7 +236,6 @@ class TestExpectedUtilitySeq:
         seq = bernoulli_utilities()
         assert seq(10 ** 6) == 1e6
         assert seq.is_unbounded()
-        assert seq.monotone_nondecreasing()
 
     def test_unbounded_probe(self):
         growing = ExpectedUtilitySeq(lambda n: math.sqrt(n))

@@ -1,6 +1,6 @@
 """Posterior distributions: closed forms, reductions, optima, and stability."""
 
-import io
+import json
 import math
 
 import numpy as np
@@ -24,8 +24,14 @@ from petersburg import (
     posterior,
     stochastically_optimal,
 )
+from petersburg.cli import main
 
 LUCE = PriorSpec.luce()
+
+
+def run_cli(capsys, *argv) -> str:
+    assert main([*argv, "--no-timestamp"]) == 0
+    return capsys.readouterr().out
 
 
 def _series_sum(beta: float, power: int) -> float:
@@ -256,27 +262,28 @@ class TestGlobalMean:
         dist = posterior(LUCE, ExpectedUtilitySeq.from_values([7.0]), 0.0)
         assert global_mean(dist) == 7.0
 
-    def test_explicit_utilities_argument(self):
-        dist = posterior(LUCE, bernoulli_utilities(), -1.0)
-        np.testing.assert_allclose(
-            global_mean(dist, bernoulli_utilities()), global_mean(dist), rtol=1e-15
-        )
-
 
 class TestSerialization:
-    def test_json_shape(self):
-        dist = posterior(LUCE, ExpectedUtilitySeq.from_values([1.0, 2.0]), 0.0)
-        doc = dist.to_json()
+    def test_json_shape(self, capsys, tmp_path):
+        # two sure payoffs: U_1 = 1, U_2 = 2
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"family": "custom", "lotteries": [
+            {"outcomes": [{"payoff": 1.0, "prob": 1.0}]},
+            {"outcomes": [{"payoff": 2.0, "prob": 1.0}]},
+        ]}))
+        out = run_cli(capsys, "distribution", "--game", str(family), "--beta", "0",
+                      "--format", "json")
+        doc = json.loads(out)
         assert doc["meta"]["n_trunc"] == 2
         assert doc["meta"]["beta"] == 0.0
         assert len(doc["rows"]) == 2
-        np.testing.assert_allclose(doc["rows"][1]["prob"], 2.0 / 3.0, rtol=1e-14)
+        # the CLI prints 12 significant digits
+        np.testing.assert_allclose(doc["rows"][1]["prob"], 2.0 / 3.0, rtol=1e-11)
 
-    def test_csv_contents(self):
+    def test_csv_contents(self, capsys):
         dist = posterior(LUCE, bernoulli_utilities(), -1.0)
-        buf = io.StringIO()
-        dist.to_csv(buf)
-        lines = buf.getvalue().splitlines()
+        out = run_cli(capsys, "distribution", "--beta", "-1.0", "--format", "csv")
+        lines = out.splitlines()
         assert lines[0].startswith("# beta: -1")
         assert lines[3] == "# tail_rule: exact-geometric"
         assert lines[4] == "n,U_n,prob"

@@ -1,10 +1,10 @@
-"""Bulk row rendering: CLI JSON and CSV stay byte-identical to the per-row
-encoder they replaced.
+"""Bulk row rendering: CLI tables, CSV and JSON stay byte-identical to the
+per-row encoder they replaced.
 
 The reference below is that encoder, kept here: every payload is built as a
 dict with one dict per row, rounded by ``reference_round_floats`` and
 encoded by ``json.dumps(..., sort_keys=True, indent=2)``; CSV rows are
-written one f-string per row.
+written one f-string per row, and text tables one padded line per row.
 """
 
 import contextlib
@@ -23,19 +23,26 @@ from hypothesis import strategies as st
 
 import petersburg
 from petersburg import (
+    DOUBLE_ZERO_WIN_PROB,
     ExpectedUtilitySeq,
     GameFamily,
     Lottery,
     PriorSpec,
+    SimConfig,
     UtilitySpec,
     bernoulli_utilities,
     calibrate_bernoulli_disbelief,
+    continuous_optimum,
+    optimal_bracket,
     posterior,
     repeated_game_posterior,
     repeated_optimal,
+    roulette_sequence,
+    simulate_martingale,
+    simulate_repeated,
+    stochastically_optimal,
 )
-from petersburg import cli, posteriors
-from petersburg.posteriors import CSV_ROW, format_rows
+from petersburg import cli
 
 # -- the per-row reference encoder ----------------------------------------
 
@@ -66,6 +73,24 @@ def reference_json(payload: dict) -> str:
     return json.dumps(reference_round_floats(payload), sort_keys=True, indent=2) + "\n"
 
 
+def reference_table(header, rows) -> list[str]:
+    cells = [[reference_fmt(v, 4) for v in row] for row in rows]
+    widths = [
+        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
+        for i, h in enumerate(header)
+    ]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+    lines.append("  ".join("-" * w for w in widths))
+    for r in cells:
+        lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
+    return lines
+
+
+def reference_text(*tables: list[str]) -> str:
+    """Tables one after another, a blank line apart."""
+    return "\n".join("\n".join(t) for t in tables) + "\n"
+
+
 def reference_rows(utilities, probs) -> list[dict]:
     return [
         {"n": n, "u": float(u), "prob": float(p)}
@@ -80,6 +105,15 @@ def reference_csv_rows(utilities, probs) -> str:
     )
 
 
+def reference_calibration(calib) -> dict:
+    return {
+        "abs_beta": calib.abs_beta,
+        "residual": calib.residual,
+        "iterations": calib.iterations,
+        "method": calib.method,
+    }
+
+
 def reference_distribution_json(dist, calib=None, timestamp=None) -> str:
     meta = {
         "beta": dist.beta,
@@ -88,7 +122,7 @@ def reference_distribution_json(dist, calib=None, timestamp=None) -> str:
         "tail_rule": dist.tail_rule,
     }
     if calib is not None:
-        meta["calibration"] = calib.to_json()
+        meta["calibration"] = reference_calibration(calib)
     payload = {"meta": meta, "rows": reference_rows(dist.utilities, dist.probs)}
     if timestamp is not None:
         payload["timestamp"] = timestamp
@@ -106,13 +140,27 @@ def reference_distribution_csv(dist, timestamp=None) -> str:
     ) + reference_csv_rows(dist.utilities, dist.probs)
 
 
+def reference_distribution_table(dist, rows: int) -> str:
+    shown = list(zip(range(1, dist.n_trunc + 1), dist.utilities.tolist(), dist.probs.tolist()))
+    lines = reference_table(("n", "U_n", "prob"), shown[:rows])
+    if dist.n_trunc > rows:
+        lines.append(f"... ({dist.n_trunc - rows} more rows; see csv/json)")
+    return reference_text(lines)
+
+
 def reference_repeated(beta: float, rows: int, fmt: str) -> str:
     result = repeated_optimal(beta)
     dist = repeated_game_posterior(beta)
     stop = min(rows, dist.n_trunc)
+    summary = {
+        "beta": beta,
+        "u_opt": result.u_opt,
+        "n_opt_continuous": result.n_opt_continuous,
+        "n_opt": result.n_opt,
+    }
     if fmt == "json":
         return reference_json({
-            "result": result.to_json(),
+            "result": summary,
             "posterior_meta": {
                 "beta": dist.beta,
                 "n_trunc": dist.n_trunc,
@@ -121,6 +169,13 @@ def reference_repeated(beta: float, rows: int, fmt: str) -> str:
             },
             "rows": reference_rows(dist.utilities[:stop], dist.probs[:stop]),
         })
+    if fmt == "table":
+        n = range(1, stop + 1)
+        return reference_text(
+            reference_table(("field", "value"), list(summary.items())),
+            [],
+            reference_table(("N", "U_N", "prob"), list(zip(n, dist.utilities[:stop], dist.probs[:stop]))),
+        )
     return (
         f"# beta: {beta:.12g}\n"
         f"# u_opt: {result.u_opt:.12g}\n"
@@ -131,6 +186,114 @@ def reference_repeated(beta: float, rows: int, fmt: str) -> str:
         f"# tail_rule: {dist.tail_rule}\n"
         "N,U_N,prob\n"
     ) + reference_csv_rows(dist.utilities[:stop], dist.probs[:stop])
+
+
+def reference_fields(payload: dict, fmt: str, extra: dict | None = None) -> str:
+    """A command whose output is named values: ``extra`` shows only in JSON."""
+    if fmt == "json":
+        return reference_json({**payload, **(extra or {})})
+    if fmt == "table":
+        return reference_text(reference_table(("field", "value"), list(payload.items())))
+    values = ("" if v is None else reference_fmt(v) for v in payload.values())
+    return ",".join(payload) + "\n" + ",".join(values) + "\n"
+
+
+def reference_optimal(fmt: str, beta=None, game=None) -> str:
+    calib = None
+    if beta is None:
+        calib = calibrate_bernoulli_disbelief()
+        beta = -calib.abs_beta
+    prior = PriorSpec.luce()
+    if game is None:
+        utilities, bracket = bernoulli_utilities(), optimal_bracket(beta, prior)
+    else:
+        family = GameFamily.from_json(game)
+        utilities = ExpectedUtilitySeq.from_family(family, UtilitySpec.linear())
+        bracket = (None, None)
+    dist = posterior(prior, utilities, beta)
+    n = stochastically_optimal(dist)
+    payload = {
+        "beta": beta,
+        "n_opt": n,
+        "prob_opt": dist.prob(n),
+        "u_opt": dist.utility(n),
+        "continuous_optimum": continuous_optimum(prior, beta),
+        "bracket_low": bracket[0],
+        "bracket_high": bracket[1],
+    }
+    extra = {"calibration": reference_calibration(calib)} if calib else None
+    return reference_fields(payload, fmt, extra)
+
+
+def reference_calibrate(fmt: str) -> str:
+    calib = calibrate_bernoulli_disbelief()
+    return reference_fields({**reference_calibration(calib), "route": "closed"}, fmt)
+
+
+ROULETTE = ("stage", "u_stop", "u_continue", "p_stop", "p_continue")
+
+
+def reference_roulette(fmt: str, stages: int, beta: float, x0: float) -> str:
+    rows = [
+        (c.stage, c.u_stop, c.u_continue, c.p_stop, c.p_continue)
+        for c in roulette_sequence(stages, beta, x0)
+    ]
+    if fmt == "json":
+        return reference_json({
+            "beta": beta, "x0": x0, "p_win": DOUBLE_ZERO_WIN_PROB,
+            "stages": [dict(zip(ROULETTE, row)) for row in rows],
+        })
+    if fmt == "table":
+        return reference_text(reference_table(ROULETTE, rows))
+    return ",".join(ROULETTE) + "\n" + "".join(
+        f"{s},{a:.12g},{b:.12g},{c:.12g},{d:.12g}\n" for s, a, b, c, d in rows
+    )
+
+
+RUNS = ("n_games", "per_game_mean", "per_game_median_of_means", "replications",
+        "stderr_proxy", "seed", "generator", "capped_tosses")
+
+
+def reference_simulate_repeated(fmt: str, n_games, reps: int, seed: int) -> str:
+    config = SimConfig(seed=seed, replications=reps)
+    runs = [simulate_repeated(n, config) for n in n_games]
+    rows = [tuple(getattr(s, name) for name in RUNS) for s in runs]
+    if fmt == "json":
+        return reference_json({
+            "target": "repeated", "runs": [dict(zip(RUNS, row)) for row in rows],
+        })
+    if fmt == "table":
+        return reference_text(reference_table(RUNS, rows))
+    return ",".join(RUNS) + "\n" + "".join(
+        f"{s.n_games},{s.per_game_mean:.12g},{s.per_game_median_of_means:.12g},"
+        f"{s.replications},{s.stderr_proxy:.12g},{s.seed},{s.generator},"
+        f"{s.capped_tosses}\n"
+        for s in runs
+    )
+
+
+def reference_martingale(fmt: str, stages: int, reps: int, seed: int) -> str:
+    s = simulate_martingale(stages, 1.0, DOUBLE_ZERO_WIN_PROB,
+                            SimConfig(seed=seed, replications=reps))
+    rows = [(k, m, e) for k, (m, e) in enumerate(zip(s.stage_means, s.stage_stderrs), 1)]
+    if fmt == "json":
+        return reference_json({
+            "target": "martingale",
+            "stage_means": list(s.stage_means),
+            "stage_stderrs": list(s.stage_stderrs),
+            "replications": s.replications,
+            "x0": s.x0,
+            "p_win": s.p_win,
+            "seed": s.seed,
+            "generator": s.generator,
+        })
+    if fmt == "table":
+        return reference_text(reference_table(("stage", "mean", "stderr"), rows))
+    return (
+        f"# replications: {s.replications}\n# x0: {s.x0:.12g}\n"
+        f"# p_win: {s.p_win:.12g}\n# seed: {s.seed}\n# generator: {s.generator}\n"
+        "stage,mean,stderr\n"
+    ) + "".join(f"{k},{m:.12g},{e:.12g}\n" for k, m, e in rows)
 
 
 def run(capsys, *argv) -> str:
@@ -160,6 +323,7 @@ def test_distribution_matches_reference(capsys, kind, beta):
     argv = ("distribution", "--prior", kind, *flags, f"--beta={beta!r}", "--no-timestamp")
     assert run(capsys, *argv, "--format", "json") == reference_distribution_json(dist)
     assert run(capsys, *argv, "--format", "csv") == reference_distribution_csv(dist)
+    assert run(capsys, *argv) == reference_distribution_table(dist, 50)
 
 
 def test_calibrated_distribution_matches_reference(capsys):
@@ -222,27 +386,95 @@ def test_geometric_custom_family_past_1e12(capsys, tmp_path):
     assert run(capsys, *argv, "--format", "csv") == reference_distribution_csv(dist)
 
 
+FAMILY = {"family": "custom", "lotteries": [
+    {"outcomes": [{"payoff": 2.0, "prob": 0.5}, {"payoff": 4.0, "prob": 0.25}],
+     "residual": 0.25},
+    {"outcomes": [{"payoff": 3.0, "prob": 0.9}], "residual": 0.1},
+    {"outcomes": [{"payoff": 50.0, "prob": 0.1}], "residual": 0.9},
+]}
+
+# (argv, reference) for every command besides distribution and repeated
+COMMANDS = {
+    "optimal": (["optimal", "--beta=-0.7"], lambda f: reference_optimal(f, -0.7)),
+    "optimal-calibrated": (["optimal"], reference_optimal),
+    "optimal-family": (
+        ["optimal", "--game", "family.json", "--beta=-0.3"],
+        lambda f: reference_optimal(f, -0.3, FAMILY),
+    ),
+    "calibrate": (["calibrate"], reference_calibrate),
+    "roulette": (["roulette"], lambda f: reference_roulette(f, 5, 0.0, 1.0)),
+    "roulette-7": (
+        ["roulette", "--stages", "7", "--beta=-0.3", "--x0", "2.5"],
+        lambda f: reference_roulette(f, 7, -0.3, 2.5),
+    ),
+    "simulate-repeated": (
+        ["simulate", "--target", "repeated", "--n-games", "4", "8", "16", "32",
+         "--replications", "300", "--seed", "5"],
+        lambda f: reference_simulate_repeated(f, [4, 8, 16, 32], 300, 5),
+    ),
+    "simulate-martingale": (
+        ["simulate", "--target", "martingale", "--stages", "7",
+         "--replications", "5000", "--seed", "3"],
+        lambda f: reference_martingale(f, 7, 5000, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_matches_reference(capsys, monkeypatch, tmp_path, name, fmt, block):
+    if block is not None:  # tables of 4 to 7 rows then span 2 or 3 blocks
+        monkeypatch.setattr(cli, "_ROW_BLOCK", block)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "family.json").write_text(json.dumps(FAMILY))
+    argv, reference = COMMANDS[name]
+    assert run(capsys, *argv, "--format", fmt, "--no-timestamp") == reference(fmt)
+
+
+@pytest.mark.parametrize("rows", [0, 2, 3, 7, 40])
+def test_long_tables_across_blocks(capsys, monkeypatch, rows):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
+    dist = posterior(PriorSpec.luce(), bernoulli_utilities(), -0.3)
+    argv = ("distribution", "--beta=-0.3", "--no-timestamp", "--rows", str(rows))
+    assert run(capsys, *argv) == reference_distribution_table(dist, rows)
+    assert run(capsys, *argv, "--format", "csv") == reference_distribution_csv(dist)
+    assert run(capsys, *argv, "--format", "json") == reference_distribution_json(dist)
+    argv = ("repeated", "--beta=-1.9574", "--no-timestamp", "--rows", str(rows))
+    for fmt in ("table", "csv", "json"):
+        assert run(capsys, *argv, "--format", fmt) == reference_repeated(-1.9574, rows, fmt)
+
+
 # -- the formatter itself -------------------------------------------------
 
 EDGE_VALUES = [-0.0, 1e-320, 1.0, 0.1, 1234567890123.0, 1e16]
 
 
-def emit_rows(utilities, probs) -> str:
-    cfg = cli.RunConfig(output_format="json", timestamp=False)
-    n = range(1, len(utilities) + 1)
+def emit_rows(utilities, probs, fmt: str = "json") -> str:
+    """The rows rendered by the CLI; for CSV without the header line."""
+    cfg = cli.RunConfig(output_format=fmt, timestamp=False)
+    columns = (
+        range(1, len(utilities) + 1),
+        np.array(utilities, dtype=float),
+        np.array(probs, dtype=float),
+    )
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-            cli._emit(cfg, cli.Emission(
-            payload={"meta": {"x": 0.5}},
-            rows=(n, np.array(utilities, dtype=float), np.array(probs, dtype=float)),
+        cli._emit(cfg, cli.Result(
+            doc={"meta": {"x": 0.5}}, header=("n", "U_n", "prob"), columns=columns,
+            rows_key="rows", keys=("n", "u", "prob"),
         ))
-    return out.getvalue()
+    text = out.getvalue()
+    return text.split("\n", 1)[1] if fmt == "csv" else text
 
 
 def csv_rows(utilities, probs) -> str:
-    n = range(1, len(utilities) + 1)
-    columns = (n, np.array(utilities, dtype=float), np.array(probs, dtype=float))
-    return "".join(format_rows(CSV_ROW, columns))
+    return emit_rows(utilities, probs, "csv")
+
+
+def table_rows(utilities, probs) -> str:
+    rows = list(zip(range(1, len(utilities) + 1), map(float, utilities), map(float, probs)))
+    return reference_text(reference_table(("n", "U_n", "prob"), rows))
 
 
 @pytest.mark.parametrize("x", EDGE_VALUES)
@@ -257,6 +489,7 @@ def test_formatter_edge_values_in_payload():
     u, p = [r[0] for r in rows], [r[1] for r in rows]
     expected = reference_json({"meta": {"x": 0.5}, "rows": reference_rows(u, p)})
     assert emit_rows(u, p) == expected
+    assert emit_rows(u, p, "table") == table_rows(u, p)
     assert '"u": 1234567890120.0' in expected  # repr, not %.12g's 1.23456789012e+12
     assert '"u": 1e+16' in expected
 
@@ -267,21 +500,25 @@ def test_non_finite_values_follow_the_reference():
     expected = reference_json({"meta": {"x": 0.5}, "rows": reference_rows(u, p)})
     assert emit_rows(u, p) == expected
     assert '"u": "inf"' in expected and '"u": "nan"' in expected
+    assert csv_rows(u, p) == reference_csv_rows(u, p)
+    assert emit_rows(u, p, "table") == table_rows(u, p)
 
 
 def test_empty_table():
     assert emit_rows([], []) == reference_json({"meta": {"x": 0.5}, "rows": []})
     assert csv_rows([], []) == ""
+    assert emit_rows([], [], "table") == table_rows([], [])
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 9])
 def test_block_boundaries(monkeypatch, count):
-    monkeypatch.setattr(posteriors, "_ROW_BLOCK", 3)
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
     u = [1.5 * k for k in range(count)]
     p = [1.0 / (k + 1) for k in range(count)]
     expected = reference_json({"meta": {"x": 0.5}, "rows": reference_rows(u, p)})
     assert emit_rows(u, p) == expected
     assert csv_rows(u, p) == reference_csv_rows(u, p)
+    assert emit_rows(u, p, "table") == table_rows(u, p)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -294,6 +531,7 @@ def test_random_rows_match_reference(rows):
     expected = reference_json({"meta": {"x": 0.5}, "rows": reference_rows(u, p)})
     assert emit_rows(u, p) == expected
     assert csv_rows(u, p) == reference_csv_rows(u, p)
+    assert emit_rows(u, p, "table") == table_rows(u, p)
 
 
 # -- one parser for the whole process -------------------------------------

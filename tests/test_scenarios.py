@@ -1,6 +1,6 @@
 """Repeated games and the martingale roulette sequence."""
 
-import io
+import json
 import math
 
 import numpy as np
@@ -20,10 +20,15 @@ from petersburg import (
     roulette_asymptotic_value,
     roulette_expected_value,
     roulette_sequence,
-    roulette_sequence_to_csv,
     roulette_stage_choice,
     stochastically_optimal,
 )
+from petersburg.cli import main
+
+
+def run_cli(capsys, *argv) -> str:
+    assert main([*argv, "--no-timestamp"]) == 0
+    return capsys.readouterr().out
 
 DOUBLE_ZERO = 18.0 / 38.0
 
@@ -123,8 +128,9 @@ class TestRepeatedOptimal:
         with pytest.raises(SignError):
             repeated_optimal(0.1)
 
-    def test_serialization(self):
-        doc = repeated_optimal(-0.5).to_json()
+    def test_serialization(self, capsys):
+        out = run_cli(capsys, "repeated", "--beta=-0.5", "--rows", "0", "--format", "json")
+        doc = json.loads(out)["result"]
         assert doc["n_opt"] == 2 and doc["u_opt"] == 2.0
 
 
@@ -251,10 +257,8 @@ class TestRouletteSequence:
         assert [c.stage for c in seq] == [1, 2, 3, 4, 5]
         assert seq[2] == roulette_stage_choice(3)
 
-    def test_csv_columns(self):
-        buf = io.StringIO()
-        roulette_sequence_to_csv(roulette_sequence(3), buf)
-        lines = buf.getvalue().splitlines()
+    def test_csv_columns(self, capsys):
+        lines = run_cli(capsys, "roulette", "--stages", "3", "--format", "csv").splitlines()
         assert lines[0] == "stage,u_stop,u_continue,p_stop,p_continue"
         assert len(lines) == 4
         row = lines[1].split(",")

@@ -1,6 +1,6 @@
 """Monte Carlo simulators: distributions, determinism, and convergence."""
 
-import io
+import json
 import math
 
 import numpy as np
@@ -10,12 +10,11 @@ from petersburg import (
     DomainError,
     MartingaleSummary,
     SimConfig,
-    play_bernoulli_game,
-    repeated_summaries_to_csv,
     roulette_expected_value,
     simulate_martingale,
     simulate_repeated,
 )
+from petersburg.cli import main
 from petersburg.simulate import _tosses_from_uniforms
 
 
@@ -52,14 +51,6 @@ class TestTossSampling:
         raw, _ = _tosses_from_uniforms(u, 60)
         assert capped == int(np.count_nonzero(raw > 2))
         assert abs(capped / len(u) - 0.25) < 0.01
-
-    def test_single_game(self):
-        rng = _rng(7)
-        for _ in range(200):
-            tosses, payoff = play_bernoulli_game(rng)
-            assert tosses >= 1
-            assert payoff == 2.0 ** tosses
-            assert payoff >= 2.0
 
 
 class TestSimulateRepeated:
@@ -166,25 +157,25 @@ class TestConfigValidation:
 
 
 class TestSerialization:
-    def test_repeated_csv(self):
-        cfg = SimConfig(seed=4, replications=100)
-        summaries = [simulate_repeated(n, cfg) for n in (2, 4)]
-        buf = io.StringIO()
-        repeated_summaries_to_csv(summaries, buf)
-        lines = buf.getvalue().splitlines()
+    @staticmethod
+    def run(capsys, *argv) -> str:
+        assert main(["simulate", "--seed", "4", "--replications", "100", *argv,
+                     "--no-timestamp"]) == 0
+        return capsys.readouterr().out
+
+    def test_repeated_csv(self, capsys):
+        out = self.run(capsys, "--target", "repeated", "--n-games", "2", "4", "--format", "csv")
+        lines = out.splitlines()
         assert lines[0].startswith("n_games,per_game_mean")
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "2"
 
-    def test_martingale_csv_and_json(self):
-        cfg = SimConfig(seed=4, replications=100)
-        summary = simulate_martingale(3, 1.0, 0.45, cfg)
-        buf = io.StringIO()
-        summary.to_csv(buf)
-        lines = buf.getvalue().splitlines()
+    def test_martingale_csv_and_json(self, capsys):
+        argv = ("--target", "martingale", "--stages", "3", "--p-win", "0.45", "--format")
+        lines = self.run(capsys, *argv, "csv").splitlines()
         assert lines[5] == "stage,mean,stderr"
         assert len(lines) == 9
-        doc = summary.to_json()
+        doc = json.loads(self.run(capsys, *argv, "json"))
         assert doc["replications"] == 100
         assert len(doc["stage_means"]) == 3
         assert isinstance(MartingaleSummary(**{

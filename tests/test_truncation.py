@@ -2,7 +2,7 @@
 the array prior log weight against the scalar one, declared tail
 certificates, and high-precision oracles for the coin-toss family."""
 
-import io
+import json
 import math
 
 import numpy as np
@@ -22,6 +22,7 @@ from petersburg import (
     posterior,
     repeated_game_utilities,
 )
+from petersburg.cli import main
 from petersburg.posteriors import _stream_truncated
 from petersburg.priors import log_attribute_weights
 
@@ -259,12 +260,13 @@ class TestDeclaredCertificates:
             return
         assert dist.tail_rule == "heuristic"
 
-    def test_provenance_in_outputs(self):
-        dist = posterior(PriorSpec.power(2.0), bernoulli_utilities(), -1.0)
-        assert dist.to_json()["meta"]["tail_rule"] == "majorant"
-        buf = io.StringIO()
-        dist.to_csv(buf)
-        assert "# tail_rule: majorant\n" in buf.getvalue()
+    def test_provenance_in_outputs(self, capsys):
+        argv = ["distribution", "--prior", "power", "--alpha", "2", "--beta", "-1",
+                "--no-timestamp", "--format"]
+        assert main([*argv, "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["tail_rule"] == "majorant"
+        assert main([*argv, "csv"]) == 0
+        assert "# tail_rule: majorant\n" in capsys.readouterr().out
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(DomainError):
