@@ -46,7 +46,6 @@ from .lotteries import (
     ExpectedUtilitySeq,
     GameFamily,
     UtilitySpec,
-    bernoulli_utilities,
 )
 from .posteriors import (
     TruncationPolicy,
@@ -71,6 +70,7 @@ from .simulate import (
 OUTDIR_ENV = "PETERSBURG_OUTDIR"
 
 _COMMANDS = ("distribution", "optimal", "calibrate", "repeated", "roulette", "simulate")
+_FORMATS = ("table", "csv", "json")
 
 
 class _ConfigError(Exception):
@@ -147,11 +147,6 @@ class RunConfig:
         )
 
     def utilities(self) -> ExpectedUtilitySeq:
-        if (
-            self.game.get("family") == "bernoulli"
-            and self.utility.get("kind") == "linear"
-        ):
-            return bernoulli_utilities()  # exact closed form, any index
         family = GameFamily.from_json(self.game)
         return ExpectedUtilitySeq.from_family(family, self.utility_spec())
 
@@ -540,7 +535,7 @@ def _build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("--config", help="JSON file with a RunConfig")
         p.add_argument("--emit-config", help="write the resolved RunConfig here")
-        p.add_argument("--format", dest="output_format", choices=("table", "csv", "json"))
+        p.add_argument("--format", dest="output_format", choices=_FORMATS)
         p.add_argument("--output", dest="output_path", help="output file (default stdout)")
         p.add_argument("--no-timestamp", action="store_true", default=None,
                        help="omit the timestamp field from csv/json output")
@@ -618,8 +613,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, value)
     if args.no_timestamp:
         cfg.timestamp = False
+    # a config file's values get the checks that argparse gives the flags
     if not isinstance(cfg.rows, int) or isinstance(cfg.rows, bool) or cfg.rows < 0:
         raise _ConfigError(f"rows must be a nonnegative integer, got {cfg.rows!r}")
+    if cfg.output_format not in _FORMATS:
+        raise _ConfigError(
+            f"output_format must be one of {', '.join(_FORMATS)}, got {cfg.output_format!r}"
+        )
+    if not isinstance(cfg.timestamp, bool):
+        raise _ConfigError(f"timestamp must be true or false, got {cfg.timestamp!r}")
     return cfg
 
 

@@ -3,12 +3,15 @@
 A lottery is a finite list of (payoff, probability) outcomes plus a residual
 zero-payoff branch; the coin-toss family pays 2^m with probability 2^-m for
 m = 1..n and keeps the leftover 2^-n on the losing branch.
+
+An ``ExpectedUtilitySeq`` holds the expected utilities U_n of a family as an
+array function, read in blocks; whether U_n is bounded is declared with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,12 +51,6 @@ class Lottery:
     @property
     def probabilities(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.outcomes)
-
-    def to_json(self) -> dict:
-        return {
-            "outcomes": [{"payoff": x, "prob": p} for x, p in self.outcomes],
-            "residual": self.residual_probability,
-        }
 
     @classmethod
     def from_json(cls, doc: dict) -> "Lottery":
@@ -105,7 +102,9 @@ class UtilitySpec:
         return cls("geometric", base=base)
 
     def value(self, payoff: float, index: int = 1) -> float:
-        """Utility of one outcome; ``index`` is its 1-based position."""
+        """Utility of one outcome; ``index`` is its 1-based position.
+
+        Raises DomainError where the utility is undefined or overflows."""
         if self.kind == "linear":
             return payoff
         if self.kind == "logarithmic":
@@ -114,19 +113,17 @@ class UtilitySpec:
                     f"logarithmic utility undefined for payoff {payoff}"
                 )
             return math.log(payoff)
-        if self.kind == "power":
-            if payoff < 0.0:
-                raise DomainError(f"power utility undefined for payoff {payoff}")
-            return payoff ** self.exponent
-        return self.base ** index
-
-    def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.exponent is not None:
-            doc["exponent"] = self.exponent
-        if self.base is not None:
-            doc["base"] = self.base
-        return doc
+        if self.kind == "power" and payoff < 0.0:
+            raise DomainError(f"power utility undefined for payoff {payoff}")
+        try:
+            if self.kind == "power":
+                return payoff ** self.exponent
+            return self.base ** index
+        except OverflowError:
+            raise DomainError(
+                f"{self.kind} utility of payoff {payoff} (outcome {index}) "
+                "overflows binary64"
+            ) from None
 
     @classmethod
     def from_json(cls, doc: dict) -> "UtilitySpec":
@@ -184,49 +181,28 @@ def geometric_expected_utility(n: int, x: float) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class GameFamily:
-    """An indexed set of lotteries, generated lazily per index.
+    """An indexed set of lotteries: the coin-toss family when ``lotteries``
+    is None, otherwise the finite list of a custom family."""
 
-    ``size`` is None for unbounded families.  ``lotteries`` holds the
-    explicit list for custom families (used for serialization).
-    """
-
-    generator: Callable[[int], Lottery]
-    label: str
-    size: int | None = None
-    lotteries: tuple[Lottery, ...] | None = field(default=None, repr=False)
+    lotteries: tuple[Lottery, ...] | None = None
 
     @classmethod
     def bernoulli(cls) -> "GameFamily":
-        return cls(bernoulli_lottery, label="bernoulli")
+        return cls()
 
     @classmethod
-    def custom(cls, lotteries: Sequence[Lottery], label: str = "custom") -> "GameFamily":
+    def custom(cls, lotteries: Sequence[Lottery]) -> "GameFamily":
         if not lotteries:
             raise DomainError("custom family needs at least one lottery")
-        stored = tuple(lotteries)
-
-        def gen(n: int) -> Lottery:
-            if n < 1 or n > len(stored):
-                raise DomainError(f"index {n} outside family of {len(stored)}")
-            return stored[n - 1]
-
-        return cls(gen, label=label, size=len(stored), lotteries=stored)
+        return cls(tuple(lotteries))
 
     def lottery(self, n: int) -> Lottery:
         check_positive_index(n, "n")
-        return self.generator(n)
-
-    def to_json(self) -> dict:
-        if self.label == "bernoulli":
-            return {"family": "bernoulli"}
         if self.lotteries is None:
-            raise DomainError(
-                "only bernoulli or custom families are serializable"
-            )
-        return {
-            "family": "custom",
-            "lotteries": [l.to_json() for l in self.lotteries],
-        }
+            return bernoulli_lottery(n)
+        if n > len(self.lotteries):
+            raise DomainError(f"index {n} outside family of {len(self.lotteries)}")
+        return self.lotteries[n - 1]
 
     @classmethod
     def from_json(cls, doc: dict) -> "GameFamily":
@@ -238,121 +214,102 @@ class GameFamily:
 
 
 class ExpectedUtilitySeq:
-    """Expected utilities U_n, indexed from 1, backed by a function or a
-    finite list.  Evaluations are cached.
+    """Expected utilities U_n, indexed from 1, read in blocks by ``values``.
 
-    ``unbounded`` may be declared by the constructor; when left None it is
-    probed heuristically (strict growth across geometrically spaced indices).
-    ``array_fn`` optionally maps a float array of indices to their values in
-    one call, for ``values``.  ``identity`` declares U_n = n for every n, the
-    declaration that licenses the posterior's certified tail bounds.
+    ``fn`` maps a float array of indices to their values in one call.  The
+    sequence ends before its first non-finite value, so a family that cannot
+    go further returns nan or inf there.  A finite sequence (``size`` given)
+    is evaluated and checked once, here, into one read-only array.
+
+    The rest is declared, never inferred from values: ``unbounded`` that U_n
+    grows without bound, so that only beta < 0 can normalize a posterior
+    (always False for a finite sequence), and ``identity`` that U_n = n for
+    every n, which licenses the posterior's certified tail bounds.
     """
 
     def __init__(
         self,
-        fn: Callable[[int], float],
+        fn: Callable[[np.ndarray], np.ndarray],
         *,
         size: int | None = None,
-        unbounded: bool | None = None,
-        label: str = "",
-        array_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+        unbounded: bool = True,
         identity: bool = False,
     ) -> None:
-        self._fn = fn
         self.size = size
-        self.label = label
+        self.unbounded = unbounded and size is None
         self.identity = identity
-        self._array_fn = array_fn
-        self._unbounded = False if size is not None else unbounded
-        self._cache: dict[int, float] = {}
+        self._fn = fn
+        self._array = None
+        if size is not None:
+            check_positive_index(size, "size")
+            self._array = np.array(fn(np.arange(1.0, size + 1.0)), dtype=float)
+            bad = np.flatnonzero(~np.isfinite(self._array))
+            if bad.size:
+                raise DomainError(f"expected utility at index {bad[0] + 1} is not finite")
+            self._array.flags.writeable = False
 
     @classmethod
-    def from_values(cls, values: Sequence[float], label: str = "") -> "ExpectedUtilitySeq":
-        stored = [float(v) for v in values]
-        if not stored:
+    def from_values(cls, values: Sequence[float]) -> "ExpectedUtilitySeq":
+        stored = np.array(values, dtype=float)
+        if stored.ndim != 1 or not stored.size:
             raise DomainError("utility sequence needs at least one value")
-
-        def fn(n: int) -> float:
-            return stored[n - 1]
-
-        return cls(fn, size=len(stored), label=label)
+        # a finite sequence is evaluated once, on indices 1..size
+        return cls(lambda n: stored, size=stored.size)
 
     @classmethod
-    def from_family(
-        cls,
-        family: GameFamily,
-        utility: UtilitySpec,
-        label: str = "",
-    ) -> "ExpectedUtilitySeq":
-        def fn(n: int) -> float:
-            return expected_utility(family.lottery(n), utility)
-
-        return cls(fn, size=family.size, label=label or family.label)
-
-    def __call__(self, n: int) -> float:
-        check_positive_index(n, "n")
-        if self.size is not None and n > self.size:
-            raise DomainError(f"index {n} outside finite family of {self.size}")
-        try:
-            return self._cache[n]
-        except KeyError:
-            value = float(self._fn(n))
-            if not math.isfinite(value):
-                raise DomainError(f"expected utility at index {n} is not finite")
-            self._cache[n] = value
-            return value
-
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """U_n for lo <= n < hi as a float array.
-
-        Without an array form each index is evaluated through ``__call__``
-        with its checks.  The result then stops short at the first index that
-        raises DomainError (past a finite family's end, a non-finite value, a
-        generator that cannot go further); that error propagates when it is
-        U_lo itself.
-        """
-        check_positive_index(lo, "lo")
-        if self._array_fn is not None:
-            return self._array_fn(np.arange(lo, hi, dtype=float))
-        out = []
-        for n in range(lo, hi):
+    def from_family(cls, family: GameFamily, utility: UtilitySpec) -> "ExpectedUtilitySeq":
+        """U_n of each lottery of the family under ``utility``."""
+        if family.lotteries is not None:
+            return cls.from_values(
+                [expected_utility(lot, utility) for lot in family.lotteries]
+            )
+        if utility.kind == "linear":
+            return bernoulli_utilities()
+        # U_n = sum_{m<=n} u(2^m) 2^-m, summed in expected_utility's order so
+        # that every value is the lottery's to the bit; the family ends where
+        # a term overflows, or past MAX_TOSS_INDEX where the payoff does
+        terms = []
+        for m in range(1, MAX_TOSS_INDEX + 1):
             try:
-                out.append(self(n))
+                terms.append(utility.value(float(2 ** m), m) * math.ldexp(1.0, -m))
             except DomainError:
-                if n == lo:
-                    raise
                 break
-        return np.array(out, dtype=float)
+        sums = np.append(np.cumsum(terms), math.nan)
+        # terms ~ 2^(m(e-1)) under power e, (base/2)^m under geometric; the
+        # logarithmic sums tend to 2 ln 2
+        unbounded = (
+            utility.exponent >= 1.0 if utility.kind == "power"
+            else utility.kind == "geometric" and utility.base >= 2.0
+        )
+        last = len(sums) - 1
+        return cls(
+            lambda n: sums[np.minimum(n - 1.0, last).astype(np.intp)],
+            unbounded=unbounded,
+        )
 
     @property
     def finite(self) -> bool:
         return self.size is not None
 
-    def is_unbounded(self, max_index: int = 10 ** 6) -> bool:
-        """Declared flag when available, otherwise a growth probe: the
-        sequence still strictly increasing across probe points up to
-        max_index is treated as unbounded."""
-        if self.size is not None:
-            return False
-        if self._unbounded is not None:
-            return self._unbounded
-        probes = sorted({2 ** k for k in range(0, 21)} | {max_index})
-        probes = [p for p in probes if p <= max_index]
-        values = []
-        for p in probes:
-            try:
-                values.append(self(p))
-            except DomainError:
-                # generator cannot reach this far out (e.g. payoff overflow);
-                # judge from the evaluable prefix, or conservatively call the
-                # sequence unbounded when even that is too short
-                break
-        if len(values) < 3:
-            self._unbounded = True
-            return True
-        growing = all(b > a for a, b in zip(values, values[1:]))
-        self._unbounded = growing
-        return growing
+    def values(self, lo: int, hi: int) -> np.ndarray:
+        """U_n for lo <= n < hi as a float array.
+
+        The result stops short where the sequence ends: past a finite
+        sequence's size, or before the first non-finite value.  Raises
+        DomainError when U_lo itself is missing.
+        """
+        check_positive_index(lo, "lo")
+        if self._array is None:
+            u = self._fn(np.arange(lo, hi, dtype=float))
+            # one count per block; the first bad index only on failure
+            finite = np.isfinite(u)
+            if np.count_nonzero(finite) < len(u):
+                u = u[: finite.argmin()]
+        else:
+            u = self._array[lo - 1 : hi - 1]
+        if len(u) or hi <= lo:
+            return u
+        raise DomainError(f"the sequence ends before index {lo}")
 
 
 def bernoulli_utilities() -> ExpectedUtilitySeq:
@@ -361,10 +318,4 @@ def bernoulli_utilities() -> ExpectedUtilitySeq:
     Evaluating the lottery sum would overflow binary64 payoffs past index
     1023; the closed form is exact for every index.
     """
-    return ExpectedUtilitySeq(
-        float,
-        unbounded=True,
-        label="bernoulli-linear",
-        array_fn=lambda n: n,
-        identity=True,
-    )
+    return ExpectedUtilitySeq(lambda n: n, identity=True)

@@ -9,10 +9,11 @@ index n >= 4 where a bound on the omitted tail mass drops below ``rel_tol``
 times the accumulated sum.
 
 Which certified bound applies is declared by the utility sequence, never
-inferred from the terms already evaluated.  ``bernoulli_utilities()``
-declares U_n = n (``ExpectedUtilitySeq.identity``); no other built-in
-sequence declares anything.  The rule that stopped the sum is recorded in
-``PosteriorDistribution.tail_rule``:
+inferred from the terms already evaluated, and so is whether a nonnegative
+beta is refused (``ExpectedUtilitySeq.unbounded``).  ``bernoulli_utilities()``
+is the only built-in sequence that declares U_n = n
+(``ExpectedUtilitySeq.identity``).  The rule that stopped the sum is recorded
+in ``PosteriorDistribution.tail_rule``:
 
 - ``exact-geometric``: the luce prior on a sequence declaring U_n = n has the
   exact tail of sum m r^m, r = exp(beta);
@@ -91,7 +92,7 @@ class PosteriorDistribution:
         object.__setattr__(self, "utilities", utils)
         if len(probs) != self.n_trunc or len(utils) != self.n_trunc:
             raise DomainError("probs/utilities length must equal n_trunc")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if probs.min(initial=0.0) < 0.0 or probs.max(initial=1.0) > 1.0:
             raise DomainError("probabilities must lie in [0, 1]")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {probs.sum()}, expected 1")
@@ -286,20 +287,17 @@ def posterior(
     """Distribution with probs[n] proportional to
     attribute_weight(prior, U_n) * exp(beta * U_n).
 
-    Finite families accept any beta; families whose utilities grow without
-    bound require beta < 0 (otherwise the normalizing sum diverges and a
-    SignError is raised).  At beta = 0 the result is exactly the normalized
-    prior.
+    Finite families accept any beta; a sequence declared unbounded requires
+    beta < 0 (otherwise the normalizing sum diverges and a SignError is
+    raised).  At beta = 0 the result is exactly the normalized prior.
     """
     policy = policy if policy is not None else TruncationPolicy()
     if utilities.finite:
-        values = np.array(
-            [utilities(n) for n in range(1, utilities.size + 1)], dtype=float
-        )
+        values = utilities.values(1, utilities.size + 1)
         log_weights = log_attribute_weights(prior, values) + beta * values
         tail, rule = 0.0, "finite"
     else:
-        if beta >= 0.0 and utilities.is_unbounded(policy.max_index):
+        if beta >= 0.0 and utilities.unbounded:
             raise SignError(
                 f"beta must be negative for unbounded utilities, got {beta}"
             )

@@ -66,15 +66,6 @@ class PriorSpec:
     def logit(cls, b: float, c: float = 0.0, gamma: float = 0.5) -> "PriorSpec":
         return cls("logit", b=b, c=c, gamma=gamma)
 
-    def to_json(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "alpha": self.alpha}
-        if self.kind == "log":
-            return {"kind": "log", "u0": self.u0}
-        if self.kind == "logit":
-            return {"kind": "logit", "b": self.b, "c": self.c, "gamma": self.gamma}
-        return {"kind": "luce"}
-
     @classmethod
     def from_json(cls, doc: dict) -> "PriorSpec":
         kind = doc["kind"]

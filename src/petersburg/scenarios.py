@@ -70,13 +70,8 @@ def repeated_game_value(n: int) -> float:
 
 
 def repeated_game_utilities() -> ExpectedUtilitySeq:
-    """U_N = 1 + log2(N) for N = 1, 2, ... as a lazy sequence."""
-    return ExpectedUtilitySeq(
-        lambda n: 1.0 + math.log2(n),
-        unbounded=True,
-        label="repeated-games",
-        array_fn=lambda n: 1.0 + np.log2(n),
-    )
+    """U_N = 1 + log2(N) for N = 1, 2, ..., declared unbounded."""
+    return ExpectedUtilitySeq(lambda n: 1.0 + np.log2(n))
 
 
 def _repeated_tail_bound(m: int, beta: float) -> float:

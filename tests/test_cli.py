@@ -6,7 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from petersburg import bernoulli_lottery, roulette_stage_choice
+from petersburg import roulette_stage_choice
 from petersburg.cli import RunConfig, main
 
 
@@ -39,10 +39,11 @@ class TestCalibrateCommand:
         assert abs(doc["abs_beta"] - 1.1568601072) < 1e-6
 
     def test_zero_variance_family_exits_three(self, capsys, tmp_path):
-        flat = {
-            "family": "custom",
-            "lotteries": [bernoulli_lottery(2).to_json(), bernoulli_lottery(2).to_json()],
+        lottery = {
+            "outcomes": [{"payoff": 2.0, "prob": 0.5}, {"payoff": 4.0, "prob": 0.25}],
+            "residual": 0.25,
         }
+        flat = {"family": "custom", "lotteries": [lottery, lottery]}
         path = tmp_path / "flat.json"
         path.write_text(json.dumps(flat))
         code, _, err = run(capsys, "calibrate", "--game", str(path))
@@ -83,6 +84,26 @@ class TestDistributionCommand:
         )
         assert code == 3
         assert err.startswith("error:solver:")
+
+    def test_utility_overflow_exits_two(self, capsys, tmp_path):
+        # (2^512)^2 and (1e200)^2 overflow binary64; both once ended in an
+        # OverflowError traceback
+        code, out, err = run(
+            capsys, "distribution", "--utility", "power", "--exponent", "2",
+            "--beta", "0.3",
+        )
+        assert (code, out) == (2, "") and err.startswith("error:domain:")
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"family": "custom", "lotteries": [
+            {"outcomes": [{"payoff": 1e200, "prob": 1.0}]},
+            {"outcomes": [{"payoff": 2.0, "prob": 1.0}]},
+        ]}))
+        code, out, err = run(
+            capsys, "distribution", "--game", str(path), "--utility", "power",
+            "--exponent", "2", "--beta=-1",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:domain:power utility") and "overflows" in err
 
     def test_csv_matches_library(self, capsys):
         code, out, _ = run(
@@ -241,6 +262,17 @@ class TestConfigHandling:
         code, _, _ = run(capsys, "repeated", "--prior", "luce", "--beta", "-1", "--rows", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"output_format": "xml"}, "output_format must be one of table, csv, json"),
+        ({"timestamp": "no"}, "timestamp must be true or false"),
+    ], ids=["output_format", "timestamp"])
+    def test_config_values_checked_like_flags(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "optimal", "--beta=-1", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error:config:{message}")
+
     def test_run_config_json_round_trip(self):
         cfg = RunConfig(command="roulette", stages=7, beta=-0.5)
         again = RunConfig.from_json(json.loads(json.dumps(asdict(cfg))))
@@ -277,3 +309,34 @@ class TestOutputFiles:
         assert code == 0
         doc = json.loads((tmp_path / "result.json").read_text())
         assert abs(doc["abs_beta"] - 1.157) < 1e-3
+
+
+
+UTILITIES = [
+    {"kind": "linear"},
+    {"kind": "logarithmic"},
+    *({"kind": "power", "exponent": e} for e in (0.5, 0.99, 1.0, 2.0)),
+    *({"kind": "geometric", "base": b} for b in (1.5, 2.0, 3.0)),
+]
+
+
+@pytest.mark.parametrize("utility", UTILITIES, ids=lambda u: "-".join(map(str, u.values())))
+@pytest.mark.parametrize("family", ["bernoulli", "custom"])
+def test_positive_beta_exits_two_iff_declared_unbounded(capsys, tmp_path, family, utility):
+    game = {"family": family}
+    if family == "custom":
+        game["lotteries"] = [
+            {"outcomes": [{"payoff": 2.0, "prob": 0.5}], "residual": 0.5},
+            {"outcomes": [{"payoff": 2.0, "prob": 0.5}, {"payoff": 4.0, "prob": 0.25}],
+             "residual": 0.25},
+        ]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"game": game, "utility": utility}))
+    # the declarations themselves are tabled in test_lotteries
+    unbounded = RunConfig(game=game, utility=utility).utilities().unbounded
+    code, _, err = run(capsys, "distribution", "--config", str(path), "--beta", "0.5")
+    # a finite family sums at any beta; a bounded coin-toss family never
+    # stops summing, since its weights do not decay
+    assert code == (2 if unbounded else 0 if family == "custom" else 3), err
+    if unbounded:
+        assert err.startswith("error:domain:beta must be negative for unbounded")

@@ -182,76 +182,146 @@ class TestUtilitySpecValidation:
 
 
 class TestSerialization:
-    def test_lottery_round_trip(self):
-        lot = bernoulli_lottery(3)
-        again = Lottery.from_json(lot.to_json())
-        assert again == lot
+    def test_lottery_from_json(self):
+        doc = {
+            "outcomes": [
+                {"payoff": 2.0, "prob": 0.5},
+                {"payoff": 4.0, "prob": 0.25},
+                {"payoff": 8.0, "prob": 0.125},
+            ],
+            "residual": 0.125,
+        }
+        assert Lottery.from_json(doc) == bernoulli_lottery(3)
+        sure = Lottery.from_json({"outcomes": [{"payoff": 3, "prob": 1}]})
+        assert sure == Lottery(((3.0, 1.0),))
 
-    def test_bernoulli_family_round_trip(self):
-        doc = GameFamily.bernoulli().to_json()
-        assert doc == {"family": "bernoulli"}
-        family = GameFamily.from_json(doc)
+    def test_bernoulli_family_from_json(self):
+        family = GameFamily.from_json({"family": "bernoulli"})
+        assert family == GameFamily.bernoulli() and family.lotteries is None
         assert family.lottery(2) == bernoulli_lottery(2)
+        with pytest.raises(DomainError):
+            GameFamily.from_json({"family": "dice"})
 
-    def test_custom_family_round_trip(self):
-        lots = [bernoulli_lottery(1), bernoulli_lottery(4)]
-        family = GameFamily.custom(lots)
-        again = GameFamily.from_json(family.to_json())
-        assert again.size == 2
-        assert again.lottery(2) == lots[1]
+    def test_custom_family_from_json(self):
+        doc = {
+            "family": "custom",
+            "lotteries": [
+                {"outcomes": [{"payoff": 2.0, "prob": 0.5}], "residual": 0.5},
+                {"outcomes": [{"payoff": 1.0, "prob": 1.0}]},
+            ],
+        }
+        family = GameFamily.from_json(doc)
+        assert len(family.lotteries) == 2
+        assert family.lottery(1) == bernoulli_lottery(1)
+        assert family.lottery(2) == Lottery(((1.0, 1.0),))
 
     def test_custom_family_bounds(self):
         family = GameFamily.custom([bernoulli_lottery(1)])
         with pytest.raises(DomainError):
             family.lottery(2)
 
-    def test_utility_spec_round_trip(self):
-        for spec in (
-            UtilitySpec.linear(),
-            UtilitySpec.logarithmic(),
-            UtilitySpec.power(1.5),
-            UtilitySpec.geometric(0.5),
+    def test_utility_spec_from_json(self):
+        for doc, spec in (
+            ({"kind": "linear"}, UtilitySpec.linear()),
+            ({"kind": "logarithmic"}, UtilitySpec.logarithmic()),
+            ({"kind": "power", "exponent": 1.5}, UtilitySpec.power(1.5)),
+            ({"kind": "geometric", "base": 0.5}, UtilitySpec.geometric(0.5)),
         ):
-            assert UtilitySpec.from_json(spec.to_json()) == spec
+            assert UtilitySpec.from_json(doc) == spec
+
+
+# every utility kind the CLI can name, and whether its coin-toss expected
+# utilities are declared unbounded: the terms of U_n are u(2^m) 2^-m
+COIN_TOSS_DECLARATIONS = [
+    (UtilitySpec.linear(), True),
+    (UtilitySpec.logarithmic(), False),  # U_n -> 2 ln 2
+    (UtilitySpec.power(0.5), False),
+    (UtilitySpec.power(0.99), False),  # terms 2^(-0.01 m)
+    (UtilitySpec.power(1.0), True),  # U_n = n
+    (UtilitySpec.power(2.0), True),
+    (UtilitySpec.geometric(1.5), False),  # terms 0.75^m
+    (UtilitySpec.geometric(2.0), True),  # U_n = n
+    (UtilitySpec.geometric(3.0), True),
+]
 
 
 class TestExpectedUtilitySeq:
     def test_from_values(self):
         seq = ExpectedUtilitySeq.from_values([1.0, 3.0, 2.0])
-        assert seq.finite and seq.size == 3
-        assert seq(2) == 3.0
+        assert seq.finite and seq.size == 3 and not seq.unbounded
+        assert seq.values(1, 4).tolist() == [1.0, 3.0, 2.0]
+        # stops short past the end, and the array cannot be written
+        tail = seq.values(2, 10)
+        assert tail.tolist() == [3.0, 2.0] and not tail.flags.writeable
         with pytest.raises(DomainError):
-            seq(4)
+            seq.values(4, 5)
         with pytest.raises(DomainError):
-            seq(0)
+            seq.values(0, 1)
+
+    def test_finite_sequence_is_checked_at_construction(self):
+        for bad in ([], [1.0, math.inf], [math.nan]):
+            with pytest.raises(DomainError):
+                ExpectedUtilitySeq.from_values(bad)
+        calls = []
+        seq = ExpectedUtilitySeq(lambda n: calls.append(n) or n * n, size=4)
+        assert len(calls) == 1 and calls[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        for _ in range(3):
+            assert seq.values(2, 4).tolist() == [4.0, 9.0]
+        assert len(calls) == 1
 
     def test_from_family_matches_direct_evaluation(self):
-        seq = ExpectedUtilitySeq.from_family(
-            GameFamily.bernoulli(), UtilitySpec.linear()
-        )
-        assert [seq(n) for n in range(1, 6)] == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert not seq.finite
-
-    def test_bernoulli_utilities_closed_form(self):
-        seq = bernoulli_utilities()
-        assert seq(10 ** 6) == 1e6
-        assert seq.is_unbounded()
-
-    def test_unbounded_probe(self):
-        growing = ExpectedUtilitySeq(lambda n: math.sqrt(n))
-        assert growing.is_unbounded(10 ** 4)
-        plateau = ExpectedUtilitySeq(lambda n: float(min(n, 100)))
-        assert not plateau.is_unbounded(10 ** 4)
-
-    def test_unbounded_probe_uses_evaluable_prefix(self):
-        # the coin-toss generator stops at index 1023, but the prefix is
-        # enough to classify: linear utilities keep growing, logarithmic
-        # ones saturate at 2 ln 2
+        lots = [bernoulli_lottery(3), Lottery(((5.0, 0.5), (1.0, 0.5)))]
+        for utility, _ in COIN_TOSS_DECLARATIONS:
+            seq = ExpectedUtilitySeq.from_family(GameFamily.custom(lots), utility)
+            assert seq.size == 2
+            assert seq.values(1, 3).tolist() == [
+                expected_utility(lot, utility) for lot in lots
+            ]
         linear = ExpectedUtilitySeq.from_family(
             GameFamily.bernoulli(), UtilitySpec.linear()
         )
-        assert linear.is_unbounded(10 ** 6)
-        logarithmic = ExpectedUtilitySeq.from_family(
-            GameFamily.bernoulli(), UtilitySpec.logarithmic()
-        )
-        assert not logarithmic.is_unbounded(10 ** 6)
+        assert linear.values(1, 6).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert not linear.finite and linear.identity
+
+    def test_bernoulli_utilities_closed_form(self):
+        seq = bernoulli_utilities()
+        assert seq.values(10 ** 6, 10 ** 6 + 2).tolist() == [1e6, 1e6 + 1]
+        assert seq.unbounded and seq.identity
+
+    @pytest.mark.parametrize("utility", [u for u, _ in COIN_TOSS_DECLARATIONS],
+                             ids=lambda u: f"{u.kind}-{u.exponent or u.base}")
+    def test_coin_toss_values_match_the_lotteries(self, utility):
+        seq = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
+        u = seq.values(1, 2000)
+        end = len(u) + 1  # the first index the family does not reach
+        for n in (1, 2, 53, 500, 1023):
+            if n < end:
+                assert u[n - 1] == expected_utility(bernoulli_lottery(n), utility), n
+        # the family ends at the first overflow, or past the last payoff;
+        # under linear utility the closed form U_n = n goes on
+        if utility.kind == "linear":
+            assert end == 2000
+        elif end <= 1023:
+            with pytest.raises(DomainError, match="overflows"):
+                expected_utility(bernoulli_lottery(end), utility)
+        else:
+            assert end == 1024
+            with pytest.raises(DomainError):
+                seq.values(end, end + 1)
+
+    def test_coin_toss_declarations(self):
+        for utility, unbounded in COIN_TOSS_DECLARATIONS:
+            seq = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
+            assert seq.unbounded is unbounded, utility
+            assert seq.identity is (utility.kind == "linear"), utility
+
+    def test_values_stop_short_at_a_non_finite_value(self):
+        for end in (math.nan, math.inf, -math.inf):
+            seq = ExpectedUtilitySeq(lambda n: np.where(n < 5, n, end))
+            assert seq.values(2, 10).tolist() == [2.0, 3.0, 4.0]
+            assert seq.values(1, 4).tolist() == [1.0, 2.0, 3.0]
+            with pytest.raises(DomainError):
+                seq.values(5, 10)
+        # values near the binary64 limit are finite: no end, no warning
+        huge = ExpectedUtilitySeq(lambda n: np.full_like(n, 1e308))
+        assert len(huge.values(1, 10)) == 9

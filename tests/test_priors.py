@@ -1,5 +1,6 @@
 """Prior weight families: values, monotonicity, and continuous optima."""
 
+import json
 import math
 
 import numpy as np
@@ -210,4 +211,6 @@ class TestPriorSpecValidation:
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_json_round_trip(self, prior):
-        assert PriorSpec.from_json(prior.to_json()) == prior
+        # the document a config file holds: the kind and the set parameters
+        doc = {k: v for k, v in vars(prior).items() if v is not None}
+        assert PriorSpec.from_json(json.loads(json.dumps(doc))) == prior

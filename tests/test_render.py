@@ -26,7 +26,6 @@ from petersburg import (
     DOUBLE_ZERO_WIN_PROB,
     ExpectedUtilitySeq,
     GameFamily,
-    Lottery,
     PriorSpec,
     SimConfig,
     UtilitySpec,
@@ -367,14 +366,17 @@ def test_repeated_matches_reference(capsys, beta, fmt, rows):
 def test_geometric_custom_family_past_1e12(capsys, tmp_path):
     # U_n = mean(1000^m, m = 1..n) reaches 1.7e17; above 1e12, %.12g and
     # repr of the same float differ
-    lotteries = [
-        Lottery(tuple((float(m), 1.0 / n) for m in range(1, n + 1)))
-        for n in range(1, 7)
-    ]
+    doc = {
+        "family": "custom",
+        "lotteries": [
+            {"outcomes": [{"payoff": float(m), "prob": 1.0 / n} for m in range(1, n + 1)]}
+            for n in range(1, 7)
+        ],
+    }
     path = tmp_path / "family.json"
-    path.write_text(json.dumps(GameFamily.custom(lotteries).to_json()))
+    path.write_text(json.dumps(doc))
     seq = ExpectedUtilitySeq.from_family(
-        GameFamily.custom(lotteries), UtilitySpec.geometric(1000.0)
+        GameFamily.from_json(doc), UtilitySpec.geometric(1000.0)
     )
     dist = posterior(PriorSpec.luce(), seq, -1e-16)
     assert dist.utilities.max() > 1e17

@@ -91,8 +91,8 @@ class TestRepeatedGamePosterior:
 
     def test_utilities_sequence(self):
         seq = repeated_game_utilities()
-        assert seq(1) == 1.0 and seq(4) == 3.0
-        assert seq.is_unbounded()
+        assert seq.values(1, 5).tolist() == [1.0, 2.0, 1.0 + math.log2(3), 3.0]
+        assert seq.unbounded and not seq.identity
 
 
 class TestRepeatedOptimal:

@@ -35,6 +35,11 @@ PRIORS = [
 BETAS = [-3.0, -1.0, -0.3, -0.05, -0.01, -0.003, -0.001]
 
 
+def _document(prior):
+    """The prior's config document: its kind and set parameters."""
+    return {k: v for k, v in vars(prior).items() if v is not None}
+
+
 def reference_stream(prior, utilities, beta, policy):
     """The per-term loop the engine replaced, kept as the reference.
 
@@ -51,7 +56,7 @@ def reference_stream(prior, utilities, beta, policy):
     small_run = 0
     for n in range(1, policy.max_index + 1):
         try:
-            u = utilities(n)
+            u = float(utilities.values(n, n + 1)[0])
         except DomainError as exc:
             if n == 1:
                 raise
@@ -169,16 +174,14 @@ class TestEngineMatchesReferenceLoop:
         # at n = 100 outweighs everything before it by ~737 nats: shifted
         # partial sums of that chunk underflow at its start
         def fn(n):
-            if n <= 3:
-                return 1.0
-            return 40.0 if n != 100 else -1e-320
+            return np.where(n <= 3, 1.0, np.where(n != 100, 40.0, -1e-320))
 
         policy = TruncationPolicy()
         ref_lw, _, ref_tail = reference_stream(
-            PriorSpec.luce(), ExpectedUtilitySeq(fn, unbounded=True), -1.0, policy
+            PriorSpec.luce(), ExpectedUtilitySeq(fn), -1.0, policy
         )
         lw, _, tail, rule = _stream_truncated(
-            PriorSpec.luce(), ExpectedUtilitySeq(fn, unbounded=True), -1.0, policy
+            PriorSpec.luce(), ExpectedUtilitySeq(fn), -1.0, policy
         )
         assert len(lw) == len(ref_lw) == 53
         assert rule == "heuristic"
@@ -188,9 +191,7 @@ class TestEngineMatchesReferenceLoop:
     def test_leading_zero_weights(self, zeros):
         # U = 0 weighs 0 under luce: no term counts as small, and no rule is
         # tested, until the retained sum is positive
-        seq = ExpectedUtilitySeq(
-            lambda n: 0.0 if n <= zeros else 2.0 * n, unbounded=True
-        )
+        seq = ExpectedUtilitySeq(lambda n: np.where(n <= zeros, 0.0, 2.0 * n))
         policy = TruncationPolicy()
         ref_lw, _, ref_tail = reference_stream(PriorSpec.luce(), seq, -1.0, policy)
         lw, _, tail, rule = _stream_truncated(PriorSpec.luce(), seq, -1.0, policy)
@@ -198,31 +199,27 @@ class TestEngineMatchesReferenceLoop:
         np.testing.assert_allclose(tail, ref_tail, rtol=1e-12)
 
     def test_family_that_ends_before_the_tail_bound(self):
-        seq = ExpectedUtilitySeq(
-            lambda n: 1.0 if n <= 40 else math.inf, unbounded=True
-        )
+        seq = ExpectedUtilitySeq(lambda n: np.where(n <= 40, 1.0, math.inf))
         with pytest.raises(TruncationError, match="ended at index 40"):
             _stream_truncated(PriorSpec.luce(), seq, -0.5, TruncationPolicy())
 
     def test_error_at_the_first_index_propagates(self):
-        seq = ExpectedUtilitySeq(lambda n: math.nan, unbounded=True)
+        seq = ExpectedUtilitySeq(lambda n: np.full_like(n, math.nan))
         with pytest.raises(DomainError):
             posterior(PriorSpec.luce(), seq, -0.5)
 
     def test_rule_fires_before_a_later_evaluation_error(self):
-        # evaluation fails at index 80, inside the third chunk (49..112); the
+        # the family ends at index 80, inside the third chunk (49..112); the
         # heuristic stop comes first, as in the per-term loop
         def fn(n):
-            if n >= 80:
-                raise DomainError("beyond the family")
-            return 1.0 + math.log2(n)
+            return np.where(n < 80, 1.0 + np.log2(n), math.nan)
 
         policy = TruncationPolicy(rel_tol=1e-3)
         ref_lw, _, ref_tail = reference_stream(
-            PriorSpec.luce(), ExpectedUtilitySeq(fn, unbounded=True), -3.0, policy
+            PriorSpec.luce(), ExpectedUtilitySeq(fn), -3.0, policy
         )
         lw, _, tail, rule = _stream_truncated(
-            PriorSpec.luce(), ExpectedUtilitySeq(fn, unbounded=True), -3.0, policy
+            PriorSpec.luce(), ExpectedUtilitySeq(fn), -3.0, policy
         )
         assert 49 <= len(lw) == len(ref_lw) < 80
         assert rule == "heuristic"
@@ -239,7 +236,7 @@ class TestDeclaredCertificates:
         assert posterior(PriorSpec.luce(), seq, -0.001).tail_rule == "heuristic"
 
     def test_undeclared_sequences_get_the_heuristic(self):
-        doubled = ExpectedUtilitySeq(lambda n: 2.0 * n, unbounded=True)
+        doubled = ExpectedUtilitySeq(lambda n: 2.0 * n)
         assert posterior(PriorSpec.luce(), doubled, -1.0).tail_rule == "heuristic"
         assert posterior(PriorSpec.luce(), repeated_game_utilities(), -6.0).tail_rule == "heuristic"
 
@@ -251,9 +248,7 @@ class TestDeclaredCertificates:
         # U_n = n up to 100 and 1 after: the omitted mass is infinite.
         # Inferring a majorant from the evaluated prefix stopped at n = 36
         # with a bound of 5.5e-15.
-        plateau = ExpectedUtilitySeq(
-            lambda n: float(n) if n <= 100 else 1.0, unbounded=True
-        )
+        plateau = ExpectedUtilitySeq(lambda n: np.where(n <= 100, n, 1.0))
         try:
             dist = posterior(PriorSpec.power(1.0), plateau, -1.0)
         except TruncationError:
@@ -278,7 +273,7 @@ class TestArrayLogWeight:
 
     @pytest.mark.parametrize("prior", PRIORS + [PriorSpec.power(0.5), PriorSpec.log_shape(0.3),
                                                 PriorSpec.logit(0.7, -0.4, 0.3)],
-                             ids=lambda p: repr(p.to_json()))
+                             ids=lambda p: repr(_document(p)))
     def test_matches_scalar(self, prior):
         u = self.GRID
         if prior.kind == "luce":
