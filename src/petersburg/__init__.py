@@ -52,6 +52,7 @@ from .priors import (
 from .scenarios import (
     DOUBLE_ZERO_WIN_PROB,
     RepeatedGameResult,
+    RunLengthPosterior,
     StageChoice,
     repeated_game_posterior,
     repeated_game_utilities,
@@ -85,6 +86,7 @@ __all__ = [
     "Preference",
     "PriorSpec",
     "RepeatedGameResult",
+    "RunLengthPosterior",
     "SignError",
     "SimConfig",
     "SimSummary",

@@ -106,17 +106,14 @@ def calibrate_disbelief_general(
         rel_tol=policy.rel_tol, max_index=min(policy.max_index, 20_000)
     )
 
-    def f_under(b: float, pol: TruncationPolicy) -> float:
+    def f(b: float, pol: TruncationPolicy = policy) -> float:
         try:
             return b - _posterior_sigma(utilities, prior, b, pol)
         except TruncationError:
             return -math.inf
 
-    def f(b: float) -> float:
-        return f_under(b, policy)
-
     grid = np.geomspace(_BRACKET_LO, _BRACKET_HI, 60)
-    values = [f_under(float(b), scan_policy) for b in grid]
+    values = [f(float(b), scan_policy) for b in grid]
     brackets = [
         (float(grid[k]), float(grid[k + 1]))
         for k in range(len(grid) - 1)
@@ -126,10 +123,7 @@ def calibrate_disbelief_general(
         raise CalibrationError(
             f"b - sigma(-b) has no sign change on ({_BRACKET_LO}, {_BRACKET_HI}]"
         )
-    crossings = sum(
-        1 for k in range(len(grid) - 1) if values[k] * values[k + 1] < 0.0
-    )
-    if crossings > 1:
+    if sum(v * w < 0.0 for v, w in zip(values, values[1:])) > 1:
         warnings.warn(
             "multiple calibration roots detected; returning the smallest",
             stacklevel=2,

@@ -42,11 +42,7 @@ from .calibration import (
     calibrate_disbelief_general,
 )
 from .errors import DomainError, SolverError
-from .lotteries import (
-    ExpectedUtilitySeq,
-    GameFamily,
-    UtilitySpec,
-)
+from .lotteries import ExpectedUtilitySeq, GameFamily, UtilitySpec
 from .posteriors import (
     TruncationPolicy,
     optimal_bracket,
@@ -61,11 +57,7 @@ from .scenarios import (
     repeated_optimal,
     roulette_sequence,
 )
-from .simulate import (
-    SimConfig,
-    simulate_martingale,
-    simulate_repeated,
-)
+from .simulate import SimConfig, simulate_martingale, simulate_repeated
 
 OUTDIR_ENV = "PETERSBURG_OUTDIR"
 
@@ -90,24 +82,17 @@ class RunConfig:
     output_path: str | None = None
     timestamp: bool = True
     rows: int = 50
-    truncation: dict = field(
-        default_factory=lambda: {"rel_tol": 1e-14, "max_index": 10 ** 6}
-    )
-    sim: dict = field(
-        default_factory=lambda: {
-            "seed": 0,
-            "replications": 1000,
-            "max_tosses": 60,
-            "parallel_shards": 1,
-        }
-    )
+    truncation: dict = field(default_factory=lambda: {
+        "rel_tol": 1e-14, "max_index": 10 ** 6,
+    })
+    sim: dict = field(default_factory=lambda: {
+        "seed": 0, "replications": 1000, "max_tosses": 60, "parallel_shards": 1,
+    })
     stages: int = 5
     x0: float = 1.0
     p_win: float = DOUBLE_ZERO_WIN_PROB
     target: str = "martingale"
-    n_games: list[int] = field(
-        default_factory=lambda: [8, 16, 32, 64, 128, 256, 512, 1024]
-    )
+    n_games: list[int] = field(default_factory=lambda: [8, 16, 32, 64, 128, 256, 512, 1024])
 
     @classmethod
     def from_json(cls, doc: dict) -> "RunConfig":

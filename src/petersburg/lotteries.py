@@ -78,12 +78,10 @@ class UtilitySpec:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "logarithmic", "power", "geometric"):
             raise DomainError(f"unknown utility kind {self.kind!r}")
-        if self.kind == "power":
-            if self.exponent is None or self.exponent <= 0.0:
-                raise DomainError("power utility needs a positive exponent")
-        if self.kind == "geometric":
-            if self.base is None or self.base <= 0.0:
-                raise DomainError("geometric utility needs a positive base")
+        if self.kind == "power" and (self.exponent is None or self.exponent <= 0.0):
+            raise DomainError("power utility needs a positive exponent")
+        if self.kind == "geometric" and (self.base is None or self.base <= 0.0):
+            raise DomainError("geometric utility needs a positive base")
 
     @classmethod
     def linear(cls) -> "UtilitySpec":
@@ -109,9 +107,7 @@ class UtilitySpec:
             return payoff
         if self.kind == "logarithmic":
             if payoff <= 0.0:
-                raise DomainError(
-                    f"logarithmic utility undefined for payoff {payoff}"
-                )
+                raise DomainError(f"logarithmic utility undefined for payoff {payoff}")
             return math.log(payoff)
         if self.kind == "power" and payoff < 0.0:
             raise DomainError(f"power utility undefined for payoff {payoff}")
@@ -127,11 +123,7 @@ class UtilitySpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "UtilitySpec":
-        return cls(
-            doc["kind"],
-            exponent=doc.get("exponent"),
-            base=doc.get("base"),
-        )
+        return cls(doc["kind"], exponent=doc.get("exponent"), base=doc.get("base"))
 
 
 def bernoulli_lottery(n: int) -> Lottery:
@@ -157,9 +149,6 @@ def expected_utility(lottery: Lottery, utility: UtilitySpec) -> float:
     total = 0.0
     for m, (payoff, prob) in enumerate(lottery.outcomes, start=1):
         total += utility.value(payoff, m) * prob
-    # Residual branch: linear/power have u(0) = 0, geometric weighs only the
-    # indexed winning branches, and logarithmic (ln 0 undefined) is excluded,
-    # so no kind adds mass here.
     return total
 
 

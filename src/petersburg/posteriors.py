@@ -42,8 +42,7 @@ from .priors import PriorSpec, continuous_optimum, log_attribute_weights
 
 _SMALL_TERM_RUN = 50
 
-# "integral" is the run-length family's own remainder bound (scenarios).
-TAIL_RULES = ("finite", "exact-geometric", "majorant", "heuristic", "integral")
+TAIL_RULES = ("finite", "exact-geometric", "majorant", "heuristic")
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,13 @@ def _stream_truncated(
         la = log_attribute_weights(prior, u)
         lw = beta * u
         lw += la
+        top = _finite_top(lw)
 
         # log_sums[i]: log of the retained sum through this chunk's term i
         if log_sum == -math.inf:  # first chunk, or only zero weights so far
             log_sums = np.logaddexp.accumulate(lw)
         else:
-            shift = max(log_sum, float(lw.max()))
+            shift = max(log_sum, top)
             partial = np.exp(lw - shift)
             partial[0] += math.exp(log_sum - shift)
             np.cumsum(partial, out=partial)
@@ -269,13 +269,13 @@ def _stream_truncated(
     )
 
 
-def _normalize(log_weights: np.ndarray) -> np.ndarray:
-    finite = log_weights[np.isfinite(log_weights)]
-    if finite.size == 0:
-        raise DomainError("all prior weights are zero; distribution undefined")
-    shifted = np.exp(log_weights - finite.max())
-    total = shifted.sum()
-    return shifted / total
+def _finite_top(log_weights: np.ndarray) -> float:
+    """The largest log weight; DomainError when it is +inf or nan, that is
+    when beta * U_n overflowed."""
+    top = float(log_weights.max())
+    if not top < math.inf:
+        raise DomainError(f"a posterior log weight is {top}; the weights overflow")
+    return top
 
 
 def posterior(
@@ -292,19 +292,23 @@ def posterior(
     raised).  At beta = 0 the result is exactly the normalized prior.
     """
     policy = policy if policy is not None else TruncationPolicy()
-    if utilities.finite:
-        values = utilities.values(1, utilities.size + 1)
-        log_weights = log_attribute_weights(prior, values) + beta * values
-        tail, rule = 0.0, "finite"
-    else:
-        if beta >= 0.0 and utilities.unbounded:
-            raise SignError(
-                f"beta must be negative for unbounded utilities, got {beta}"
+    if beta >= 0.0 and utilities.unbounded:
+        raise SignError(f"beta must be negative for unbounded utilities, got {beta}")
+    # beta * U_n may overflow to inf, which _finite_top then refuses
+    with np.errstate(over="ignore"):
+        if utilities.finite:
+            values = utilities.values(1, utilities.size + 1)
+            log_weights = log_attribute_weights(prior, values) + beta * values
+            tail, rule = 0.0, "finite"
+        else:
+            log_weights, values, tail, rule = _stream_truncated(
+                prior, utilities, beta, policy
             )
-        log_weights, values, tail, rule = _stream_truncated(
-            prior, utilities, beta, policy
-        )
-    probs = _normalize(log_weights)
+    top = _finite_top(log_weights)
+    if top == -math.inf:
+        raise DomainError("all prior weights are zero; distribution undefined")
+    probs = np.exp(log_weights - top)
+    probs /= probs.sum()
     return PosteriorDistribution(
         probs=probs,
         utilities=values,
@@ -349,8 +353,7 @@ def optimal_bracket(
 def compare(dist: PosteriorDistribution, i: int, j: int) -> Preference:
     """Stochastic preference between two indices of the same distribution;
     indifferent when the probabilities agree within 1e-12."""
-    pi = dist.prob(i)
-    pj = dist.prob(j)
+    pi, pj = dist.prob(i), dist.prob(j)
     if abs(pi - pj) <= 1e-12:
         return Preference.INDIFFERENT
     return Preference.PREFER_I if pi > pj else Preference.PREFER_J

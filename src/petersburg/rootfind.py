@@ -25,8 +25,7 @@ def bisect_root(
 
     Bisects until the bracket width falls below ``xtol`` (at most
     ``_MAX_ITER`` steps), then applies a single secant step inside the final
-    bracket.  Returns
-    ``(root, iterations)``.
+    bracket.  Returns ``(root, iterations)``.
 
     Raises SolverError if the initial bracket does not straddle a sign change.
     """
@@ -37,9 +36,7 @@ def bisect_root(
     if fhi == 0.0:
         return hi, 0
     if flo * fhi > 0.0:
-        raise SolverError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
-        )
+        raise SolverError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
 
     iterations = 0
     while hi - lo > xtol and iterations < _MAX_ITER:

@@ -3,6 +3,8 @@
 Repeated games: a run of N coin-toss games has average per-game expected
 value U_N = 1 + log2(N); the induced distribution over run lengths has
 weights U_N * exp(beta * U_N) and a finite optimum at N = 2^(1/|beta| - 1).
+Its normalizer is a 64-term head plus a closed Euler-Maclaurin remainder,
+so no array longer than the rows read is built, whatever the support size.
 
 Martingale roulette: betting on near-even odds (win probability p < 1/2)
 and doubling after every loss, the expected net value after at most n spins
@@ -58,9 +60,7 @@ class StageChoice:
         if abs(self.p_stop + self.p_continue - 1.0) > 1e-12:
             raise DomainError("stage probabilities must sum to 1")
         if not self.u_continue < self.u_stop < 0.0:
-            raise DomainError(
-                "stage utilities must satisfy u_continue < u_stop < 0"
-            )
+            raise DomainError("stage utilities must satisfy u_continue < u_stop < 0")
 
 
 def repeated_game_value(n: int) -> float:
@@ -74,30 +74,90 @@ def repeated_game_utilities() -> ExpectedUtilitySeq:
     return ExpectedUtilitySeq(lambda n: 1.0 + np.log2(n))
 
 
-def _repeated_tail_bound(m: int, beta: float) -> float:
-    """Integral bound on sum_{N>m} (1+log2 N) exp(beta (1+log2 N)).
+_Q = 1.0 / math.log(2.0)
+_HEAD = 64
+# weights of f^(j)(m) - f^(j)(64), j = 0..7, in the Euler-Maclaurin remainder:
+# 1/2, then B_2k/(2k)! at j = 2k - 1 for k = 1..4
+_EULER_MACLAURIN = (0.5, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600)
+# k/(k+1)! for k = 20..1, the series of h(z) = (1 + (z - 1) e^z)/z^2 in z^(k-1)
+_H_SERIES = tuple(k / math.factorial(k + 1) for k in range(20, 0, -1))
 
-    The terms decay like N^(-s) log N with s = |beta|/ln 2; the sum diverges
-    for s <= 1 and the bound is then infinite.
+
+def _primitive(x: float, t: float) -> float:
+    """x^t (1 + q ln x - q/t)/t, q = 1/ln 2: an antiderivative of
+    (1 + log2 x) x^(t-1), t != 0."""
+    return x ** t * (1.0 + _Q * math.log(x) - _Q / t) / t
+
+
+def _run_length_weights(stop: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """U_N = 1 + log2 N and the weights U_N exp(beta U_N) for N = 1..stop."""
+    u = 1.0 + np.log2(np.arange(1, stop + 1, dtype=float))
+    return u, u * np.exp(beta * u)
+
+
+def _run_length_sum(m: int, beta: float) -> float:
+    """sum_{N=1}^{m} U_N exp(beta U_N), to a few units in the last place.
+
+    Past an exact head of 64 terms, the Euler-Maclaurin remainder (DLMF
+    2.10.1) of f(x) = e^beta (p + q ln x) x^e, with p = 1, q = 1/ln 2 and
+    e = beta/ln 2: the integral in closed form and four Bernoulli
+    corrections, the derivatives from (p + q ln x) x^e -> ((pe + q) +
+    qe ln x) x^(e-1).
     """
-    s = abs(beta) / math.log(2.0)
-    if s <= 1.0:
-        return math.inf
-    head = math.exp(beta) * m ** (1.0 - s)
-    log_part = (math.log(m) / (s - 1.0) + 1.0 / (s - 1.0) ** 2) / math.log(2.0)
-    return head * (1.0 / (s - 1.0) + log_part)
+    head = float(_run_length_weights(min(m, _HEAD), beta)[1].sum())
+    if m <= _HEAD:
+        return head
+    a, p, q, big_l = float(_HEAD), 1.0, _Q, math.log(m / _HEAD)
+    t, ln_a, ln_m = 1.0 + beta * q, math.log(a), math.log(m)  # t = e + 1
+    z = t * big_l  # crosses 0 at beta = -ln 2
+    if abs(z) < 1.0:
+        # with x = a e^y the integral is a^t L ((p + q ln a) expm1(z)/z +
+        # q L h(z)); h(z) = (1 + (z - 1) e^z)/z^2 cancels near 0, so it is
+        # summed as its series
+        h = float(np.polyval(_H_SERIES, z))
+        em = math.expm1(z) / z if z else 1.0
+        rest = a ** t * big_l * ((p + q * ln_a) * em + q * big_l * h)
+    else:  # the primitive's ends are a factor e^z apart
+        rest = _primitive(m, t) - _primitive(a, t)
+    e = t - 1.0
+    for weight in _EULER_MACLAURIN:
+        rest += weight * ((p + q * ln_m) * m ** e - (p + q * ln_a) * a ** e)
+        p, q, e = p * e + q, q * e, e - 1.0
+    return head + math.exp(beta) * rest
+
+
+@dataclass(frozen=True)
+class RunLengthPosterior:
+    """The run-length distribution over 1..n_trunc, held as its normalizer;
+    rows are built when read.  ``tail_bound`` is the integral remainder past
+    n_trunc relative to the normalizer, infinite for beta >= -ln 2."""
+
+    beta: float
+    n_trunc: int
+    tail_bound: float
+    normalizer: float
+    tail_rule = "integral"  # a class constant, not a field
+    meta = PosteriorDistribution.meta
+
+    def columns(self, stop: int) -> tuple[range, np.ndarray, np.ndarray]:
+        """Rows 1..min(stop, n_trunc) as columns (N, U_N, prob)."""
+        stop = max(0, min(stop, self.n_trunc))
+        u, weights = _run_length_weights(stop, self.beta)
+        return range(1, stop + 1), u, weights / self.normalizer
 
 
 def repeated_game_posterior(
     beta: float, policy: TruncationPolicy | None = None
-) -> PosteriorDistribution:
+) -> RunLengthPosterior:
     """Distribution over run lengths N >= 1 with weights U_N exp(beta U_N),
     normalized over the truncated support.
 
+    The support is the first of 1024, 2048, ... (capped at ``max_index``)
+    whose integral remainder is within ``rel_tol`` of the sum over it.
     The weights decay only polynomially (and the full series diverges for
-    beta >= -ln 2), so the stated ``rel_tol`` is often unreachable; the
-    support then extends to ``max_index`` and ``tail_bound`` records the
-    honest remainder, infinite in the divergent regime.
+    beta >= -ln 2), so ``rel_tol`` is often unreachable; the support then
+    extends to ``max_index`` and ``tail_bound`` records the honest
+    remainder, infinite in the divergent regime.
     """
     if beta >= 0.0:
         raise SignError(
@@ -105,25 +165,21 @@ def repeated_game_posterior(
         )
     policy = policy if policy is not None else TruncationPolicy()
 
+    t = 1.0 + beta * _Q  # 1 - s, s = |beta|/ln 2; the series diverges for s <= 1
     m = min(1024, policy.max_index)
     while True:
-        n = np.arange(1, m + 1, dtype=float)
-        u = 1.0 + np.log2(n)
-        weights = u * np.exp(beta * u)
-        total = float(weights.sum())
-        tail = _repeated_tail_bound(m, beta)
+        total = _run_length_sum(m, beta)
+        # the terms decrease past m, so their integral over (m, inf) bounds them
+        tail = -math.exp(beta) * _primitive(m, t) if t < 0.0 else math.inf
         if tail <= policy.rel_tol * total or m >= policy.max_index:
             break
         m = min(2 * m, policy.max_index)
 
-    tail_fraction = tail / total if math.isfinite(tail) else math.inf
-    return PosteriorDistribution(
-        probs=weights / total,
-        utilities=u,
+    return RunLengthPosterior(
         beta=beta,
         n_trunc=m,
-        tail_bound=tail_fraction,
-        tail_rule="integral",
+        tail_bound=tail / total,
+        normalizer=total,
     )
 
 
@@ -136,8 +192,7 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
     """
     if beta >= 0.0:
         raise SignError(f"repeated games require beta < 0, got {beta}")
-    abs_beta = abs(beta)
-    u_opt = 1.0 / abs_beta
+    u_opt = -1.0 / beta
     n_continuous = 2.0 ** (u_opt - 1.0)
 
     def weight(n: int) -> float:
@@ -147,9 +202,7 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
     low = max(1, math.floor(n_continuous))
     high = low + 1
     n_opt = low if weight(low) >= weight(high) else high
-    return RepeatedGameResult(
-        beta=beta, u_opt=u_opt, n_opt_continuous=n_continuous, n_opt=n_opt
-    )
+    return RepeatedGameResult(beta, u_opt, n_continuous, n_opt)
 
 
 def _check_roulette_args(n: int, x0: float, p_win: float) -> None:
@@ -203,16 +256,8 @@ def roulette_stage_choice(
                 f"stage expected value {u} is positive; the stop/continue rule "
                 "applies to losing sequences (p_win < 1/2)"
             )
-    p_stop, p_continue = pair_probabilities(
-        PriorSpec.luce(), u_stop, u_continue, beta
-    )
-    return StageChoice(
-        stage=n,
-        u_stop=u_stop,
-        u_continue=u_continue,
-        p_stop=p_stop,
-        p_continue=p_continue,
-    )
+    p_stop, p_continue = pair_probabilities(PriorSpec.luce(), u_stop, u_continue, beta)
+    return StageChoice(n, u_stop, u_continue, p_stop, p_continue)
 
 
 def roulette_sequence(
@@ -222,6 +267,4 @@ def roulette_sequence(
     p_win: float = DOUBLE_ZERO_WIN_PROB,
 ) -> list[StageChoice]:
     """Stage choices for stages 1..n_stages."""
-    return [
-        roulette_stage_choice(n, beta, x0, p_win) for n in range(1, n_stages + 1)
-    ]
+    return [roulette_stage_choice(n, beta, x0, p_win) for n in range(1, n_stages + 1)]

@@ -90,29 +90,17 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 def _block_bounds(replications: int) -> list[tuple[int, int, int]]:
     """(block index, start, stop) triples partitioning the replications."""
-    blocks = []
-    start = 0
-    index = 0
-    while start < replications:
-        stop = min(start + _BLOCK, replications)
-        blocks.append((index, start, stop))
-        start = stop
-        index += 1
-    return blocks
+    starts = range(0, replications, _BLOCK)
+    return [(i, lo, min(lo + _BLOCK, replications)) for i, lo in enumerate(starts)]
 
 
 def _run_blocks(blocks, worker, parallel_shards: int) -> list:
-    """Run ``worker(block_triple)`` for every block, in parallel when asked,
-    and return results ordered by block index."""
+    """``worker(block_triple)`` for every block, in parallel when asked, in
+    block order."""
     if parallel_shards <= 1 or len(blocks) <= 1:
         return [worker(b) for b in blocks]
-    results: list = [None] * len(blocks)
     with ThreadPoolExecutor(max_workers=parallel_shards) as pool:
-        for idx, res in zip(
-            (b[0] for b in blocks), pool.map(worker, blocks)
-        ):
-            results[idx] = res
-    return results
+        return list(pool.map(worker, blocks))
 
 
 def _tosses_from_uniforms(u: np.ndarray, max_tosses: int) -> tuple[np.ndarray, int]:
@@ -155,12 +143,8 @@ def simulate_repeated(n_games: int, config: SimConfig) -> SimSummary:
     blocks = _block_bounds(config.replications)
     results = _run_blocks(blocks, worker, config.parallel_shards)
     means = np.concatenate([r[0] for r in results])
-    capped_total = sum(r[1] for r in results)
-
-    if config.replications > 1:
-        stderr = float(means.std(ddof=1) / math.sqrt(config.replications))
-    else:
-        stderr = 0.0
+    n = len(means)
+    stderr = float(means.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SimSummary(
         per_game_mean=float(means.mean()),
         per_game_median_of_means=float(np.median(means)),
@@ -168,7 +152,7 @@ def simulate_repeated(n_games: int, config: SimConfig) -> SimSummary:
         replications=config.replications,
         stderr_proxy=stderr,
         seed=config.seed,
-        capped_tosses=capped_total,
+        capped_tosses=sum(r[1] for r in results),
     )
 
 

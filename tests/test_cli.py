@@ -85,6 +85,17 @@ class TestDistributionCommand:
         assert code == 3
         assert err.startswith("error:solver:")
 
+    def test_overflowing_weight_exits_two(self, capsys, tmp_path):
+        # beta * 1e308 overflows; this once printed prob nan and exited 0
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"family": "custom", "lotteries": [
+            {"outcomes": [{"payoff": 1e308, "prob": 1.0}]},
+            {"outcomes": [{"payoff": 1.0, "prob": 1.0}]},
+        ]}))
+        code, out, err = run(capsys, "distribution", "--game", str(path), "--beta", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:domain:") and "overflow" in err
+
     def test_utility_overflow_exits_two(self, capsys, tmp_path):
         # (2^512)^2 and (1e200)^2 overflow binary64; both once ended in an
         # OverflowError traceback

@@ -142,6 +142,15 @@ class TestPosteriorConstruction:
         with pytest.raises(DomainError):
             posterior(LUCE, seq, 0.0)
 
+    @pytest.mark.parametrize("at", [1, 40])  # in the first chunk and a later one
+    def test_overflowing_weight_rejected_when_streamed(self, at):
+        # beta * U_n = 2e308 overflows to inf; it once normalized to nan
+        seq = ExpectedUtilitySeq(
+            lambda n: np.where(n == at, 1e308, 1.0 / n), unbounded=False
+        )
+        with pytest.raises(DomainError, match="overflow"):
+            posterior(LUCE, seq, 2.0)
+
     @pytest.mark.parametrize(
         "prior",
         [PriorSpec.power(2.0), PriorSpec.power(0.5), PriorSpec.logit(1.0, 0.0, 0.5)],

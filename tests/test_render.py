@@ -151,6 +151,7 @@ def reference_repeated(beta: float, rows: int, fmt: str) -> str:
     result = repeated_optimal(beta)
     dist = repeated_game_posterior(beta)
     stop = min(rows, dist.n_trunc)
+    _, utilities, probs = dist.columns(dist.n_trunc)
     summary = {
         "beta": beta,
         "u_opt": result.u_opt,
@@ -166,14 +167,14 @@ def reference_repeated(beta: float, rows: int, fmt: str) -> str:
                 "tail_bound": dist.tail_bound,
                 "tail_rule": dist.tail_rule,
             },
-            "rows": reference_rows(dist.utilities[:stop], dist.probs[:stop]),
+            "rows": reference_rows(utilities[:stop], probs[:stop]),
         })
     if fmt == "table":
         n = range(1, stop + 1)
         return reference_text(
             reference_table(("field", "value"), list(summary.items())),
             [],
-            reference_table(("N", "U_N", "prob"), list(zip(n, dist.utilities[:stop], dist.probs[:stop]))),
+            reference_table(("N", "U_N", "prob"), list(zip(n, utilities[:stop], probs[:stop]))),
         )
     return (
         f"# beta: {beta:.12g}\n"
@@ -184,7 +185,7 @@ def reference_repeated(beta: float, rows: int, fmt: str) -> str:
         f"# tail_bound: {reference_fmt(dist.tail_bound)}\n"
         f"# tail_rule: {dist.tail_rule}\n"
         "N,U_N,prob\n"
-    ) + reference_csv_rows(dist.utilities[:stop], dist.probs[:stop])
+    ) + reference_csv_rows(utilities[:stop], probs[:stop])
 
 
 def reference_fields(payload: dict, fmt: str, extra: dict | None = None) -> str:

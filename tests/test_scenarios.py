@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from petersburg import (
     DomainError,
     PriorSpec,
+    RunLengthPosterior,
     SignError,
     SingularAttributeError,
     TruncationPolicy,
@@ -21,9 +23,9 @@ from petersburg import (
     roulette_expected_value,
     roulette_sequence,
     roulette_stage_choice,
-    stochastically_optimal,
 )
 from petersburg.cli import main
+from petersburg.scenarios import _run_length_sum
 
 
 def run_cli(capsys, *argv) -> str:
@@ -60,20 +62,70 @@ class TestRepeatedGameValue:
             repeated_game_value(bad)
 
 
+def reference_tail_bound(m, beta):
+    """The integral remainder past m as first written, kept as the reference."""
+    s = abs(beta) / math.log(2.0)
+    if s <= 1.0:
+        return math.inf
+    head = math.exp(beta) * m ** (1.0 - s)
+    log_part = (math.log(m) / (s - 1.0) + 1.0 / (s - 1.0) ** 2) / math.log(2.0)
+    return head * (1.0 / (s - 1.0) + log_part)
+
+
+def reference_repeated_posterior(beta, policy):
+    """The doubling loop that filled the whole support, kept as the
+    reference: (n_trunc, tail_bound, probs over 1..n_trunc)."""
+    m = min(1024, policy.max_index)
+    while True:
+        n = np.arange(1, m + 1, dtype=float)
+        u = 1.0 + np.log2(n)
+        weights = u * np.exp(beta * u)
+        total = float(weights.sum())
+        tail = reference_tail_bound(m, beta)
+        if tail <= policy.rel_tol * total or m >= policy.max_index:
+            break
+        m = min(2 * m, policy.max_index)
+    return m, tail / total if math.isfinite(tail) else math.inf, weights / total
+
+
+def _probs(dist):
+    """The run-length posterior's probabilities over its whole support."""
+    return dist.columns(dist.n_trunc)[2]
+
+
+def _argmax(dist):
+    return int(np.argmax(_probs(dist))) + 1
+
+
+def _zeta_sums(beta, m):
+    """mpmath's sum of the run-length weights over 1..m and over N > m, from
+    Hurwitz zeta derivatives (DLMF 25.11): with s = |beta|/ln 2,
+    sum_{N>=a} (1 + log2 N) e^beta N^-s = e^beta (zeta(s, a) - zeta'(s, a)/ln 2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        b = mpmath.mpf(beta)
+        s = -b / mpmath.log(2)
+
+        def from_(a):
+            return mpmath.exp(b) * (mpmath.zeta(s, a) - mpmath.zeta(s, a, 1) / mpmath.log(2))
+
+        return float(from_(1) - from_(m + 1)), float(from_(m + 1))
+
+
 class TestRepeatedGamePosterior:
     def test_unit_disbelief_prefers_single_run(self):
         dist = repeated_game_posterior(-1.0, TruncationPolicy(max_index=10 ** 5))
-        assert stochastically_optimal(dist) == 1
+        assert _argmax(dist) == 1
 
     def test_half_disbelief_prefers_two_runs(self):
         # direct weight oracle (1 + log2 N) exp(-0.5 (1 + log2 N)) at N=1..4:
         # 0.6065, 0.7358, 0.7097, 0.6694 -> argmax at N=2
         dist = repeated_game_posterior(-0.5, TruncationPolicy(max_index=10 ** 5))
-        assert stochastically_optimal(dist) == 2
+        assert _argmax(dist) == 2
 
     def test_normalized_over_truncated_support(self):
         dist = repeated_game_posterior(-1.0, TruncationPolicy(max_index=10 ** 4))
-        assert abs(float(dist.probs.sum()) - 1.0) <= 1e-12
+        assert abs(float(_probs(dist).sum()) - 1.0) <= 1e-12
         assert dist.n_trunc == 10 ** 4
 
     def test_tail_bound_reporting(self):
@@ -83,6 +135,55 @@ class TestRepeatedGamePosterior:
         assert math.isinf(divergent.tail_bound)
         light = repeated_game_posterior(-6.0)
         assert light.tail_bound < 1e-13
+
+    @pytest.mark.parametrize("beta", [-0.8, -1.0, -1.5652, -2.0, -3.0])
+    def test_tail_bound_is_a_bound(self, beta):
+        dist = repeated_game_posterior(beta)
+        _, remainder = _zeta_sums(beta, dist.n_trunc)
+        assert 1.0 <= dist.tail_bound * dist.normalizer / remainder <= 1.001
+
+    def test_tail_rule_is_fixed(self):
+        dist = repeated_game_posterior(-1.0, TruncationPolicy(max_index=10))
+        assert dist.meta()["tail_rule"] == "integral"
+        with pytest.raises(TypeError):
+            RunLengthPosterior(-1.0, 10, 0.0, 1.0, "anything")
+
+    @pytest.mark.parametrize("beta", [-0.3, -0.5, -math.log(2.0)])
+    def test_divergent_series_has_no_bound(self, beta):
+        assert math.isinf(repeated_game_posterior(beta).tail_bound)
+
+    @pytest.mark.parametrize("beta", [
+        -3.0, -2.0, -1.5652, -1.0, -0.7, -math.log(2.0) * (1.0 + 1e-9),
+        -math.log(2.0) * (1.0 - 1e-9), -0.6932, -0.5, -0.3,
+    ])
+    def test_normalizer_matches_hurwitz_zeta(self, beta):
+        for m in (1, 63, 64, 65, 1024, 10 ** 4, 10 ** 6):
+            expected, _ = _zeta_sums(beta, m)
+            np.testing.assert_allclose(_run_length_sum(m, beta), expected, rtol=2e-15)
+
+    @pytest.mark.parametrize("max_index", [10, 1000, 10 ** 4, 10 ** 6])
+    @pytest.mark.parametrize("beta", [-3.0, -1.5652, -1.0, -0.7, -0.6932, -0.5, -0.3])
+    def test_matches_reference_loop(self, beta, max_index):
+        policy = TruncationPolicy(max_index=max_index)
+        n_trunc, tail_bound, probs = reference_repeated_posterior(beta, policy)
+        dist = repeated_game_posterior(beta, policy)
+        assert dist.n_trunc == n_trunc
+        np.testing.assert_allclose(dist.tail_bound, tail_bound, rtol=1e-13)
+        n, u, p = dist.columns(50)
+        assert n == range(1, min(50, n_trunc) + 1)
+        np.testing.assert_allclose(u, 1.0 + np.log2(np.arange(1.0, len(n) + 1)), rtol=0)
+        np.testing.assert_allclose(p, probs[:50], rtol=1e-13)
+
+    def test_memory_does_not_grow_with_support(self):
+        tracemalloc.start()
+        try:
+            dist = repeated_game_posterior(-0.5)
+            dist.columns(50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dist.n_trunc == 10 ** 6
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
     def test_sign_rule(self, beta):
@@ -122,7 +223,7 @@ class TestRepeatedOptimal:
     @pytest.mark.parametrize("beta", [-1.0, -0.5])
     def test_matches_posterior_argmax(self, beta):
         dist = repeated_game_posterior(beta, TruncationPolicy(max_index=10 ** 4))
-        assert repeated_optimal(beta).n_opt == stochastically_optimal(dist)
+        assert repeated_optimal(beta).n_opt == _argmax(dist)
 
     def test_sign_rule(self):
         with pytest.raises(SignError):
