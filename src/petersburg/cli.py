@@ -451,7 +451,7 @@ def _cmd_roulette(cfg: RunConfig) -> Result:
 
 _RUN_COLUMNS = (
     "n_games", "per_game_mean", "per_game_median_of_means", "replications",
-    "stderr_proxy", "seed", "generator", "capped_tosses",
+    "stderr_proxy", "seed", "generator", "sampler", "capped_tosses",
 )
 
 
@@ -471,7 +471,8 @@ def _cmd_simulate(cfg: RunConfig) -> Result:
         return Result(
             doc=doc,
             comments={
-                k: doc[k] for k in ("replications", "x0", "p_win", "seed", "generator")
+                k: doc[k]
+                for k in ("replications", "x0", "p_win", "seed", "generator", "sampler")
             },
             header=("stage", "mean", "stderr"),
             columns=(

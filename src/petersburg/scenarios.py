@@ -193,7 +193,13 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
     if beta >= 0.0:
         raise SignError(f"repeated games require beta < 0, got {beta}")
     u_opt = -1.0 / beta
-    n_continuous = 2.0 ** (u_opt - 1.0)
+    try:
+        n_continuous = 2.0 ** (u_opt - 1.0)
+    except OverflowError:
+        raise DomainError(
+            f"optimal game count N* = 2^(1/|beta| - 1) overflows binary64 at "
+            f"beta = {beta}; |beta| must be above 1/1025"
+        ) from None
 
     def weight(n: int) -> float:
         u = repeated_game_value(n)

@@ -1,10 +1,12 @@
 """Monte Carlo oracle for the coin-toss game and the martingale strategy.
 
-Sampling uses the counter-based Philox generator so that every replication
-block draws from a substream derived only from (seed, block index):
-summaries are bit-identical for a given seed no matter how many shards
-execute the blocks.  Toss counts are sampled by inversion, one uniform per
-game, so extreme-tail draws cost the same as typical ones.
+Neither simulator draws one variate per game or per run.  A replication of
+the repeated game depends only on its toss-count histogram, drawn exactly as
+one multinomial row (see ``_toss_bins``); each block of replications draws
+from a Philox substream derived only from (seed, block index), so summaries
+are bit-identical for a given seed however many shards run the blocks.  The
+martingale's first-win histogram is one survival chain of binomials on a
+single stream, O(n_stages) whatever the replication count.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from .errors import DomainError, check_positive_index
 
 GENERATOR_NAME = "philox-4x64-10"
 
-# Replications per RNG substream.  Part of the deterministic stream layout:
-# changing it changes sampled values (but never the statistical contract).
+# Repeated-game replications per RNG substream.  Part of the deterministic
+# stream layout: changing it changes sampled values (but never the
+# statistical contract).
 _BLOCK = 4096
-
-# Max elements drawn per chunk inside a block, to bound memory.
-_CHUNK_ELEMENTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,7 @@ class SimSummary:
     stderr_proxy: float
     seed: int
     generator: str = GENERATOR_NAME
+    sampler: str = "multinomial-histogram"
     capped_tosses: int = 0
 
 
@@ -81,6 +82,7 @@ class MartingaleSummary:
     p_win: float
     seed: int
     generator: str = GENERATOR_NAME
+    sampler: str = "survival-chain"
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -103,16 +105,32 @@ def _run_blocks(blocks, worker, parallel_shards: int) -> list:
         return list(pool.map(worker, blocks))
 
 
-def _tosses_from_uniforms(u: np.ndarray, max_tosses: int) -> tuple[np.ndarray, int]:
-    """Inversion sampling of the first-tails toss: P(tosses = m) = 2**-m.
+def _toss_bins(max_tosses: int) -> np.ndarray:
+    """Probabilities of the toss-count histogram's bins: 2**-m for games of
+    m = 1..max_tosses tosses, then 2**-max_tosses for the games the cap cut
+    short, which pay 2**max_tosses.  Every bin pays the reciprocal of its
+    probability, and every mass left to numpy's chain of binomials is a
+    power of two, so each conditional probability is exactly 1/2."""
+    p = np.ldexp(1.0, -np.arange(1, max_tosses + 1))
+    return np.append(p, p[-1])
 
-    One binary64 uniform per game; its resolution limits raw draws to about
-    54, so a cap at the default 60 is unreachable in practice but still
-    enforced and counted.
-    """
-    raw = 1 + np.floor(-np.log2(1.0 - u)).astype(np.int64)
-    capped = int(np.count_nonzero(raw > max_tosses))
-    return np.minimum(raw, max_tosses), capped
+
+def _replication_means(n_games: int, config: SimConfig) -> tuple[np.ndarray, int]:
+    """Per-game mean winnings of each replication, in replication order, and
+    the number of games the cap cut short."""
+    pvals = _toss_bins(config.max_tosses)
+    payoff = 1.0 / pvals
+
+    def worker(block: tuple[int, int, int]) -> tuple[np.ndarray, int]:
+        index, start, stop = block
+        counts = _block_rng(config.seed, index).multinomial(
+            n_games, pvals, size=stop - start
+        )
+        return counts @ payoff / n_games, int(counts[:, -1].sum())
+
+    blocks = _block_bounds(config.replications)
+    results = _run_blocks(blocks, worker, config.parallel_shards)
+    return np.concatenate([r[0] for r in results]), sum(r[1] for r in results)
 
 
 def simulate_repeated(n_games: int, config: SimConfig) -> SimSummary:
@@ -124,25 +142,12 @@ def simulate_repeated(n_games: int, config: SimConfig) -> SimSummary:
     statistic; it grows by about one unit per doubling of ``n_games``.
     """
     check_positive_index(n_games, "n_games")
-
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // n_games)
-
-    def worker(block: tuple[int, int, int]) -> tuple[np.ndarray, int]:
-        index, start, stop = block
-        rng = _block_rng(config.seed, index)
-        means = np.empty(stop - start, dtype=float)
-        capped = 0
-        for row0 in range(0, stop - start, rows_per_chunk):
-            rows = min(rows_per_chunk, stop - start - row0)
-            u = rng.random(size=(rows, n_games))
-            tosses, c = _tosses_from_uniforms(u, config.max_tosses)
-            capped += c
-            means[row0 : row0 + rows] = (2.0 ** tosses).mean(axis=1)
-        return means, capped
-
-    blocks = _block_bounds(config.replications)
-    results = _run_blocks(blocks, worker, config.parallel_shards)
-    means = np.concatenate([r[0] for r in results])
+    if n_games * _BLOCK >= 2 ** 63:
+        raise DomainError(
+            f"n_games must be below 2**63 / {_BLOCK} so a block's toss counts "
+            f"sum exactly in int64, got {n_games}"
+        )
+    means, capped = _replication_means(n_games, config)
     n = len(means)
     stderr = float(means.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return SimSummary(
@@ -152,7 +157,7 @@ def simulate_repeated(n_games: int, config: SimConfig) -> SimSummary:
         replications=config.replications,
         stderr_proxy=stderr,
         seed=config.seed,
-        capped_tosses=sum(r[1] for r in results),
+        capped_tosses=capped,
     )
 
 
@@ -176,22 +181,17 @@ def simulate_martingale(
     if not 0.0 < p_win < 1.0:
         raise DomainError(f"win probability must be in (0, 1), got {p_win}")
 
-    log_lose = math.log1p(-p_win)
-
-    def worker(block: tuple[int, int, int]) -> np.ndarray:
-        index, start, stop = block
-        rng = _block_rng(config.seed, index)
-        u = rng.random(stop - start)
-        first_win = 1 + np.floor(np.log1p(-u) / log_lose).astype(np.int64)
-        bucketed = np.minimum(first_win, n_stages + 1)
-        return np.bincount(bucketed, minlength=n_stages + 2)
-
-    blocks = _block_bounds(config.replications)
-    counts = sum(_run_blocks(blocks, worker, config.parallel_shards))
-    win_by = np.cumsum(counts[1 : n_stages + 1])  # wins at spin <= n
-
+    # Runs still losing after each spin; the first win is at spin k for
+    # Binomial(alive, p_win) of the runs alive before it.
     r = config.replications
-    q = win_by / r
+    rng = _block_rng(config.seed, 0)
+    losers = np.empty(n_stages, dtype=np.int64)
+    alive = r
+    for k in range(n_stages):
+        alive -= int(rng.binomial(alive, p_win))
+        losers[k] = alive
+
+    q = (r - losers) / r
     horizon = np.arange(1, n_stages + 1, dtype=float)
     scale = 2.0 ** horizon
     means = x0 * (q * scale - (scale - 1.0))

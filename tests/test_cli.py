@@ -152,8 +152,8 @@ class TestSimulateCommand:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[5] == "stage,mean,stderr"
-        assert len(lines) == 8
+        assert lines[6] == "stage,mean,stderr"
+        assert len(lines) == 9
 
     def test_repeated_rows(self, capsys):
         code, out, _ = run(
@@ -176,6 +176,13 @@ class TestRepeatedCommand:
         doc = json.loads(out)
         assert doc["result"]["n_opt"] == 8
         assert doc["result"]["u_opt"] == 4.0
+
+    @pytest.mark.parametrize("beta", ["-0.0001", "-0.000975"])
+    def test_optimum_overflow_is_domain_error(self, capsys, beta):
+        # N* = 2^(1/|beta| - 1) leaves binary64 once 1/|beta| reaches 1025
+        code, out, err = run(capsys, "repeated", f"--beta={beta}", "--no-timestamp")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:domain:optimal game count") and "overflows" in err
 
 
 class TestNegativeFloatFlags:

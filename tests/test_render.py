@@ -251,7 +251,7 @@ def reference_roulette(fmt: str, stages: int, beta: float, x0: float) -> str:
 
 
 RUNS = ("n_games", "per_game_mean", "per_game_median_of_means", "replications",
-        "stderr_proxy", "seed", "generator", "capped_tosses")
+        "stderr_proxy", "seed", "generator", "sampler", "capped_tosses")
 
 
 def reference_simulate_repeated(fmt: str, n_games, reps: int, seed: int) -> str:
@@ -267,7 +267,7 @@ def reference_simulate_repeated(fmt: str, n_games, reps: int, seed: int) -> str:
     return ",".join(RUNS) + "\n" + "".join(
         f"{s.n_games},{s.per_game_mean:.12g},{s.per_game_median_of_means:.12g},"
         f"{s.replications},{s.stderr_proxy:.12g},{s.seed},{s.generator},"
-        f"{s.capped_tosses}\n"
+        f"{s.sampler},{s.capped_tosses}\n"
         for s in runs
     )
 
@@ -286,13 +286,14 @@ def reference_martingale(fmt: str, stages: int, reps: int, seed: int) -> str:
             "p_win": s.p_win,
             "seed": s.seed,
             "generator": s.generator,
+            "sampler": s.sampler,
         })
     if fmt == "table":
         return reference_text(reference_table(("stage", "mean", "stderr"), rows))
     return (
         f"# replications: {s.replications}\n# x0: {s.x0:.12g}\n"
         f"# p_win: {s.p_win:.12g}\n# seed: {s.seed}\n# generator: {s.generator}\n"
-        "stage,mean,stderr\n"
+        f"# sampler: {s.sampler}\nstage,mean,stderr\n"
     ) + "".join(f"{k},{m:.12g},{e:.12g}\n" for k, m, e in rows)
 
 

@@ -15,42 +15,64 @@ from petersburg import (
     simulate_repeated,
 )
 from petersburg.cli import main
-from petersburg.simulate import _tosses_from_uniforms
+from petersburg.simulate import _block_rng, _replication_means, _toss_bins
 
 
-def _rng(seed: int = 3) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
+def _single_game_means():
+    # 10**6 one-game replications: each mean is the payoff 2**m of one game.
+    return _replication_means(1, SimConfig(seed=5, replications=10 ** 6))
 
 
 class TestTossSampling:
+    def test_every_conditional_probability_is_one_half(self):
+        # numpy's multinomial draws bin i as Binomial(n_left, p_i / remaining)
+        # and then subtracts p_i from remaining, in binary64.
+        pvals = _toss_bins(60)
+        remaining = 1.0
+        for p in pvals[:-1]:
+            assert p / remaining == 0.5
+            remaining -= p
+        assert remaining == pvals[-1] == 2.0 ** -60
+
     def test_distribution_matches_halving_law(self):
-        u = _rng(5).random(10 ** 6)
-        tosses, capped = _tosses_from_uniforms(u, 60)
+        means, capped = _single_game_means()
         assert capped == 0
-        n = len(tosses)
+        n = len(means)
         for m in range(1, 11):
-            freq = float(np.mean(tosses == m))
+            freq = float(np.mean(means == 2.0 ** m))
             p = 2.0 ** -m
             se = math.sqrt(p * (1.0 - p) / n)
             assert abs(freq - p) < 3.0 * se, (m, freq, p)
 
     def test_first_toss_frequency(self):
-        u = _rng(5).random(10 ** 6)
-        tosses, _ = _tosses_from_uniforms(u, 60)
-        assert abs(float(np.mean(tosses == 1)) - 0.5) < 0.002
+        means, _ = _single_game_means()
+        assert abs(float(np.mean(means == 2.0)) - 0.5) < 0.002
 
     def test_mean_tosses(self):
-        u = _rng(5).random(10 ** 6)
-        tosses, _ = _tosses_from_uniforms(u, 60)
-        assert abs(float(tosses.mean()) - 2.0) < 0.01
+        means, _ = _single_game_means()
+        assert abs(float(np.log2(means).mean()) - 2.0) < 0.01
+
+    @pytest.mark.parametrize("n_games", [1, 7, 512, 2 ** 20, 2 ** 40])
+    def test_rows_hold_n_games(self, n_games):
+        # With max_tosses=1 every game pays 2, so a mean of exactly 2 means
+        # the row's counts sum to n_games.
+        means, _ = _replication_means(n_games, SimConfig(seed=8, replications=300,
+                                                        max_tosses=1))
+        assert np.all(means == 2.0)
 
     def test_capping_counts(self):
-        u = _rng(5).random(10 ** 5)
-        tosses, capped = _tosses_from_uniforms(u, 2)
-        assert int(tosses.max()) == 2
-        raw, _ = _tosses_from_uniforms(u, 60)
-        assert capped == int(np.count_nonzero(raw > 2))
-        assert abs(capped / len(u) - 0.25) < 0.01
+        # One block: the same draw as the block-0 substream's multinomial rows.
+        cfg = SimConfig(seed=6, replications=4000, max_tosses=2)
+        means, capped = _replication_means(16, cfg)
+        games = 16 * cfg.replications
+        assert abs(capped / games - 0.25) < 4.0 * math.sqrt(0.25 * 0.75 / games)
+        assert simulate_repeated(16, cfg).capped_tosses == capped
+        pvals = _toss_bins(2)
+        counts = _block_rng(6, 0).multinomial(16, pvals, size=cfg.replications)
+        assert capped == counts[:, -1].sum()
+        np.testing.assert_array_equal(means, counts @ (1.0 / pvals) / 16)
+        # 2 with probability 1/2, else 4 (two tosses, or cut short at two)
+        assert abs(float(means.mean()) - 3.0) < 4.0 * math.sqrt(1.0 / games)
 
 
 class TestSimulateRepeated:
@@ -66,8 +88,13 @@ class TestSimulateRepeated:
         assert base == sharded
 
     def test_single_game_median(self):
-        summary = simulate_repeated(1, SimConfig(seed=0, replications=10 ** 6))
-        assert summary.per_game_median_of_means == 2.0
+        # The median is 2 only when more than half the games pay 2, which is a
+        # fair coin at any seed; check that share, and a median of 2, 3 or 4.
+        cfg = SimConfig(seed=0, replications=10 ** 6)
+        means, _ = _replication_means(1, cfg)
+        share = float(np.mean(means == 2.0))
+        assert abs(share - 0.5) < 4.0 * math.sqrt(0.25 / len(means))
+        assert simulate_repeated(1, cfg).per_game_median_of_means in (2.0, 3.0, 4.0)
 
     def test_growth_per_doubling(self):
         medians = [
@@ -97,6 +124,17 @@ class TestSimulateRepeated:
     def test_domain(self):
         with pytest.raises(DomainError):
             simulate_repeated(0, SimConfig())
+        with pytest.raises(DomainError, match="int64"):
+            simulate_repeated(2 ** 51, SimConfig())
+
+    def test_largest_n_games_counts_exactly(self):
+        # A full block of 2**51 - 1 games per row at max_tosses=1 puts about
+        # 2**62 games in the over-cap bin, which must not wrap around.
+        n, cfg = 2 ** 51 - 1, SimConfig(seed=4, replications=4096, max_tosses=1)
+        summary = simulate_repeated(n, cfg)
+        assert summary.per_game_mean == 2.0
+        games = n * cfg.replications
+        assert abs(summary.capped_tosses / games - 0.5) < 4.0 * math.sqrt(0.25 / games)
 
 
 class TestSimulateMartingale:
@@ -129,6 +167,23 @@ class TestSimulateMartingale:
         )
         assert base == sharded
 
+    def test_losers_follow_binomial(self):
+        # Runs that lost every one of the first k spins: Binomial(R, (1-p)^k).
+        # Few runs per trial, so that one run lost or gained shows.
+        reps, p, stages, trials = 100, 0.45, 4, 4000
+        losers = np.empty((trials, stages))
+        scale = 2.0 ** np.arange(1, stages + 1)
+        for seed in range(trials):
+            s = simulate_martingale(stages, 1.0, p, SimConfig(seed=seed, replications=reps))
+            win_by = (np.array(s.stage_means) + scale - 1.0) / scale
+            losers[seed] = np.round(reps * (1.0 - win_by))
+        for k in range(1, stages + 1):
+            lose_all = (1.0 - p) ** k
+            var = reps * lose_all * (1.0 - lose_all)
+            sample = losers[:, k - 1]
+            assert abs(sample.mean() - reps * lose_all) < 4.0 * math.sqrt(var / trials)
+            assert abs(sample.var(ddof=1) / var - 1.0) < 4.0 * math.sqrt(2.0 / (trials - 1))
+
     def test_domain(self):
         cfg = SimConfig()
         with pytest.raises(DomainError):
@@ -137,6 +192,31 @@ class TestSimulateMartingale:
             simulate_martingale(3, 0.0, 0.4, cfg)
         with pytest.raises(DomainError):
             simulate_martingale(3, 1.0, 1.0, cfg)
+
+
+class TestLimitLaw:
+    def test_quartiles_settle_along_powers_of_two(self):
+        # Martin-Loef (1985): S_N/N - log2 N converges in law along N = 2^k.
+        # Each quartile's Monte Carlo error is read off the order statistics
+        # one binomial standard deviation of rank either side of it.
+        reps, probs = 20000, (0.25, 0.5, 0.75)
+        half = [math.sqrt(reps * p * (1.0 - p)) for p in probs]
+        ks = np.arange(6, 31)
+        quartiles, errors = [], []
+        for k in ks:
+            cfg = SimConfig(seed=int(k), replications=reps, parallel_shards=2)
+            x = np.sort(_replication_means(2 ** int(k), cfg)[0] - k)
+            quartiles.append(np.quantile(x, probs))
+            errors.append([(x[int(reps * p + h)] - x[int(reps * p - h)]) / 2.0
+                           for p, h in zip(probs, half)])
+        quartiles, errors = np.array(quartiles), np.array(errors)
+        settled = ks >= 10
+        limit = np.median(quartiles[ks >= 18], axis=0)
+        z = np.abs(quartiles[settled] - limit) / errors[settled]
+        assert z.max() < 4.0, (limit, z.max())
+        # the lower quartile approaches from above: not yet settled at N = 64
+        assert (quartiles[0, 0] - limit[0]) / errors[0, 0] > 4.0
+        assert 0.25 < limit[0] < 0.45 and 2.5 < limit[1] < 2.7 and 6.9 < limit[2] < 7.3
 
 
 class TestConfigValidation:
@@ -173,8 +253,8 @@ class TestSerialization:
     def test_martingale_csv_and_json(self, capsys):
         argv = ("--target", "martingale", "--stages", "3", "--p-win", "0.45", "--format")
         lines = self.run(capsys, *argv, "csv").splitlines()
-        assert lines[5] == "stage,mean,stderr"
-        assert len(lines) == 9
+        assert lines[6] == "stage,mean,stderr"
+        assert len(lines) == 10
         doc = json.loads(self.run(capsys, *argv, "json"))
         assert doc["replications"] == 100
         assert len(doc["stage_means"]) == 3
