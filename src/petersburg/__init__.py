@@ -33,10 +33,8 @@ from .lotteries import (
 )
 from .posteriors import (
     PosteriorDistribution,
-    Preference,
     TruncationPolicy,
     bernoulli_partition_closed,
-    compare,
     global_mean,
     optimal_bracket,
     posterior,
@@ -58,7 +56,6 @@ from .scenarios import (
     repeated_game_utilities,
     repeated_game_value,
     repeated_optimal,
-    roulette_asymptotic_value,
     roulette_expected_value,
     roulette_sequence,
     roulette_stage_choice,
@@ -83,7 +80,6 @@ __all__ = [
     "Lottery",
     "MartingaleSummary",
     "PosteriorDistribution",
-    "Preference",
     "PriorSpec",
     "RepeatedGameResult",
     "RunLengthPosterior",
@@ -103,7 +99,6 @@ __all__ = [
     "bernoulli_variance_closed",
     "calibrate_bernoulli_disbelief",
     "calibrate_disbelief_general",
-    "compare",
     "continuous_optimum",
     "expected_utility",
     "geometric_expected_utility",
@@ -116,7 +111,6 @@ __all__ = [
     "repeated_game_utilities",
     "repeated_game_value",
     "repeated_optimal",
-    "roulette_asymptotic_value",
     "roulette_expected_value",
     "roulette_sequence",
     "roulette_stage_choice",

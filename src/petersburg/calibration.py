@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CalibrationError, DomainError, SolverError, TruncationError
 from .lotteries import ExpectedUtilitySeq
-from .posteriors import TruncationPolicy, posterior
+from .posteriors import TruncationPolicy, global_mean, posterior
 from .priors import PriorSpec
 from .rootfind import bisect_root
 
@@ -81,7 +81,7 @@ def _posterior_sigma(
     policy: TruncationPolicy,
 ) -> float:
     dist = posterior(prior, utilities, -b, policy)
-    mean = float(np.dot(dist.probs, dist.utilities))
+    mean = global_mean(dist)
     var = float(np.dot(dist.probs, (dist.utilities - mean) ** 2))
     return math.sqrt(max(var, 0.0))
 

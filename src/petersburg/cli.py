@@ -8,10 +8,16 @@ Subcommands
     roulette      stop/continue stage table for the martingale sequence
     simulate      Monte Carlo summaries (repeated games or martingale)
 
-Every flag mirrors a config-file key; ``--config file.json`` supplies a base
-configuration and explicit flags win.  Exit codes: 1 config error, 2 domain
-or sign error, 3 solver/truncation failure.  Errors print one
-machine-parsable line to stderr: ``error:<category>:<message>``.
+Every option is a row of ``_OPTIONS``, which gives its type: int, int >= 0
+(rows), finite float, string, bool, a choice, a list of ints, or a family
+document (game).  A ``--config`` file holds config keys, those of prior,
+utility, truncation and sim in an object of that name; a prior or utility
+section replaces the default, the others merge, flags win, and each value
+gets its flag's check.  ``--emit-config`` writes a configuration that
+replays the run exactly.
+Exit codes: 1 config error, 2 domain or sign error, 3 solver/truncation
+failure, each with one machine-parsable line ``error:<category>:<message>``
+on stderr; any other exception is a bug and surfaces as a traceback.
 
 Each handler returns its output as one ``Result`` and never looks at the
 format; ``_emit`` renders it as a text table, CSV or JSON, whichever was
@@ -29,6 +35,7 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import repeat
@@ -61,9 +68,6 @@ from .simulate import SimConfig, simulate_martingale, simulate_repeated
 
 OUTDIR_ENV = "PETERSBURG_OUTDIR"
 
-_COMMANDS = ("distribution", "optimal", "calibrate", "repeated", "roulette", "simulate")
-_FORMATS = ("table", "csv", "json")
-
 
 class _ConfigError(Exception):
     pass
@@ -95,45 +99,60 @@ class RunConfig:
     n_games: list[int] = field(default_factory=lambda: [8, 16, 32, 64, 128, 256, 512, 1024])
 
     @classmethod
-    def from_json(cls, doc: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+    def from_json(cls, doc: object) -> "RunConfig":
+        """The defaults with a config file's document set.  A ``prior`` or
+        ``utility`` section replaces the default one; ``truncation`` and
+        ``sim`` merge into theirs."""
+        if type(doc) is not dict:
+            raise _ConfigError(f"a config file holds one JSON object, got {doc!r}")
+        values = {k: v for k, v in doc.items() if k not in _SECTIONS}
+        for section in [k for k in doc if k in _SECTIONS]:
+            if type(doc[section]) is not dict:
+                raise _ConfigError(f"{section}: invalid section: {doc[section]!r}")
+            values.update((f"{section}.{k}", v) for k, v in doc[section].items())
+        unknown = sorted(values.keys() - _BY_KEY.keys())
         if unknown:
-            raise _ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise _ConfigError(f"unknown config keys: {unknown}")
         cfg = cls()
-        for key, value in doc.items():
-            if key in ("truncation", "sim"):
-                merged = dict(getattr(cfg, key))
-                merged.update(value)
-                value = merged
-            setattr(cfg, key, value)
+        cfg.apply(values, fresh=[s for s in ("prior", "utility") if s in doc])
         return cfg
+
+    def apply(self, values: dict, fresh: Sequence[str] = ()) -> None:
+        """Empty the ``fresh`` sections, then check and set each value, keyed
+        by its option's config key."""
+        for section in fresh:
+            setattr(self, section, {})
+        for key, value in values.items():
+            value = _check(_BY_KEY[key], value)
+            section, _, leaf = key.rpartition(".")
+            if section:
+                getattr(self, section)[leaf] = value
+            else:
+                setattr(self, leaf, value)
 
     # -- resolved objects ------------------------------------------------
 
-    def prior_spec(self) -> PriorSpec:
-        return PriorSpec.from_json(self.prior)
+    def _read(self, name: str, reader):
+        """``reader`` applied to the document ``name``; what it cannot read
+        is a config error."""
+        try:
+            return reader(getattr(self, name))
+        except DomainError:
+            raise
+        except KeyError as exc:
+            raise _ConfigError(f"{name} lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:  # a malformed family document
+            raise _ConfigError(f"{name}: {exc}") from None
 
-    def utility_spec(self) -> UtilitySpec:
-        return UtilitySpec.from_json(self.utility)
+    def prior_spec(self) -> PriorSpec:
+        return self._read("prior", PriorSpec.from_json)
 
     def policy(self) -> TruncationPolicy:
-        return TruncationPolicy(
-            rel_tol=float(self.truncation["rel_tol"]),
-            max_index=int(self.truncation["max_index"]),
-        )
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
-            seed=int(self.sim["seed"]),
-            replications=int(self.sim["replications"]),
-            max_tosses=int(self.sim["max_tosses"]),
-            parallel_shards=int(self.sim["parallel_shards"]),
-        )
+        return TruncationPolicy(**self.truncation)
 
     def utilities(self) -> ExpectedUtilitySeq:
-        family = GameFamily.from_json(self.game)
-        return ExpectedUtilitySeq.from_family(family, self.utility_spec())
+        family = self._read("game", GameFamily.from_json)
+        return ExpectedUtilitySeq.from_family(family, self._read("utility", UtilitySpec.from_json))
 
     def is_bernoulli_luce(self) -> bool:
         return (
@@ -141,6 +160,87 @@ class RunConfig:
             and self.prior.get("kind") == "luce"
             and self.utility.get("kind") == "linear"
         )
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise _ConfigError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise _ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _read_game(value: str) -> dict:
+    """The --game flag's family document: bernoulli, or a JSON file's."""
+    return {"family": "bernoulli"} if value == "bernoulli" else _read_json(value, "game file")
+
+
+# One row per option: its flag, its config key (``section.key`` inside a
+# section), its type or tuple of choices, its help, and the one subcommand
+# that takes it, when only one does.
+_Option = namedtuple("_Option", "flag key type help command", defaults=(None, None))
+_COUNT = "nonnegative int"  # the type of an int option that must be >= 0
+_OPTIONS = (
+    _Option("", "command", str),  # no flag: the subcommand sets it
+    _Option("--format", "output_format", ("table", "csv", "json")),
+    _Option("--output", "output_path", str, "output file (default stdout)"),
+    _Option("--no-timestamp", "timestamp", bool, "omit the timestamp field from csv/json output"),
+    _Option("--rows", "rows", _COUNT, "max table rows to print"),
+    _Option("--game", "game", dict, '"bernoulli" or a JSON family file'),
+    _Option("--prior", "prior.kind", ("luce", "power", "log", "logit")),
+    _Option("--alpha", "prior.alpha", float, "power prior exponent"),
+    _Option("--u0", "prior.u0", float, "log prior scale"),
+    _Option("--b", "prior.b", float, "logit prior coefficient"),
+    _Option("--c", "prior.c", float, "logit prior offset"),
+    _Option("--gamma", "prior.gamma", float, "logit prior curvature"),
+    _Option("--utility", "utility.kind", ("linear", "logarithmic", "power", "geometric")),
+    _Option("--exponent", "utility.exponent", float, "power utility exponent"),
+    _Option("--base", "utility.base", float, "geometric utility base"),
+    _Option("--beta", "beta", float, "disbelief parameter; calibrated when absent"),
+    _Option("--rel-tol", "truncation.rel_tol", float, "omitted tail mass, relative"),
+    _Option("--max-index", "truncation.max_index", int, "largest support size"),
+    _Option("--seed", "sim.seed", int),
+    _Option("--replications", "sim.replications", int),
+    _Option("--max-tosses", "sim.max_tosses", int, "toss cap of one game"),
+    _Option("--shards", "sim.parallel_shards", int, "simulator threads"),
+    _Option("--stages", "stages", int, "roulette and martingale stages"),
+    _Option("--x0", "x0", float, "initial bid"),
+    _Option("--p-win", "p_win", float, "roulette win probability"),
+    _Option("--target", "target", ("repeated", "martingale"), command="simulate"),
+    _Option("--n-games", "n_games", list, "games per run", command="simulate"),
+)
+_BY_KEY = {opt.key: opt for opt in _OPTIONS}
+_SECTIONS = ("prior", "utility", "truncation", "sim")
+_NULLABLE = {f.name for f in fields(RunConfig) if f.default is None}
+# the argparse keywords that read a flag's string; those of int and float
+# are {"type": int} and {"type": float}, and the one bool flag is --no-timestamp
+_FLAG_KWARGS = {_COUNT: {"type": int}, str: {}, bool: {"action": "store_false"},
+                dict: {"type": _read_game}, list: {"type": int, "nargs": "+"}}
+
+
+def _check(opt: _Option, value):
+    """``value`` as option ``opt`` holds it, or a config error in argparse's
+    wording that names the key; null is a value only where the default is
+    None.  argparse has read a flag's string, and JSON a file's value."""
+    kind = opt.type
+    if value is None and opt.key in _NULLABLE:
+        return value
+    if isinstance(kind, tuple):
+        ok = value in kind
+    elif kind is float:  # compared, not converted: a JSON integer may pass binary64
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    elif kind is list:
+        ok = type(value) is list and value != [] and all(type(n) is int for n in value)
+    else:
+        ok = type(value) is (int if kind is _COUNT else kind) and (kind != _COUNT or value >= 0)
+    if not ok:
+        what = f"{getattr(kind, '__name__', kind)} value"
+        if isinstance(kind, tuple):
+            what = f"choice (one of {', '.join(kind)})"
+        raise _ConfigError(f"{opt.key}: invalid {what}: {value!r}")
+    return float(value) if kind is float else value  # a JSON integer will do
 
 
 def _fmt(x, sig: int = 12) -> str:
@@ -353,7 +453,7 @@ def _emit(cfg: RunConfig, result: Result) -> None:
 def _resolve_beta(cfg: RunConfig) -> tuple[float, CalibrationResult | None]:
     """The configured beta, or -|beta| from calibration when absent."""
     if cfg.beta is not None:
-        return float(cfg.beta), None
+        return cfg.beta, None
     result = _calibrate(cfg)
     return -result.abs_beta, result
 
@@ -439,7 +539,7 @@ _ROULETTE_COLUMNS = ("stage", "u_stop", "u_continue", "p_stop", "p_continue")
 
 
 def _cmd_roulette(cfg: RunConfig) -> Result:
-    beta = float(cfg.beta) if cfg.beta is not None else 0.0
+    beta = cfg.beta if cfg.beta is not None else 0.0
     choices = roulette_sequence(cfg.stages, beta, cfg.x0, cfg.p_win)
     return Result(
         doc={"beta": beta, "x0": cfg.x0, "p_win": cfg.p_win},
@@ -456,7 +556,7 @@ _RUN_COLUMNS = (
 
 
 def _cmd_simulate(cfg: RunConfig) -> Result:
-    sim = cfg.sim_config()
+    sim = SimConfig(**cfg.sim)
     if cfg.target == "repeated":
         summaries = [simulate_repeated(n, sim) for n in cfg.n_games]
         return Result(
@@ -465,23 +565,21 @@ def _cmd_simulate(cfg: RunConfig) -> Result:
             columns=tuple([getattr(s, name) for s in summaries] for name in _RUN_COLUMNS),
             rows_key="runs",
         )
-    if cfg.target == "martingale":
-        summary = simulate_martingale(cfg.stages, cfg.x0, cfg.p_win, sim)
-        doc = {"target": "martingale", **vars(summary)}
-        return Result(
-            doc=doc,
-            comments={
-                k: doc[k]
-                for k in ("replications", "x0", "p_win", "seed", "generator", "sampler")
-            },
-            header=("stage", "mean", "stderr"),
-            columns=(
-                range(1, len(summary.stage_means) + 1),
-                summary.stage_means,
-                summary.stage_stderrs,
-            ),
-        )
-    raise _ConfigError(f"unknown simulate target {cfg.target!r}")
+    summary = simulate_martingale(cfg.stages, cfg.x0, cfg.p_win, sim)
+    doc = {"target": "martingale", **vars(summary)}
+    return Result(
+        doc=doc,
+        comments={
+            k: doc[k]
+            for k in ("replications", "x0", "p_win", "seed", "generator", "sampler")
+        },
+        header=("stage", "mean", "stderr"),
+        columns=(
+            range(1, len(summary.stage_means) + 1),
+            summary.stage_means,
+            summary.stage_stderrs,
+        ),
+    )
 
 
 _HANDLERS = {
@@ -514,101 +612,21 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     """The argument parser, built on the first call: it holds no state
     between ``parse_args`` calls, and building it costs more than most
-    commands."""
+    commands.  A flag not given is left out of the namespace."""
     parser = _Parser(prog="petersburg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: _Parser) -> None:
+    for name in _HANDLERS:
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON file with a RunConfig")
         p.add_argument("--emit-config", help="write the resolved RunConfig here")
-        p.add_argument("--format", dest="output_format", choices=_FORMATS)
-        p.add_argument("--output", dest="output_path", help="output file (default stdout)")
-        p.add_argument("--no-timestamp", action="store_true", default=None,
-                       help="omit the timestamp field from csv/json output")
-        p.add_argument("--rows", type=int, help="max table rows to print")
-        p.add_argument("--game", help='"bernoulli" or a JSON family file')
-        p.add_argument("--prior", choices=("luce", "power", "log", "logit"))
-        p.add_argument("--alpha", type=float, help="power prior exponent")
-        p.add_argument("--u0", type=float, help="log prior scale")
-        p.add_argument("--b", type=float, help="logit prior coefficient")
-        p.add_argument("--c", type=float, help="logit prior offset")
-        p.add_argument("--gamma", type=float, help="logit prior curvature")
-        p.add_argument("--utility", choices=("linear", "logarithmic", "power", "geometric"))
-        p.add_argument("--exponent", type=float, help="power utility exponent")
-        p.add_argument("--base", type=float, help="geometric utility base")
-        p.add_argument("--beta", type=float)
-        p.add_argument("--rel-tol", dest="rel_tol", type=float)
-        p.add_argument("--max-index", dest="max_index", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--replications", type=int)
-        p.add_argument("--max-tosses", dest="max_tosses", type=int)
-        p.add_argument("--shards", dest="parallel_shards", type=int)
-        p.add_argument("--stages", type=int)
-        p.add_argument("--x0", type=float)
-        p.add_argument("--p-win", dest="p_win", type=float)
-
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        common(p)
-        if name == "simulate":
-            p.add_argument("--target", choices=("repeated", "martingale"))
-            p.add_argument("--n-games", dest="n_games", type=int, nargs="+")
-
+        for opt in _OPTIONS:
+            if opt.flag and opt.command in (None, name):
+                if isinstance(opt.type, tuple):
+                    kwargs = {"choices": opt.type}
+                else:  # the metavar is the config key: the help shows both names
+                    kwargs = _FLAG_KWARGS.get(opt.type, {"type": opt.type})
+                p.add_argument(opt.flag, dest=opt.key, help=opt.help, **kwargs)
     return parser
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = RunConfig.from_json(json.load(fh))
-        except OSError as exc:
-            raise _ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise _ConfigError(f"config is not valid JSON: {exc}") from exc
-    else:
-        cfg = RunConfig()
-    cfg.command = args.command
-
-    if args.game is not None:
-        if args.game == "bernoulli":
-            cfg.game = {"family": "bernoulli"}
-        else:
-            try:
-                with open(args.game, "r", encoding="utf-8") as fh:
-                    cfg.game = json.load(fh)
-            except OSError as exc:
-                raise _ConfigError(f"cannot read game file: {exc}") from exc
-    if args.prior is not None:
-        cfg.prior = {"kind": args.prior}
-    if args.utility is not None:
-        cfg.utility = {"kind": args.utility}
-    for section, keys in (
-        (cfg.prior, ("alpha", "u0", "b", "c", "gamma")),
-        (cfg.utility, ("exponent", "base")),
-        (cfg.truncation, ("rel_tol", "max_index")),
-        (cfg.sim, ("seed", "replications", "max_tosses", "parallel_shards")),
-    ):
-        for key in keys:
-            if (value := getattr(args, key)) is not None:
-                section[key] = value
-    # only simulate has the flags target and n_games
-    for key in ("beta", "output_format", "output_path", "rows", "stages", "x0",
-                "p_win", "target", "n_games"):
-        if (value := getattr(args, key, None)) is not None:
-            setattr(cfg, key, value)
-    if args.no_timestamp:
-        cfg.timestamp = False
-    # a config file's values get the checks that argparse gives the flags
-    if not isinstance(cfg.rows, int) or isinstance(cfg.rows, bool) or cfg.rows < 0:
-        raise _ConfigError(f"rows must be a nonnegative integer, got {cfg.rows!r}")
-    if cfg.output_format not in _FORMATS:
-        raise _ConfigError(
-            f"output_format must be one of {', '.join(_FORMATS)}, got {cfg.output_format!r}"
-        )
-    if not isinstance(cfg.timestamp, bool):
-        raise _ConfigError(f"timestamp must be true or false, got {cfg.timestamp!r}")
-    return cfg
 
 
 def _output_stream(cfg: RunConfig):
@@ -622,13 +640,17 @@ def _output_stream(cfg: RunConfig):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _merge_config(args)
-        if args.emit_config:
-            with open(args.emit_config, "w", encoding="utf-8") as fh:
-                json.dump(_round_floats(asdict(cfg)), fh, sort_keys=True, indent=2)
+        given = vars(_build_parser().parse_args(argv))
+        emit_path = given.pop("emit_config", None)
+        path = given.pop("config", None)
+        cfg = RunConfig.from_json(_read_json(path, "config")) if path else RunConfig()
+        # the flags given win; a --prior or --utility flag starts a fresh section
+        cfg.apply(given, fresh=[s for s in ("prior", "utility") if f"{s}.kind" in given])
+        if emit_path:
+            # unrounded: float repr round-trips, so the file replays the run
+            with open(emit_path, "w", encoding="utf-8") as fh:
+                json.dump(asdict(cfg), fh, sort_keys=True, indent=2)
                 fh.write("\n")
         _emit(cfg, _HANDLERS[cfg.command](cfg))
         return 0
@@ -641,10 +663,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolverError as exc:
         print(f"error:solver:{exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError) as exc:
-        # malformed values in a config file surface here
-        print(f"error:config:{exc!r}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -185,14 +185,6 @@ class GameFamily:
             raise DomainError("custom family needs at least one lottery")
         return cls(tuple(lotteries))
 
-    def lottery(self, n: int) -> Lottery:
-        check_positive_index(n, "n")
-        if self.lotteries is None:
-            return bernoulli_lottery(n)
-        if n > len(self.lotteries):
-            raise DomainError(f"index {n} outside family of {len(self.lotteries)}")
-        return self.lotteries[n - 1]
-
     @classmethod
     def from_json(cls, doc: dict) -> "GameFamily":
         if doc.get("family") == "bernoulli":

@@ -30,7 +30,6 @@ in ``PosteriorDistribution.tail_rule``:
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -127,12 +126,6 @@ class PosteriorDistribution:
         ``stop`` < 1) as columns (n, U_n, prob)."""
         stop = max(0, min(stop, self.n_trunc))
         return range(1, stop + 1), self.utilities[:stop], self.probs[:stop]
-
-
-class Preference(enum.Enum):
-    PREFER_I = "prefer_i"
-    PREFER_J = "prefer_j"
-    INDIFFERENT = "indifferent"
 
 
 _FIRST_CHUNK = 16
@@ -348,15 +341,6 @@ def optimal_bracket(
     low = max(1, math.floor(x_star))
     high = max(low, math.floor(x_star) + 1)
     return low, high
-
-
-def compare(dist: PosteriorDistribution, i: int, j: int) -> Preference:
-    """Stochastic preference between two indices of the same distribution;
-    indifferent when the probabilities agree within 1e-12."""
-    pi, pj = dist.prob(i), dist.prob(j)
-    if abs(pi - pj) <= 1e-12:
-        return Preference.INDIFFERENT
-    return Preference.PREFER_I if pi > pj else Preference.PREFER_J
 
 
 def global_mean(dist: PosteriorDistribution) -> float:

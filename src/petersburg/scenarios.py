@@ -228,14 +228,6 @@ def roulette_expected_value(
     return (1.0 - (2.0 * (1.0 - p_win)) ** n) * x0
 
 
-def roulette_asymptotic_value(n: int, x0: float = 1.0) -> float:
-    """Large-n approximation -(20/19)^n * x0 for the double-zero wheel.
-
-    Within 2% of the exact value for n >= 80; badly off for small n."""
-    _check_roulette_args(n, x0, DOUBLE_ZERO_WIN_PROB)
-    return -((20.0 / 19.0) ** n) * x0
-
-
 def roulette_stage_choice(
     n: int,
     beta: float = 0.0,
@@ -273,4 +265,5 @@ def roulette_sequence(
     p_win: float = DOUBLE_ZERO_WIN_PROB,
 ) -> list[StageChoice]:
     """Stage choices for stages 1..n_stages."""
+    check_positive_index(n_stages, "n_stages")
     return [roulette_stage_choice(n, beta, x0, p_win) for n in range(1, n_stages + 1)]

@@ -6,8 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from petersburg import roulette_stage_choice
-from petersburg.cli import RunConfig, main
+from petersburg import cli, roulette_stage_choice
+from petersburg.cli import _COUNT, _OPTIONS, RunConfig, main
 
 
 def run(capsys, *argv):
@@ -131,6 +131,14 @@ class TestDistributionCommand:
 
 
 class TestRouletteCommand:
+    @pytest.mark.parametrize("stages", ["0", "-1"])
+    @pytest.mark.parametrize("command", [["roulette"], ["simulate", "--target", "martingale"]])
+    def test_no_stages_is_domain_error(self, capsys, command, stages):
+        # roulette once printed an empty table and exited 0
+        code, out, err = run(capsys, *command, f"--stages={stages}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:domain:n_stages must be a positive integer")
+
     def test_stage_table(self, capsys):
         code, out, _ = run(
             capsys, "roulette", "--stages", "2", "--format", "json",
@@ -230,16 +238,21 @@ class TestConfigHandling:
 
     def test_round_trip_reproduces_output(self, capsys, tmp_path):
         emitted = tmp_path / "resolved.json"
-        code, first, _ = run(
-            capsys, "optimal", "--beta", "-0.4", "--format", "json",
-            "--no-timestamp", "--emit-config", str(emitted),
-        )
-        assert code == 0
-        code, second, _ = run(
-            capsys, "optimal", "--config", str(emitted)
-        )
-        assert code == 0
-        assert first == second
+        for argv in (
+            ["optimal", "--beta", "-0.4", "--format", "json"],
+            # the default p_win, 18/38, and this beta once lost digits on replay
+            ["roulette", "--stages", "40", "--format", "json"],
+            ["distribution", "--beta=-0.123456789012345", "--format", "csv"],
+        ):
+            code, first, _ = run(
+                capsys, *argv, "--no-timestamp", "--emit-config", str(emitted),
+            )
+            assert code == 0
+            code, second, _ = run(
+                capsys, argv[0], "--config", str(emitted)
+            )
+            assert code == 0
+            assert first == second, argv
 
     def test_unknown_config_key_exits_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -258,7 +271,7 @@ class TestConfigHandling:
         # a negative --rows once sliced the table from its end
         code, out, err = run(capsys, command, "--beta", "-2", "--rows", "-3")
         assert (code, out) == (1, "")
-        assert err.startswith("error:config:rows must be a nonnegative integer")
+        assert err.startswith("error:config:rows: invalid nonnegative int value: -3")
         path = tmp_path / "rows.json"
         path.write_text(json.dumps({"rows": -3}))
         code, _, err = run(capsys, command, "--beta", "-2", "--config", str(path))
@@ -281,8 +294,8 @@ class TestConfigHandling:
         assert code == 0
 
     @pytest.mark.parametrize("doc, message", [
-        ({"output_format": "xml"}, "output_format must be one of table, csv, json"),
-        ({"timestamp": "no"}, "timestamp must be true or false"),
+        ({"output_format": "xml"}, "output_format: invalid choice (one of table, csv, json)"),
+        ({"timestamp": "no"}, "timestamp: invalid bool value: 'no'"),
     ], ids=["output_format", "timestamp"])
     def test_config_values_checked_like_flags(self, capsys, tmp_path, doc, message):
         path = tmp_path / "run.json"
@@ -295,6 +308,148 @@ class TestConfigHandling:
         cfg = RunConfig(command="roulette", stages=7, beta=-0.5)
         again = RunConfig.from_json(json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
+
+
+
+# a value of the wrong type for each option type, and a flag string argparse
+# turns into one (None where argparse cannot express it)
+BAD_VALUES = {
+    int: (10.7, "10.7"),
+    _COUNT: (-1, "-1"),
+    float: ("1", "nan"),
+    str: (5, None),
+    bool: ("no", None),
+    dict: ([1], "[1]"),
+    list: (8, "x"),
+}
+
+
+def _config_doc(key, value):
+    section, _, leaf = key.rpartition(".")
+    return {section: {leaf: value}} if section else {key: value}
+
+
+@pytest.mark.parametrize("opt", _OPTIONS, ids=lambda opt: opt.key)
+def test_every_option_checks_file_and_flag(capsys, tmp_path, opt):
+    bad, flag_value = ("weird", "weird") if isinstance(opt.type, tuple) else BAD_VALUES[opt.type]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(_config_doc(opt.key, bad)))
+    code, out, err = run(capsys, "simulate", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error:config:{opt.key}: invalid ")
+    if opt.flag and flag_value is not None:
+        if opt.type is dict:  # --game reads a file
+            (tmp_path / "game.json").write_text(flag_value)
+            flag_value = str(tmp_path / "game.json")
+        code, out, err = run(capsys, "simulate", f"{opt.flag}={flag_value}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:config:") and (opt.flag in err or opt.key in err), err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"sim": {"replications": 10.7}}, "sim.replications"),
+    ({"truncation": {"max_index": 1e3}}, "truncation.max_index"),
+    ({"sim": {"seed": "3"}}, "sim.seed"),
+    ({"beta": "-1"}, "beta"),
+    ({"sim": {"bogus": 1}}, "unknown config keys: ['sim.bogus']"),
+    ({"truncation": {"foo": 1}}, "unknown config keys: ['truncation.foo']"),
+    ({"beta": True}, "beta"),
+    ({"sim": {"replications": True}}, "sim.replications"),
+    ({"prior": {"kind": "weird"}}, "prior.kind"),
+    ({"stages": 2.5}, "stages"),
+    ({"n_games": 8}, "n_games"),
+    ({"n_games": [8, 2.5]}, "n_games"),
+    ({"n_games": []}, "n_games"),
+    ({"rows": None}, "rows"),
+    ({"x0": "1"}, "x0"),
+    ({"beta": 1e400}, "beta"),
+    ({"x0": 10 ** 400}, "x0"),
+    ({"sim": 5}, "sim"),
+    ([1], "a config file holds one JSON object"),
+    ({"prior": {"alpha": 2.0}}, "prior lacks the key 'kind'"),
+    ({"game": {"family": "custom", "lotteries": [{"outcomes": [{"payoff": "x", "prob": 1}]}]}},
+     "game: could not convert string to float: 'x'"),
+    ({"game": {"family": "custom", "lotteries": [{"outcomes": [{"payoff": 2.0}]}]}},
+     "game lacks the key 'prob'"),
+], ids=repr)
+def test_config_probes_exit_one(capsys, tmp_path, doc, key):
+    path = tmp_path / "run.json"
+    # NaN and Infinity are what Python's json writes for 1e400; it reads them back
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "distribution", "--beta=-1", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error:config:{key}")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["distribution", "--beta=-1", "--rel-tol", "nan"], "truncation.rel_tol"),
+    (["simulate", "--target", "martingale", "--x0", "inf"], "x0"),
+    (["optimal", "--beta=-inf"], "beta"),
+    (["repeated", "--beta", "nan"], "beta"),
+    (["calibrate", "--prior", "power", "--alpha", "inf"], "prior.alpha"),
+    (["calibrate", "--prior", "power"], "prior lacks the key 'alpha'"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_flag_probes_exit_one(capsys, argv, key):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, ""), err
+    assert err.startswith("error:config:") and key in err, err
+
+
+def test_file_values_act_as_flags(capsys, tmp_path):
+    # a JSON integer for a float option is that float, and null is the
+    # default of beta
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"x0": 2, "beta": None}))
+    code, by_file, _ = run(capsys, "roulette", "--config", str(path), "--format", "json",
+                           "--no-timestamp")
+    assert code == 0
+    code, by_flag, _ = run(capsys, "roulette", "--x0", "2", "--format", "json", "--no-timestamp")
+    assert code == 0 and by_file == by_flag
+    assert json.loads(by_file)["x0"] == 2.0 and '"x0": 2.0' in by_file
+
+
+def test_sections_replace_or_merge(capsys, tmp_path):
+    path, emitted = tmp_path / "run.json", tmp_path / "resolved.json"
+    path.write_text(json.dumps({"prior": {"kind": "log", "u0": 3.0}, "sim": {"seed": 5}}))
+
+    def resolved(*flags):
+        code, _, err = run(capsys, "calibrate", "--config", str(path), *flags,
+                           "--emit-config", str(emitted))
+        assert code == 0, err
+        return json.loads(emitted.read_text())
+
+    doc = resolved()
+    # a file's prior replaces the default, its sim merges into the default
+    assert doc["prior"] == {"kind": "log", "u0": 3.0}
+    assert doc["sim"] == {**RunConfig().sim, "seed": 5}
+    # a flag's parameter merges into the file's prior; a --prior flag
+    # starts a fresh one
+    assert resolved("--u0", "2")["prior"] == {"kind": "log", "u0": 2.0}
+    assert resolved("--prior", "log")["prior"] == {"kind": "log"}
+    assert resolved("--alpha", "2", "--prior", "power")["prior"] == {"kind": "power", "alpha": 2.0}
+
+
+def test_library_bug_is_not_a_config_error(monkeypatch):
+    # only config, domain and solver errors become error lines
+    def bug(cfg):
+        raise TypeError("a bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "roulette", bug)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["roulette"])
+
+
+def test_malformed_game_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"family": "custom", "lotteries": [
+        {"outcomes": [{"payoff": 2.0, "prob": 0.5}], "residual": 0.5},
+        {"outcomes": [{"payoff": 4.0}]},
+    ]}))
+    code, out, err = run(capsys, "distribution", "--beta=-1", "--game", str(path))
+    assert (code, out, err) == (1, "", "error:config:game lacks the key 'prob'\n")
+    path.write_text("{not json")
+    code, _, err = run(capsys, "distribution", "--beta=-1", "--game", str(path))
+    assert code == 1 and err.startswith("error:config:game file is not valid JSON")
 
 
 class TestOutputFiles:

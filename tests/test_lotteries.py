@@ -45,9 +45,8 @@ class TestBernoulliLottery:
             bernoulli_lottery(1024)
 
     def test_family_normalization(self):
-        family = GameFamily.bernoulli()
         for n in range(1, 101):
-            lot = family.lottery(n)
+            lot = bernoulli_lottery(n)
             total = sum(lot.probabilities) + lot.residual_probability
             assert abs(total - 1.0) <= 1e-12
 
@@ -198,7 +197,6 @@ class TestSerialization:
     def test_bernoulli_family_from_json(self):
         family = GameFamily.from_json({"family": "bernoulli"})
         assert family == GameFamily.bernoulli() and family.lotteries is None
-        assert family.lottery(2) == bernoulli_lottery(2)
         with pytest.raises(DomainError):
             GameFamily.from_json({"family": "dice"})
 
@@ -212,13 +210,17 @@ class TestSerialization:
         }
         family = GameFamily.from_json(doc)
         assert len(family.lotteries) == 2
-        assert family.lottery(1) == bernoulli_lottery(1)
-        assert family.lottery(2) == Lottery(((1.0, 1.0),))
+        assert family.lotteries == (bernoulli_lottery(1), Lottery(((1.0, 1.0),)))
 
     def test_custom_family_bounds(self):
+        # the family's expected utilities end with its last lottery
         family = GameFamily.custom([bernoulli_lottery(1)])
+        utilities = ExpectedUtilitySeq.from_family(family, UtilitySpec.linear())
+        assert utilities.values(1, 5).tolist() == [1.0]
         with pytest.raises(DomainError):
-            family.lottery(2)
+            utilities.values(2, 3)
+        with pytest.raises(DomainError):
+            GameFamily.custom([])
 
     def test_utility_spec_from_json(self):
         for doc, spec in (

