@@ -82,8 +82,10 @@ def _posterior_sigma(
 ) -> float:
     dist = posterior(prior, utilities, -b, policy)
     mean = global_mean(dist)
-    var = float(np.dot(dist.probs, (dist.utilities - mean) ** 2))
-    return math.sqrt(max(var, 0.0))
+    # a variance past binary64 counts as sigma = +inf, like a truncation failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = float(np.dot(dist.probs, (dist.utilities - mean) ** 2))
+    return math.sqrt(max(var, 0.0)) if math.isfinite(var) else math.inf
 
 
 def calibrate_disbelief_general(

@@ -36,7 +36,7 @@ import os
 import re
 import sys
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import repeat
 from typing import Iterator, Sequence
@@ -64,7 +64,7 @@ from .scenarios import (
     repeated_optimal,
     roulette_sequence,
 )
-from .simulate import SimConfig, simulate_martingale, simulate_repeated
+from .simulate import SimConfig, SimSummary, simulate_martingale, simulate_repeated
 
 OUTDIR_ENV = "PETERSBURG_OUTDIR"
 
@@ -535,24 +535,15 @@ def _cmd_repeated(cfg: RunConfig) -> Result:
     )
 
 
-_ROULETTE_COLUMNS = ("stage", "u_stop", "u_continue", "p_stop", "p_continue")
-
-
 def _cmd_roulette(cfg: RunConfig) -> Result:
     beta = cfg.beta if cfg.beta is not None else 0.0
     choices = roulette_sequence(cfg.stages, beta, cfg.x0, cfg.p_win)
     return Result(
         doc={"beta": beta, "x0": cfg.x0, "p_win": cfg.p_win},
-        header=_ROULETTE_COLUMNS,
-        columns=tuple([getattr(c, name) for c in choices] for name in _ROULETTE_COLUMNS),
+        header=choices._fields,
+        columns=choices,
         rows_key="stages",
     )
-
-
-_RUN_COLUMNS = (
-    "n_games", "per_game_mean", "per_game_median_of_means", "replications",
-    "stderr_proxy", "seed", "generator", "sampler", "capped_tosses",
-)
 
 
 def _cmd_simulate(cfg: RunConfig) -> Result:
@@ -561,8 +552,8 @@ def _cmd_simulate(cfg: RunConfig) -> Result:
         summaries = [simulate_repeated(n, sim) for n in cfg.n_games]
         return Result(
             doc={"target": "repeated"},
-            header=_RUN_COLUMNS,
-            columns=tuple([getattr(s, name) for s in summaries] for name in _RUN_COLUMNS),
+            header=tuple(f.name for f in fields(SimSummary)),
+            columns=tuple(zip(*map(astuple, summaries))),
             rows_key="runs",
         )
     summary = simulate_martingale(cfg.stages, cfg.x0, cfg.p_win, sim)

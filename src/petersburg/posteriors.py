@@ -48,16 +48,16 @@ TAIL_RULES = ("finite", "exact-geometric", "majorant", "heuristic")
 class TruncationPolicy:
     """Stopping rule for infinite-support normalizing sums.
 
-    ``rel_tol`` bounds the omitted tail mass relative to the retained sum;
-    ``max_index`` caps the support size before giving up.
+    ``rel_tol``, in (0, 1), bounds the omitted tail mass relative to the
+    retained sum; ``max_index`` caps the support size before giving up.
     """
 
     rel_tol: float = 1e-14
     max_index: int = 10 ** 6
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0:
-            raise DomainError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < 1.0:  # at 1 the tail may outweigh the sum kept
+            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.max_index < 1:
             raise DomainError("max_index must be at least 1")
 

@@ -9,7 +9,10 @@ expected utility U:
   logit   exp(V(U)), V(U) = b*U**gamma + c   (b > 0, 0 < gamma < 1, U >= 0)
 
 Combined with a disbelief factor exp(beta*U), beta < 0, each family has a
-unique interior maximizer in U, returned by ``continuous_optimum``.
+unique interior maximizer in U, returned by ``continuous_optimum``: each log
+weight is concave on U > 0 (ln U, alpha ln U, ln ln(1 + U/U0), b U**gamma + c),
+so the stationary point of log weight + beta*U is its maximum; the
+posterior's ``majorant`` tail certificate rests on the same fact.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError
 from .rootfind import bisect_root
 
 
@@ -129,7 +132,7 @@ def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
 
     Raises DomainError for a negative utility under any family but luce.
     """
-    lowest = np.minimum.reduce(u, initial=math.inf)
+    lowest = np.minimum.reduce(u, axis=None, initial=math.inf)
     if prior.kind != "luce" and lowest < 0.0:
         raise DomainError(
             f"{prior.kind} prior is defined for nonnegative utilities, "
@@ -149,26 +152,13 @@ def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
         return np.log(np.log1p(u / prior.u0))
 
 
-def _second_order_ok(prior: PriorSpec, x: float, beta: float) -> bool:
-    """Numerical check that x is a maximum of weight(u)*exp(beta*u):
-    phi''(x) - beta^2 phi(x) < 0 via central differences (logit: V''(x) < 0)."""
-    h = min(max(1e-5, 1e-5 * abs(x)), 0.5 * x)  # keep x - h inside u > 0
-    if prior.kind == "logit":
-        v = lambda u: prior.b * u ** prior.gamma + prior.c
-        second = (v(x + h) - 2.0 * v(x) + v(x - h)) / (h * h)
-        return second < 0.0
-    phi = lambda u: attribute_weight(prior, u)
-    second = (phi(x + h) - 2.0 * phi(x) + phi(x - h)) / (h * h)
-    return second - beta * beta * phi(x) < 0.0
-
-
 def continuous_optimum(prior: PriorSpec, beta: float) -> float:
     """Continuous-utility maximizer of attribute_weight(U) * exp(beta*U).
 
     Closed forms: luce -> 1/|beta|; power(alpha) -> alpha/|beta|;
     logit(b, c, gamma) -> (b*gamma/|beta|)**(1/(1-gamma)).  The log family
-    solves (1+x) ln(1+x) = 1/(|beta|*U0) for x = U/U0 by bisection and
-    returns U0*x.
+    solves y e^y = 1/(|beta|*U0), y = ln(1 + U/U0), by bisection and returns
+    U0*expm1(y).  An optimum that is 0 or not finite is a DomainError.
     """
     if beta >= 0.0:
         raise DomainError(f"continuous optimum requires beta < 0, got {beta}")
@@ -178,30 +168,34 @@ def continuous_optimum(prior: PriorSpec, beta: float) -> float:
     elif prior.kind == "power":
         x_opt = prior.alpha / abs_beta
     elif prior.kind == "logit":
-        x_opt = (prior.b * prior.gamma / abs_beta) ** (1.0 / (1.0 - prior.gamma))
+        try:
+            x_opt = (prior.b * prior.gamma / abs_beta) ** (1.0 / (1.0 - prior.gamma))
+        except OverflowError:
+            x_opt = math.inf
     else:
-        target = 1.0 / (abs_beta * prior.u0)
-        hi = max(10.0, math.exp(target))
-        x_star, _ = bisect_root(
-            lambda x: (1.0 + x) * math.log1p(x) - target, 0.0, hi, xtol=1e-14
+        # where |beta| U0 underflows to 0 the target, and so the root, is +inf
+        target = 1.0 / (abs_beta * prior.u0) if abs_beta * prior.u0 > 0.0 else math.inf
+        y, _ = bisect_root(
+            lambda y: y * math.exp(y) - target, 0.0, math.log1p(target), xtol=1e-14
         )
-        x_opt = prior.u0 * x_star
-    if not _second_order_ok(prior, x_opt, beta):
-        raise SolverError(
-            f"stationary point {x_opt} of {prior.kind} prior is not a maximum"
-        )
+        x_opt = prior.u0 * math.expm1(y)
+    if not 0.0 < x_opt < math.inf:
+        raise DomainError(f"{prior.kind} optimum is {x_opt} in binary64 at beta = {beta}")
     return x_opt
 
 
 def pair_probabilities(
-    prior: PriorSpec, u_first: float, u_second: float, beta: float
-) -> tuple[float, float]:
+    prior: PriorSpec, u_first, u_second, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Choice probabilities over exactly two alternatives, proportional to
-    attribute_weight(U) * exp(beta*U), computed stably in the log domain."""
-    lw1 = log_attribute_weight(prior, u_first) + beta * u_first
-    lw2 = log_attribute_weight(prior, u_second) + beta * u_second
-    m = max(lw1, lw2)
-    w1 = math.exp(lw1 - m)
-    w2 = math.exp(lw2 - m)
-    total = w1 + w2
-    return w1 / total, w2 / total
+    attribute_weight(U) * exp(beta*U), computed stably in the log domain;
+    elementwise over arrays of pairs.  A pair whose larger log weight is not
+    finite is a DomainError."""
+    u = np.array([u_first, u_second], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lw = log_attribute_weights(prior, u) + beta * u
+        top = np.maximum(lw[0], lw[1])
+        if not np.isfinite(top).all():
+            raise DomainError(f"pair weights leave binary64 at beta = {beta}")
+        w = np.exp(lw - top)
+    return tuple(w / (w[0] + w[1]))

@@ -10,13 +10,16 @@ Martingale roulette: betting on near-even odds (win probability p < 1/2)
 and doubling after every loss, the expected net value after at most n spins
 is U_n = [1 - (2(1-p))^n] * x0, strictly decreasing in n.  At each stage the
 gambler weighs exactly two alternatives, stop or continue, with choice
-probabilities proportional to |U|^(-1) * exp(beta * U).
+probabilities proportional to |U|^(-1) * exp(beta * U).  The stage table is
+one pass: each U_n once, then both probability columns in numpy; a stage
+count whose U_(n+1) would leave binary64 is a DomainError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SignError, SingularAttributeError, check_positive_index
@@ -42,9 +45,9 @@ class RepeatedGameResult:
     n_opt: int
 
 
-@dataclass(frozen=True)
-class StageChoice:
-    """Stop-or-continue probabilities at one stage of the roulette sequence.
+class StageChoice(NamedTuple):
+    """Stop-or-continue probabilities of the roulette sequence: one stage's
+    values, or the columns of a run of stages.
 
     Utilities are in units of the initial bid; both are negative, with the
     continuation strictly worse.
@@ -55,12 +58,6 @@ class StageChoice:
     u_continue: float
     p_stop: float
     p_continue: float
-
-    def __post_init__(self) -> None:
-        if abs(self.p_stop + self.p_continue - 1.0) > 1e-12:
-            raise DomainError("stage probabilities must sum to 1")
-        if not self.u_continue < self.u_stop < 0.0:
-            raise DomainError("stage utilities must satisfy u_continue < u_stop < 0")
 
 
 def repeated_game_value(n: int) -> float:
@@ -75,6 +72,7 @@ def repeated_game_utilities() -> ExpectedUtilitySeq:
 
 
 _Q = 1.0 / math.log(2.0)
+_LOWEST_BETA = math.log(math.ulp(0.0))  # e^beta is 0 in binary64 below it
 _HEAD = 64
 # weights of f^(j)(m) - f^(j)(64), j = 0..7, in the Euler-Maclaurin remainder:
 # 1/2, then B_2k/(2k)! at j = 2k - 1 for k = 1..4
@@ -163,6 +161,8 @@ def repeated_game_posterior(
         raise SignError(
             f"run-length values are unbounded; beta must be negative, got {beta}"
         )
+    if beta < _LOWEST_BETA:  # every weight, and so the normalizer, would be 0
+        raise DomainError(f"run-length weights underflow below beta = {_LOWEST_BETA:.6g}")
     policy = policy if policy is not None else TruncationPolicy()
 
     t = 1.0 + beta * _Q  # 1 - s, s = |beta|/ln 2; the series diverges for s <= 1
@@ -211,12 +211,23 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
     return RepeatedGameResult(beta, u_opt, n_continuous, n_opt)
 
 
-def _check_roulette_args(n: int, x0: float, p_win: float) -> None:
+def _check_roulette_args(n: int, x0: float, p_win: float, ahead: int = 0) -> float:
+    """r = 2(1 - p_win), once n, x0 and p_win are checked and x0 * r^(n + ahead)
+    is finite; otherwise a DomainError that names the largest n that runs."""
     check_positive_index(n, "n")
-    if x0 <= 0.0:
-        raise DomainError(f"initial bid must be positive, got {x0}")
+    if not 0.0 < x0 < math.inf:
+        raise DomainError(f"initial bid must be positive and finite, got {x0}")
     if not 0.0 < p_win < 1.0:
         raise DomainError(f"win probability must be in (0, 1), got {p_win}")
+    r = 2.0 * (1.0 - p_win)
+    # r^k and x0 r^k stay below 2^1024 while k < (1024 - max(log2 x0, 0)) / log2 r
+    k = math.ceil((1024.0 - max(math.log2(x0), 0.0)) / math.log2(r)) - 1 if r > 1.0 else math.inf
+    if n + ahead > k:
+        raise DomainError(
+            f"x0 * (2(1-p))^k leaves binary64 past k = {k}; "
+            f"at most {max(k - ahead, 0)} stages run, got {n}"
+        )
+    return r
 
 
 def roulette_expected_value(
@@ -224,8 +235,21 @@ def roulette_expected_value(
 ) -> float:
     """Expected net value of the doubling strategy at stage n:
     [1 - (2(1-p))^n] * x0."""
-    _check_roulette_args(n, x0, p_win)
-    return (1.0 - (2.0 * (1.0 - p_win)) ** n) * x0
+    r = _check_roulette_args(n, x0, p_win)
+    return (1.0 - r ** n) * x0
+
+
+def _roulette_stages(first: int, last: int, beta: float, x0: float, p_win: float) -> StageChoice:
+    """Stage choices first..last as columns; each stage value is the scalar
+    power (1 - r**k) * x0, once (numpy's differs by an ulp, which 1 - r^k magnifies)."""
+    r = _check_roulette_args(last, x0, p_win, ahead=1)
+    if r == 1.0:
+        raise SingularAttributeError("inverse weight |U|^-1 is singular at the fair wheel's U = 0")
+    if r < 1.0:
+        raise DomainError(f"stage values are positive unless p_win < 1/2, got {p_win}")
+    values = [(1.0 - r ** k) * x0 for k in range(first, last + 2)]
+    p_stop, p_continue = pair_probabilities(PriorSpec.luce(), values[:-1], values[1:], beta)
+    return StageChoice(range(first, last + 1), values[:-1], values[1:], p_stop, p_continue)
 
 
 def roulette_stage_choice(
@@ -234,28 +258,14 @@ def roulette_stage_choice(
     x0: float = 1.0,
     p_win: float = DOUBLE_ZERO_WIN_PROB,
 ) -> StageChoice:
-    """Stop-or-continue choice after the n-th spin.
+    """Stop-or-continue choice after the n-th spin: row n of ``roulette_sequence``.
 
     Both alternatives have negative expected values, so weights are
     |U|^(-1) * exp(beta * U), normalized over the pair.  ``beta`` defaults to
     0 (neutral beliefs), where the pair reduces to |U_{n+1}| : |U_n| odds
     independent of the bid size.
     """
-    u_stop = roulette_expected_value(n, x0, p_win)
-    u_continue = roulette_expected_value(n + 1, x0, p_win)
-    for u in (u_stop, u_continue):
-        if u == 0.0:
-            raise SingularAttributeError(
-                "inverse-attribute weight is singular at expected value 0 "
-                "(fair wheel, p_win = 1/2)"
-            )
-        if u > 0.0:
-            raise DomainError(
-                f"stage expected value {u} is positive; the stop/continue rule "
-                "applies to losing sequences (p_win < 1/2)"
-            )
-    p_stop, p_continue = pair_probabilities(PriorSpec.luce(), u_stop, u_continue, beta)
-    return StageChoice(n, u_stop, u_continue, p_stop, p_continue)
+    return StageChoice._make(column[0] for column in _roulette_stages(n, n, beta, x0, p_win))
 
 
 def roulette_sequence(
@@ -263,7 +273,8 @@ def roulette_sequence(
     beta: float = 0.0,
     x0: float = 1.0,
     p_win: float = DOUBLE_ZERO_WIN_PROB,
-) -> list[StageChoice]:
-    """Stage choices for stages 1..n_stages."""
+) -> StageChoice:
+    """Stage choices for stages 1..n_stages as five columns: the stages (a
+    range), the stage values (lists) and the probabilities (arrays)."""
     check_positive_index(n_stages, "n_stages")
-    return [roulette_stage_choice(n, beta, x0, p_win) for n in range(1, n_stages + 1)]
+    return _roulette_stages(1, n_stages, beta, x0, p_win)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_positive_index
+from .scenarios import _check_roulette_args
 
 GENERATOR_NAME = "philox-4x64-10"
 
@@ -54,11 +55,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimSummary:
-    """Per-game winnings statistics across replications of an N-game run."""
+    """Per-game winnings across replications of an N-game run; fields in CLI column order."""
 
+    n_games: int
     per_game_mean: float
     per_game_median_of_means: float
-    n_games: int
     replications: int
     stderr_proxy: float
     seed: int
@@ -176,10 +177,7 @@ def simulate_martingale(
     [1 - (2(1-p))^n] * x0.
     """
     check_positive_index(n_stages, "n_stages")
-    if x0 <= 0.0:
-        raise DomainError(f"initial bid must be positive, got {x0}")
-    if not 0.0 < p_win < 1.0:
-        raise DomainError(f"win probability must be in (0, 1), got {p_win}")
+    _check_roulette_args(n_stages, x0, p_win)
 
     # Runs still losing after each spin; the first win is at spin k for
     # Binomial(alive, p_win) of the runs alive before it.
@@ -191,11 +189,15 @@ def simulate_martingale(
         alive -= int(rng.binomial(alive, p_win))
         losers[k] = alive
 
-    q = (r - losers) / r
-    horizon = np.arange(1, n_stages + 1, dtype=float)
-    scale = 2.0 ** horizon
-    means = x0 * (q * scale - (scale - 1.0))
-    stderrs = x0 * scale * np.sqrt(q * (1.0 - q) / r)
+    # x0 (1 - 2^n L/R), L of R runs still losing, and its error: ldexp scales exactly
+    lost = losers / r
+    horizon = np.arange(1, n_stages + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x0 * (1.0 - np.ldexp(lost, horizon))
+        stderrs = x0 * np.ldexp(np.sqrt(lost * (1.0 - lost) / r), horizon)
+        finite = np.isfinite(means + stderrs)
+    if not finite.all():
+        raise DomainError(f"the mean outcome at stage {finite.argmin() + 1} leaves binary64")
     return MartingaleSummary(
         stage_means=tuple(float(v) for v in means),
         stage_stderrs=tuple(float(v) for v in stderrs),

@@ -311,6 +311,12 @@ class TestTruncationPolicyValidation:
         with pytest.raises(DomainError):
             TruncationPolicy(rel_tol=0.0)
 
+    @pytest.mark.parametrize("rel_tol", [1.0, 1.5])
+    def test_rel_tol_of_one_or_more(self, rel_tol):
+        # the tail left out could then outweigh the sum kept
+        with pytest.raises(DomainError, match=r"rel_tol must be in \(0, 1\)"):
+            TruncationPolicy(rel_tol=rel_tol)
+
     def test_bad_max_index(self):
         with pytest.raises(DomainError):
             TruncationPolicy(max_index=0)

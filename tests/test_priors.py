@@ -179,12 +179,72 @@ class TestContinuousOptimum:
             with pytest.raises(DomainError):
                 continuous_optimum(PriorSpec.luce(), beta)
 
+    @pytest.mark.parametrize(
+        "beta,u0", [(-1.0, 1.0), (-0.0435, 0.0598), (-1e-3, 0.02), (-1e-6, 1.0), (-1e300, 1.0)]
+    )
+    def test_log_optimum_against_lambert_w(self, beta, u0):
+        # y = ln(1 + U/U0) solves y e^y = 1/(|beta| U0), so y = W(1/(|beta| U0));
+        # a bisection in x on [0, e^target] ran out of steps past a target of
+        # about 140 and returned values off by up to 98%
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            y = mpmath.lambertw(1 / (mpmath.mpf(-beta) * u0)).real
+            reference = float(u0 * mpmath.expm1(y))
+        got = continuous_optimum(PriorSpec.log_shape(u0), beta)
+        assert abs(got - reference) <= 1e-14 * reference
+
+    @pytest.mark.parametrize(
+        "prior,beta,expected",
+        [
+            # each once failed a finite-difference "is it a maximum" check
+            (PriorSpec.power(300.0), -0.5, 600.0),
+            (PriorSpec.power(6.77), -1e12, 6.77e-12),
+            (PriorSpec.luce(), -1e-300, 1.0 / 1e-300),
+        ],
+    )
+    def test_extreme_closed_forms(self, prior, beta, expected):
+        assert continuous_optimum(prior, beta) == expected
+
+    @pytest.mark.parametrize(
+        "prior,beta",
+        [
+            (PriorSpec.logit(1e3, 0.0, 0.99), -1e-3),  # (1e6)**100 overflows
+            (PriorSpec.logit(1e-3, 0.0, 0.99), -1e3),  # (1e-6)**100 is 0
+            (PriorSpec.log_shape(1e-300), -1e-300),  # |beta| U0 is 0
+        ],
+    )
+    def test_optimum_outside_binary64_is_a_domain_error(self, prior, beta):
+        with pytest.raises(DomainError, match="optimum|overflow"):
+            continuous_optimum(prior, beta)
+
 
 class TestPairProbabilities:
     def test_neutral_pair_from_inverse_attributes(self):
         p1, p2 = pair_probabilities(PriorSpec.luce(), -0.5, -1.0, 0.0)
         # weights 2 and 1
         np.testing.assert_allclose([p1, p2], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+
+    def test_arrays_match_the_scalar_log_weights(self):
+        u_first = np.array([-0.05, -1.5, -30.0, -1e5])
+        u_second = 1.05 * u_first - 0.05
+        luce = PriorSpec.luce()
+        for beta in (0.0, -1.0, 2.0, -0.3):
+            p_first, p_second = pair_probabilities(luce, u_first, u_second, beta)
+            for i, (u, v) in enumerate(zip(u_first, u_second)):
+                lw_u = log_attribute_weight(luce, u) + beta * u
+                lw_v = log_attribute_weight(luce, v) + beta * v
+                top = max(lw_u, lw_v)
+                w_u, w_v = math.exp(lw_u - top), math.exp(lw_v - top)
+                np.testing.assert_allclose(
+                    [p_first[i], p_second[i]], [w_u / (w_u + w_v), w_v / (w_u + w_v)],
+                    rtol=1e-15,
+                )
+
+    @pytest.mark.parametrize("u_first,u_second", [(-1e10, -2e10), (1e10, 2e10)])
+    def test_weights_outside_binary64_are_a_domain_error(self, u_first, u_second):
+        # beta * U is -inf for both (both weights 0) or +inf (overflow)
+        with pytest.raises(DomainError):
+            pair_probabilities(PriorSpec.luce(), u_first, u_second, 1e300)
 
     def test_logit_offset_cancels(self):
         base = pair_probabilities(PriorSpec.logit(1.0, 0.0, 0.5), 1.0, 3.0, -0.5)

@@ -234,10 +234,7 @@ ROULETTE = ("stage", "u_stop", "u_continue", "p_stop", "p_continue")
 
 
 def reference_roulette(fmt: str, stages: int, beta: float, x0: float) -> str:
-    rows = [
-        (c.stage, c.u_stop, c.u_continue, c.p_stop, c.p_continue)
-        for c in roulette_sequence(stages, beta, x0)
-    ]
+    rows = list(zip(*roulette_sequence(stages, beta, x0)))
     if fmt == "json":
         return reference_json({
             "beta": beta, "x0": x0, "p_win": DOUBLE_ZERO_WIN_PROB,

@@ -228,6 +228,14 @@ class TestRepeatedOptimal:
         with pytest.raises(SignError):
             repeated_optimal(0.1)
 
+    @pytest.mark.parametrize("max_index", [5, 10 ** 6])
+    def test_beta_whose_weights_underflow_is_refused(self, max_index):
+        policy = TruncationPolicy(max_index=max_index)
+        assert repeated_game_posterior(-744.0, policy).columns(2)[2].tolist() == [1.0, 0.0]
+        for beta in (-745.0, -1e300):
+            with pytest.raises(DomainError, match="underflow below beta = -744.44"):
+                repeated_game_posterior(beta, policy)
+
     def test_serialization(self, capsys):
         out = run_cli(capsys, "repeated", "--beta=-0.5", "--rows", "0", "--format", "json")
         doc = json.loads(out)["result"]
@@ -356,8 +364,43 @@ class TestRouletteStageChoice:
 class TestRouletteSequence:
     def test_sequence_stages(self):
         seq = roulette_sequence(5)
-        assert [c.stage for c in seq] == [1, 2, 3, 4, 5]
-        assert seq[2] == roulette_stage_choice(3)
+        assert list(seq.stage) == [1, 2, 3, 4, 5]
+        assert [column[2] for column in seq] == list(roulette_stage_choice(3))
+
+    def test_columns_are_the_rows_of_stage_choice(self):
+        seq = roulette_sequence(60, -0.7, 2.5, 0.45)
+        for n in range(1, 61):
+            row = roulette_stage_choice(n, -0.7, 2.5, 0.45)
+            assert [column[n - 1] for column in seq] == list(row)
+
+    def test_stage_values_are_the_scalar_closed_form(self):
+        seq = roulette_sequence(200)
+        assert seq.u_stop == [roulette_expected_value(n) for n in range(1, 201)]
+        assert seq.u_continue[:-1] == seq.u_stop[1:]
+
+    def test_largest_stage_count(self):
+        # x0 (20/19)^k leaves binary64 past k = 13837, and stage n reads n + 1
+        assert len(roulette_sequence(13836).stage) == 13836
+        with pytest.raises(DomainError, match="at most 13836 stages run"):
+            roulette_sequence(13837)
+        assert math.isfinite(roulette_expected_value(13837))
+        with pytest.raises(DomainError, match="at most 13837 stages run"):
+            roulette_expected_value(20000)
+        with pytest.raises(DomainError, match="at most 10 stages run"):
+            roulette_sequence(40, x0=1e308)
+
+    @pytest.mark.parametrize("x0,largest", [(1.0, 1023), (1.5, 1023), (2.0, 1022), (5e-324, 1023)])
+    def test_largest_stage_at_a_doubling_ratio(self, x0, largest):
+        # p_win below 2^-54 makes 2(1 - p_win) exactly 2, where the bound
+        # ln(DBL_MAX)/ln 2 rounds up to the integer 1024
+        assert math.isfinite(roulette_expected_value(largest, x0, 1e-300))
+        with pytest.raises(DomainError):
+            roulette_expected_value(largest + 1, x0, 1e-300)
+
+    def test_overflowing_weights_are_a_domain_error(self):
+        # beta * U_n is -inf for both alternatives from stage 371 on
+        with pytest.raises(DomainError):
+            roulette_sequence(600, 1e300)
 
     def test_csv_columns(self, capsys):
         lines = run_cli(capsys, "roulette", "--stages", "3", "--format", "csv").splitlines()

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +184,31 @@ class TestSimulateMartingale:
             sample = losers[:, k - 1]
             assert abs(sample.mean() - reps * lose_all) < 4.0 * math.sqrt(var / trials)
             assert abs(sample.var(ddof=1) / var - 1.0) < 4.0 * math.sqrt(2.0 / (trials - 1))
+
+    def test_means_match_exact_fractions(self):
+        # x0 (1 - 2^n L/R) against the exact fraction of the same survival
+        # chain; x0 (q 2^n - (2^n - 1)) lost up to ~1e-9 to cancellation
+        reps, stages, p = 987_654, 41, 18.0 / 38.0
+        summary = simulate_martingale(stages, 1.0, p, SimConfig(seed=11, replications=reps))
+        rng, alive = _block_rng(11, 0), reps
+        for n in range(1, stages + 1):
+            alive -= int(rng.binomial(alive, p))
+            exact = 1 - Fraction(2 ** n * alive, reps)
+            if exact:
+                assert abs(Fraction(summary.stage_means[n - 1]) - exact) <= 1e-13 * abs(exact)
+
+    def test_horizons_past_2_to_the_1023(self):
+        # every run has won long before: the mean is x0 with no error, not nan
+        summary = simulate_martingale(1100, 1.0, 18.0 / 38.0, SimConfig(replications=10))
+        assert (summary.stage_means[-1], summary.stage_stderrs[-1]) == (1.0, 0.0)
+
+    def test_mean_that_leaves_binary64_is_a_domain_error(self):
+        # the closed form x0 (2(1-p))^n overflows past n = 1025
+        with pytest.raises(DomainError, match="at most 1025 stages"):
+            simulate_martingale(1100, 1.0, 0.001, SimConfig(replications=10))
+        # it is finite at n = 1024, but both of these runs are still losing
+        with pytest.raises(DomainError, match="stage 1024 leaves binary64"):
+            simulate_martingale(1024, 1.0, 0.001, SimConfig(seed=0, replications=2))
 
     def test_domain(self):
         cfg = SimConfig()
