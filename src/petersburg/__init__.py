@@ -38,6 +38,7 @@ from .posteriors import (
     global_mean,
     optimal_bracket,
     posterior,
+    posterior_moments,
     stochastically_optimal,
 )
 from .priors import (
@@ -107,6 +108,7 @@ __all__ = [
     "optimal_bracket",
     "pair_probabilities",
     "posterior",
+    "posterior_moments",
     "repeated_game_posterior",
     "repeated_game_utilities",
     "repeated_game_value",

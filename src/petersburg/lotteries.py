@@ -206,6 +206,9 @@ class ExpectedUtilitySeq:
     grows without bound, so that only beta < 0 can normalize a posterior
     (always False for a finite sequence), and ``identity`` that U_n = n for
     every n, which licenses the posterior's certified tail bounds.
+    ``luce_moments``, when given, maps beta to the mean, variance and third
+    central moment of U_n under the luce posterior (weights U_n exp(beta
+    U_n)) over the whole support, so that ``posterior_moments`` need not sum.
     """
 
     def __init__(
@@ -215,10 +218,12 @@ class ExpectedUtilitySeq:
         size: int | None = None,
         unbounded: bool = True,
         identity: bool = False,
+        luce_moments: Callable[[float], tuple[float, float, float]] | None = None,
     ) -> None:
         self.size = size
         self.unbounded = unbounded and size is None
         self.identity = identity
+        self.luce_moments = luce_moments
         self._fn = fn
         self._array = None
         if size is not None:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,6 +272,36 @@ def _finite_top(log_weights: np.ndarray) -> float:
     return top
 
 
+def _check_sign(utilities: ExpectedUtilitySeq, beta: float) -> None:
+    """SignError unless beta < 0 on a sequence declared unbounded."""
+    if utilities.unbounded and beta >= 0.0:
+        raise SignError(f"beta must be negative for unbounded utilities, got {beta}")
+
+
+def _log_weights(
+    prior: PriorSpec,
+    utilities: ExpectedUtilitySeq,
+    beta: float,
+    policy: TruncationPolicy,
+) -> tuple[np.ndarray, np.ndarray, float, str]:
+    """Log weights log(weight(U_n)) + beta U_n over the support, with the
+    utilities, the tail fraction and its rule.  beta * U_n may overflow to
+    inf, which ``_finite_top`` then refuses."""
+    _check_sign(utilities, beta)
+    with np.errstate(over="ignore"):
+        if utilities.finite:
+            values = utilities.values(1, utilities.size + 1)
+            return log_attribute_weights(prior, values) + beta * values, values, 0.0, "finite"
+        return _stream_truncated(prior, utilities, beta, policy)
+
+
+def _nonzero_top(log_weights: np.ndarray) -> float:
+    top = _finite_top(log_weights)
+    if top == -math.inf:
+        raise DomainError("all prior weights are zero; distribution undefined")
+    return top
+
+
 def posterior(
     prior: PriorSpec,
     utilities: ExpectedUtilitySeq,
@@ -285,22 +316,8 @@ def posterior(
     raised).  At beta = 0 the result is exactly the normalized prior.
     """
     policy = policy if policy is not None else TruncationPolicy()
-    if beta >= 0.0 and utilities.unbounded:
-        raise SignError(f"beta must be negative for unbounded utilities, got {beta}")
-    # beta * U_n may overflow to inf, which _finite_top then refuses
-    with np.errstate(over="ignore"):
-        if utilities.finite:
-            values = utilities.values(1, utilities.size + 1)
-            log_weights = log_attribute_weights(prior, values) + beta * values
-            tail, rule = 0.0, "finite"
-        else:
-            log_weights, values, tail, rule = _stream_truncated(
-                prior, utilities, beta, policy
-            )
-    top = _finite_top(log_weights)
-    if top == -math.inf:
-        raise DomainError("all prior weights are zero; distribution undefined")
-    probs = np.exp(log_weights - top)
+    log_weights, values, tail, rule = _log_weights(prior, utilities, beta, policy)
+    probs = np.exp(log_weights - _nonzero_top(log_weights))
     probs /= probs.sum()
     return PosteriorDistribution(
         probs=probs,
@@ -310,6 +327,49 @@ def posterior(
         tail_bound=tail,
         tail_rule=rule,
     )
+
+
+class Moments(NamedTuple):
+    """Mean, variance and third central moment (kappa_3) of U_n under a
+    posterior."""
+
+    mean: float
+    var: float
+    kappa3: float
+
+
+def has_declared_moments(prior: PriorSpec, utilities: ExpectedUtilitySeq) -> bool:
+    """Whether ``posterior_moments`` takes the sequence's declared
+    ``luce_moments`` under this prior instead of summing."""
+    return utilities.luce_moments is not None and prior.kind == "luce"
+
+
+def posterior_moments(
+    prior: PriorSpec,
+    utilities: ExpectedUtilitySeq,
+    beta: float,
+    policy: TruncationPolicy | None = None,
+) -> Moments:
+    """Moments of U_n under ``posterior(prior, utilities, beta, policy)``,
+    in one max-shifted pass over the same log weights, building no
+    ``PosteriorDistribution``.  A variance past binary64 is not finite.
+
+    Where ``has_declared_moments`` holds, the sequence's ``luce_moments``
+    are returned instead: they cover the whole support, which ``posterior``
+    truncates, so they differ from its moments by the tail it leaves out.
+    """
+    policy = policy if policy is not None else TruncationPolicy()
+    if has_declared_moments(prior, utilities):
+        _check_sign(utilities, beta)
+        return Moments(*utilities.luce_moments(beta))
+    log_weights, values, _, _ = _log_weights(prior, utilities, beta, policy)
+    w = np.exp(log_weights - _nonzero_top(log_weights))
+    w /= w.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(w @ values)
+        d = values - mean
+        wd2 = w * d * d
+        return Moments(mean, float(wd2.sum()), float(wd2 @ d))
 
 
 def bernoulli_partition_closed(beta: float) -> float:
@@ -337,10 +397,14 @@ def optimal_bracket(
     if beta >= 0.0:
         raise SignError(f"bracket requires beta < 0, got {beta}")
     prior = prior if prior is not None else PriorSpec.luce()
-    x_star = continuous_optimum(prior, beta)
+    return integer_bracket(continuous_optimum(prior, beta))
+
+
+def integer_bracket(x_star: float) -> tuple[int, int]:
+    """(entier(x*), entier(x*) + 1), clamped below at index 1: the
+    ``optimal_bracket`` of a known continuous optimum x*."""
     low = max(1, math.floor(x_star))
-    high = max(low, math.floor(x_star) + 1)
-    return low, high
+    return low, max(low, math.floor(x_star) + 1)
 
 
 def global_mean(dist: PosteriorDistribution) -> float:

@@ -4,7 +4,9 @@ Repeated games: a run of N coin-toss games has average per-game expected
 value U_N = 1 + log2(N); the induced distribution over run lengths has
 weights U_N * exp(beta * U_N) and a finite optimum at N = 2^(1/|beta| - 1).
 Its normalizer is a 64-term head plus a closed Euler-Maclaurin remainder,
-so no array longer than the rows read is built, whatever the support size.
+so no array longer than the rows read is built, whatever the support size;
+the same kernel, with U_N^k and U_N (U_N - mean)^k in place of U_N, gives
+the moments over all N that calibration reads.
 
 Martingale roulette: betting on near-even odds (win probability p < 1/2)
 and doubling after every loss, the expected net value after at most n spins
@@ -22,7 +24,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 import numpy as np
 
-from .errors import DomainError, SignError, SingularAttributeError, check_positive_index
+from .errors import (
+    DomainError,
+    SignError,
+    SingularAttributeError,
+    TruncationError,
+    check_positive_index,
+)
 from .lotteries import ExpectedUtilitySeq
 from .posteriors import PosteriorDistribution, TruncationPolicy
 from .priors import PriorSpec, pair_probabilities
@@ -67,8 +75,9 @@ def repeated_game_value(n: int) -> float:
 
 
 def repeated_game_utilities() -> ExpectedUtilitySeq:
-    """U_N = 1 + log2(N) for N = 1, 2, ..., declared unbounded."""
-    return ExpectedUtilitySeq(lambda n: 1.0 + np.log2(n))
+    """U_N = 1 + log2(N) for N = 1, 2, ..., declared unbounded, with its
+    luce moments in closed form."""
+    return ExpectedUtilitySeq(lambda n: 1.0 + np.log2(n), luce_moments=_run_length_moments)
 
 
 _Q = 1.0 / math.log(2.0)
@@ -77,14 +86,35 @@ _HEAD = 64
 # weights of f^(j)(m) - f^(j)(64), j = 0..7, in the Euler-Maclaurin remainder:
 # 1/2, then B_2k/(2k)! at j = 2k - 1 for k = 1..4
 _EULER_MACLAURIN = (0.5, 1 / 12, 0.0, -1 / 720, 0.0, 1 / 30240, 0.0, -1 / 1209600)
-# k/(k+1)! for k = 20..1, the series of h(z) = (1 + (z - 1) e^z)/z^2 in z^(k-1)
-_H_SERIES = tuple(k / math.factorial(k + 1) for k in range(20, 0, -1))
+_U = (0.0, 1.0)  # P(U) = U, whose sum is the normalizer
 
 
-def _primitive(x: float, t: float) -> float:
-    """x^t (1 + q ln x - q/t)/t, q = 1/ln 2: an antiderivative of
-    (1 + log2 x) x^(t-1), t != 0."""
-    return x ** t * (1.0 + _Q * math.log(x) - _Q / t) / t
+def _horner(c: list[float], y: float) -> float:
+    """The polynomial with coefficients ``c``, lowest degree first, at y."""
+    value = c[-1]
+    for coeff in c[-2::-1]:
+        value = value * y + coeff
+    return value
+
+
+def _taylor(c: list[float], y: float) -> list[float]:
+    """P^(j)(y)/j! for j = 0..deg P, P with coefficients ``c``, by repeated
+    synthetic division."""
+    c, out = list(c), []
+    while c:
+        for i in range(len(c) - 2, -1, -1):
+            c[i] += c[i + 1] * y
+        out.append(c.pop(0))
+    return out
+
+
+def _primitive(c: list[float], x: float, t: float) -> float:
+    """x^t sum_j (-1)^j P^(j)(ln x)/t^(j+1), P with coefficients ``c`` in
+    ln x: an antiderivative of P(ln x) x^(t-1), t != 0."""
+    inner = 0.0
+    for j, bj in reversed(list(enumerate(_taylor(c, math.log(x))))):
+        inner = math.factorial(j) * bj - inner / t
+    return x ** t * inner / t
 
 
 def _run_length_weights(stop: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -93,35 +123,79 @@ def _run_length_weights(stop: int, beta: float) -> tuple[np.ndarray, np.ndarray]
     return u, u * np.exp(beta * u)
 
 
-def _run_length_sum(m: int, beta: float) -> float:
-    """sum_{N=1}^{m} U_N exp(beta U_N), to a few units in the last place.
+def _run_length_sum(
+    m: float, beta: float, poly: tuple[float, ...] = _U, shift: float = 0.0
+) -> float:
+    """sum_{N=1}^{m} P(U_N - shift) exp(beta U_N), U_N = 1 + log2 N, for
+    the polynomial P with coefficients ``poly`` (lowest degree first), to a
+    few units in the last place; m is a count, or inf for the whole series,
+    which is inf unless beta < -ln 2.  A shift near the mean keeps the
+    terms of a central moment from cancelling.
 
     Past an exact head of 64 terms, the Euler-Maclaurin remainder (DLMF
-    2.10.1) of f(x) = e^beta (p + q ln x) x^e, with p = 1, q = 1/ln 2 and
+    2.10.1) of f(x) = e^beta P(1 - shift + q ln x) x^e, with q = 1/ln 2 and
     e = beta/ln 2: the integral in closed form and four Bernoulli
-    corrections, the derivatives from (p + q ln x) x^e -> ((pe + q) +
-    qe ln x) x^(e-1).
+    corrections.  Written as c(ln x) x^e, c a polynomial, the integral's
+    primitive is x^t sum_j (-1)^j c^(j)(ln x)/t^(j+1), t = e + 1, and the
+    derivatives follow c -> c' + e c.
     """
-    head = float(_run_length_weights(min(m, _HEAD), beta)[1].sum())
+    stop = min(m, _HEAD)
+    u = 1.0 + np.log2(np.arange(1, stop + 1, dtype=float))
+    head = float((np.polyval(poly[::-1], u - shift) * np.exp(beta * u)).sum())
     if m <= _HEAD:
         return head
-    a, p, q, big_l = float(_HEAD), 1.0, _Q, math.log(m / _HEAD)
-    t, ln_a, ln_m = 1.0 + beta * q, math.log(a), math.log(m)  # t = e + 1
-    z = t * big_l  # crosses 0 at beta = -ln 2
-    if abs(z) < 1.0:
-        # with x = a e^y the integral is a^t L ((p + q ln a) expm1(z)/z +
-        # q L h(z)); h(z) = (1 + (z - 1) e^z)/z^2 cancels near 0, so it is
-        # summed as its series
-        h = float(np.polyval(_H_SERIES, z))
-        em = math.expm1(z) / z if z else 1.0
-        rest = a ** t * big_l * ((p + q * ln_a) * em + q * big_l * h)
-    else:  # the primitive's ends are a factor e^z apart
-        rest = _primitive(m, t) - _primitive(a, t)
+    c, p = [poly[-1]], 1.0 - shift  # c(y) = P(p + q y), by Horner's rule on polynomials
+    for coeff in poly[-2::-1]:
+        c = [coeff + p * c[0], *(p * c[i] + _Q * c[i - 1] for i in range(1, len(c))), _Q * c[-1]]
+    a, ln_a, t = float(_HEAD), math.log(_HEAD), 1.0 + beta * _Q
+    if m == math.inf:
+        if t >= 0.0:
+            return math.inf
+        rest = -_primitive(c, a, t)  # the primitive vanishes at infinity
+    else:
+        big_l = math.log(m / _HEAD)
+        z = t * big_l  # crosses 0 at beta = -ln 2
+        if abs(z) < 1.0:
+            # with x = a e^(L v) the integral is a^t L sum_j b_j L^j g_j(z),
+            # b_j = c^(j)(ln a)/j! and g_j(z) = int_0^1 v^j e^(z v) dv; the
+            # closed g_j cancel near z = 0, so past g_0 they are summed as
+            # their series sum_k z^k / (k! (j + k + 1))
+            rest = 0.0
+            for j, bj in enumerate(_taylor(c, ln_a)):
+                if j:
+                    series = [1 / (math.factorial(k) * (j + k + 1)) for k in range(19, -1, -1)]
+                    g = float(np.polyval(series, z))
+                else:
+                    g = math.expm1(z) / z if z else 1.0
+                rest += bj * big_l ** j * g
+            rest *= a ** t * big_l
+        else:  # the primitive's ends are a factor e^z apart
+            rest = _primitive(c, m, t) - _primitive(c, a, t)
     e = t - 1.0
     for weight in _EULER_MACLAURIN:
-        rest += weight * ((p + q * ln_m) * m ** e - (p + q * ln_a) * a ** e)
-        p, q, e = p * e + q, q * e, e - 1.0
+        at_m = _horner(c, math.log(m)) * m ** e if m < math.inf else 0.0
+        rest += weight * (at_m - _horner(c, ln_a) * a ** e)
+        c = [c[i] * e + (i + 1) * c[i + 1] for i in range(len(c) - 1)] + [c[-1] * e]
+        e -= 1.0
     return head + math.exp(beta) * rest
+
+
+def _run_length_moments(beta: float) -> tuple[float, float, float]:
+    """Mean, variance and third central moment of U_N under the weights
+    U_N exp(beta U_N) over all N >= 1: S_1/S_0 from the sums S_k of
+    U_N^(k+1) exp(beta U_N), then the sums of U_N (U_N - mean)^k
+    exp(beta U_N), k = 2, 3, which do not cancel as S_2/S_0 - mean^2 does."""
+    if beta < _LOWEST_BETA:  # every weight would be 0
+        raise DomainError(f"run-length weights underflow below beta = {_LOWEST_BETA:.6g}")
+    s0 = _run_length_sum(math.inf, beta)
+    if s0 == math.inf:
+        raise TruncationError(f"the run-length series diverges at beta = {beta} >= -ln 2")
+    mean = _run_length_sum(math.inf, beta, (0.0, 0.0, 1.0)) / s0
+    # U (U - mean)^k = (V + mean) V^k in V = U - mean
+    var, kappa3 = (
+        _run_length_sum(math.inf, beta, (0.0,) * k + (mean, 1.0), mean) / s0 for k in (2, 3)
+    )
+    return mean, var, kappa3
 
 
 @dataclass(frozen=True)
@@ -170,7 +244,7 @@ def repeated_game_posterior(
     while True:
         total = _run_length_sum(m, beta)
         # the terms decrease past m, so their integral over (m, inf) bounds them
-        tail = -math.exp(beta) * _primitive(m, t) if t < 0.0 else math.inf
+        tail = -math.exp(beta) * _primitive([1.0, _Q], m, t) if t < 0.0 else math.inf
         if tail <= policy.rel_tol * total or m >= policy.max_index:
             break
         m = min(2 * m, policy.max_index)

@@ -38,6 +38,16 @@ class TestCalibrateCommand:
         # power(alpha=1) is the same weighting, so the root must agree
         assert abs(doc["abs_beta"] - 1.1568601072) < 1e-6
 
+    @pytest.mark.parametrize("max_index", ["10", "20"])
+    def test_unresolvable_root_exits_three(self, capsys, max_index):
+        # so short a support cannot be truncated below some b (3.70 at 10,
+        # 1.89 at 20), where f jumps from -inf to a positive value: a sign
+        # change with no root
+        code, out, err = run(capsys, "calibrate", "--prior", "power", "--alpha", "2",
+                             "--max-index", max_index)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:solver:") and "no self-consistent root" in err
+
     def test_zero_variance_family_exits_three(self, capsys, tmp_path):
         lottery = {
             "outcomes": [{"payoff": 2.0, "prob": 0.5}, {"payoff": 4.0, "prob": 0.25}],
@@ -70,6 +80,21 @@ class TestOptimalCommand:
         doc = json.loads(out)
         assert doc["n_opt"] == 1
         assert abs(doc["calibration"]["abs_beta"] - 1.157) < 1e-3
+
+
+    def test_continuous_optimum_computed_once(self, capsys, monkeypatch):
+        calls = []
+        original = cli.continuous_optimum
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "continuous_optimum", counted)
+        monkeypatch.setattr("petersburg.posteriors.continuous_optimum", counted)
+        code, _, _ = run(capsys, "optimal", "--prior", "log", "--beta=-0.7")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestDistributionCommand:
@@ -184,6 +209,16 @@ class TestRepeatedCommand:
         doc = json.loads(out)
         assert doc["result"]["n_opt"] == 8
         assert doc["result"]["u_opt"] == 4.0
+
+    def test_omitting_beta_calibrates(self, capsys):
+        code, out, _ = run(capsys, "repeated", "--rows", "3", "--format", "json", "--no-timestamp")
+        assert code == 0
+        doc = json.loads(out)
+        # the root of b = sigma(-b) over all run lengths, 1.5652163276725881...
+        assert doc["calibration"]["abs_beta"] == 1.56521632767
+        assert doc["calibration"]["evaluations"] <= 15
+        assert doc["result"]["beta"] == -1.56521632767
+        assert [row["n"] for row in doc["rows"]] == [1, 2, 3]
 
     @pytest.mark.parametrize("beta", ["-0.0001", "-0.000975"])
     def test_optimum_overflow_is_domain_error(self, capsys, beta):

@@ -53,6 +53,8 @@ def reference_fmt(x, sig: int = 12) -> str:
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return f"{x:.{sig}g}"
+    if isinstance(x, tuple):
+        return "[" + " ".join(reference_fmt(v, sig) for v in x) + "]"
     return str(x)
 
 
@@ -108,7 +110,8 @@ def reference_calibration(calib) -> dict:
     return {
         "abs_beta": calib.abs_beta,
         "residual": calib.residual,
-        "iterations": calib.iterations,
+        "evaluations": calib.evaluations,
+        "bracket": calib.bracket,
         "method": calib.method,
     }
 

@@ -10,12 +10,15 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from petersburg import cli
+
+pytest_plugins = ["pytester"]
 
 EDGE_FLOATS = (
     -1e300, -700.0, -3.0, -1.0, -0.5, -1e-3, -1e-300, 0.0,
@@ -194,3 +197,29 @@ def test_probe(name):
     assert (code, caught) == (want, [])
     assert err.startswith(prefix) if prefix else err == ""
     assert "nan" not in out and "inf" not in out
+
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+
+def test_failing_property_reports_its_example(pytester):
+    # a failing property test, run under this project's pytest settings in a
+    # fresh process: the plugin's report imports modules that warn, and with
+    # warnings as errors that once ended the run in INTERNALERROR
+    test_file = pytester.makepyfile(
+        """
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+        """
+    )
+    result = pytester.runpytest_subprocess(
+        "-c", str(PYPROJECT), "--rootdir", str(pytester.path), "-p", "no:cacheprovider",
+        str(test_file),
+    )
+    result.assert_outcomes(failed=1)
+    result.stdout.fnmatch_lines(["*Falsifying example*"])
+    assert "INTERNALERROR" not in result.stdout.str() + result.stderr.str()

@@ -24,7 +24,7 @@ from petersburg import (
     roulette_stage_choice,
 )
 from petersburg.cli import main
-from petersburg.scenarios import _run_length_sum
+from petersburg.scenarios import _run_length_moments, _run_length_sum
 
 
 def run_cli(capsys, *argv) -> str:
@@ -111,6 +111,24 @@ def _zeta_sums(beta, m):
         return float(from_(1) - from_(m + 1)), float(from_(m + 1))
 
 
+def _zeta_power_sum(k, beta, m, float_=True):
+    """mpmath's sum over N = 1..m (m may be inf) of U_N^(k+1) exp(beta U_N):
+    with ln-power sums sum_{N>=a} (ln N)^j N^-s = (-1)^j zeta^(j)(s, a)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        s, q = -b / mpmath.log(2), 1 / mpmath.log(2)
+
+        def from_(a):
+            return sum(
+                mpmath.binomial(k + 1, j) * (-q) ** j * mpmath.zeta(s, a, j)
+                for j in range(k + 2)
+            )
+
+        total = mpmath.exp(b) * (from_(1) - (from_(m + 1) if m < math.inf else 0))
+        return float(total) if float_ else total
+
+
 class TestRepeatedGamePosterior:
     def test_unit_disbelief_prefers_single_run(self):
         dist = repeated_game_posterior(-1.0, TruncationPolicy(max_index=10 ** 5))
@@ -159,6 +177,30 @@ class TestRepeatedGamePosterior:
         for m in (1, 63, 64, 65, 1024, 10 ** 4, 10 ** 6):
             expected, _ = _zeta_sums(beta, m)
             np.testing.assert_allclose(_run_length_sum(m, beta), expected, rtol=2e-15)
+
+    @pytest.mark.parametrize("beta", [
+        -50.0, -10.0, -3.0, -2.0, -1.5652, -1.0, -0.8, -0.7, -0.6932, -0.5, -0.3,
+    ])
+    def test_power_sums_match_hurwitz_zeta(self, beta):
+        # S_k = sum U_N^(k+1) exp(beta U_N), k = 0..3, the sums behind the
+        # calibration moments; on the whole support only where the series
+        # converges well away from beta = -ln 2, where the sums' condition
+        # number 1/(1 + beta/ln 2) amplifies the rounding of beta itself
+        stops = (1, 64, 65, 1024, 10 ** 6) + ((math.inf,) if beta <= -0.8 else ())
+        for m in stops:
+            for k in range(4):
+                got = _run_length_sum(m, beta, (0.0,) * (k + 1) + (1.0,))
+                np.testing.assert_allclose(got, _zeta_power_sum(k, beta, m), rtol=4e-15)
+
+    @pytest.mark.parametrize("beta", [-0.8, -1.0, -1.5652, -3.0, -10.0])
+    def test_moments_match_hurwitz_zeta(self, beta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            s0, s1, s2, s3 = (_zeta_power_sum(k, beta, math.inf, float_=False) for k in range(4))
+            mean = s1 / s0
+            moments = [mean, s2 / s0 - mean ** 2, s3 / s0 - 3 * mean * s2 / s0 + 2 * mean ** 3]
+        expected = [float(x) for x in moments]
+        np.testing.assert_allclose(_run_length_moments(beta), expected, rtol=1e-14)
 
     @pytest.mark.parametrize("max_index", [10, 1000, 10 ** 4, 10 ** 6])
     @pytest.mark.parametrize("beta", [-3.0, -1.5652, -1.0, -0.7, -0.6932, -0.5, -0.3])
