@@ -14,7 +14,7 @@ document (game).  A ``--config`` file holds config keys, those of prior,
 utility, truncation and sim in an object of that name; a prior or utility
 section replaces the default, the others merge, flags win, and each value
 gets its flag's check.  ``--emit-config`` writes a configuration that
-replays the run exactly.
+replays the run exactly.  ``petersburg COMMAND -h`` lists the flags.
 Exit codes: 1 config error, 2 domain or sign error, 3 solver/truncation
 failure, each with one machine-parsable line ``error:<category>:<message>``
 on stderr; any other exception is a bug and surfaces as a traceback.
@@ -28,12 +28,10 @@ The environment variable PETERSBURG_OUTDIR redirects relative output paths.
 
 from __future__ import annotations
 
-import argparse
-import functools
+import contextlib
 import json
 import math
 import os
-import re
 import sys
 from collections import namedtuple
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -154,12 +152,12 @@ class RunConfig:
         family = self._read("game", GameFamily.from_json)
         return ExpectedUtilitySeq.from_family(family, self._read("utility", UtilitySpec.from_json))
 
+    def is_coin_toss(self) -> bool:
+        """Whether U_n = n: the Bernoulli family under linear utility."""
+        return self.game.get("family") == "bernoulli" and self.utility.get("kind") == "linear"
+
     def is_bernoulli_luce(self) -> bool:
-        return (
-            self.game.get("family") == "bernoulli"
-            and self.prior.get("kind") == "luce"
-            and self.utility.get("kind") == "linear"
-        )
+        return self.is_coin_toss() and self.prior.get("kind") == "luce"
 
 
 def _read_json(path: str, what: str):
@@ -201,8 +199,8 @@ _OPTIONS = (
     _Option("--beta", "beta", float, "disbelief parameter; calibrated when absent"),
     _Option("--rel-tol", "truncation.rel_tol", float, "omitted tail mass, relative"),
     _Option("--max-index", "truncation.max_index", int, "largest support size"),
-    _Option("--seed", "sim.seed", int),
-    _Option("--replications", "sim.replications", int),
+    _Option("--seed", "sim.seed", int, "simulator seed"),
+    _Option("--replications", "sim.replications", int, "replications per run"),
     _Option("--max-tosses", "sim.max_tosses", int, "toss cap of one game"),
     _Option("--shards", "sim.parallel_shards", int, "simulator threads"),
     _Option("--stages", "stages", int, "roulette and martingale stages"),
@@ -214,16 +212,12 @@ _OPTIONS = (
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
 _SECTIONS = ("prior", "utility", "truncation", "sim")
 _NULLABLE = {f.name for f in fields(RunConfig) if f.default is None}
-# the argparse keywords that read a flag's string; those of int and float
-# are {"type": int} and {"type": float}, and the one bool flag is --no-timestamp
-_FLAG_KWARGS = {_COUNT: {"type": int}, str: {}, bool: {"action": "store_false"},
-                dict: {"type": _read_game}, list: {"type": int, "nargs": "+"}}
 
 
 def _check(opt: _Option, value):
-    """``value`` as option ``opt`` holds it, or a config error in argparse's
-    wording that names the key; null is a value only where the default is
-    None.  argparse has read a flag's string, and JSON a file's value."""
+    """``value`` as option ``opt`` holds it, or a config error naming the key;
+    null is a value only where the default is None.  The one check of a
+    value, whether ``_parse`` read it from a flag or JSON from a file."""
     kind = opt.type
     if value is None and opt.key in _NULLABLE:
         return value
@@ -363,7 +357,8 @@ def _text_table(header: Sequence[str], cells: Sequence[list]) -> list[str]:
     return lines
 
 
-def _write_table(stream, result: Result) -> None:
+def _write_table(stream, result: Result, timestamp: bool) -> None:
+    """The table format, which has no timestamp."""
     lines = []
     if result.fields:
         values = [_fmt(v, 4) for v in result.fields.values()]
@@ -436,19 +431,24 @@ def _write_json(stream, result: Result, timestamp: bool) -> None:
     stream.write("\n")
 
 
-def _emit(cfg: RunConfig, result: Result) -> None:
-    """Write the result in ``cfg.output_format``."""
-    stream, close = _output_stream(cfg)
+_WRITERS = {"table": _write_table, "csv": _write_csv, "json": _write_json}
+
+
+def _open_output(path: str | None, what: str):
+    """The file ``path`` opened to write ``what``, or stdout when None."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        if cfg.output_format == "json":
-            _write_json(stream, result, cfg.timestamp)
-        elif cfg.output_format == "csv":
-            _write_csv(stream, result, cfg.timestamp)
-        else:
-            _write_table(stream, result)
-    finally:
-        if close:
-            stream.close()
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {what}: {exc}") from exc
+
+
+def _emit(cfg: RunConfig, result: Result) -> None:
+    """Write the result in ``cfg.output_format`` to stdout or the output file."""
+    path = cfg.output_path and os.path.join(os.environ.get(OUTDIR_ENV, ""), cfg.output_path)
+    with _open_output(path, "output") as stream:
+        _WRITERS[cfg.output_format](stream, result, cfg.timestamp)
 
 
 # -- command handlers ----------------------------------------------------
@@ -493,20 +493,17 @@ def _cmd_optimal(cfg: RunConfig) -> Result:
     dist = posterior(prior, cfg.utilities(), beta, cfg.policy())
     n_opt = stochastically_optimal(dist)
     u_star = continuous_optimum(prior, beta) if beta < 0.0 else None
-    bracket = (
-        integer_bracket(u_star)
-        if u_star is not None and cfg.game.get("family") == "bernoulli"
-        and cfg.utility.get("kind") == "linear"
-        else None
-    )
+    bracket = (None, None)
+    if u_star is not None and cfg.is_coin_toss():
+        bracket = integer_bracket(u_star)
     fields = {
         "beta": beta,
         "n_opt": n_opt,
         "prob_opt": dist.prob(n_opt),
         "u_opt": dist.utility(n_opt),
         "continuous_optimum": u_star,
-        "bracket_low": bracket[0] if bracket else None,
-        "bracket_high": bracket[1] if bracket else None,
+        "bracket_low": bracket[0],
+        "bracket_high": bracket[1],
     }
     doc = fields if calib is None else {**fields, "calibration": vars(calib)}
     return Result(doc=doc, fields=fields)
@@ -589,54 +586,70 @@ _HANDLERS = {
 
 # -- argument parsing ----------------------------------------------------
 
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # argparse takes "-1e-3" for an option unless it matches this
-        # pattern, whose default omits exponents; no flag looks like a number
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
-        )
-
-    def error(self, message: str) -> None:  # exit code 1, not argparse's 2
-        raise _ConfigError(message)
+# each flag's option; --config and --emit-config name files, not config keys
+_FLAGS = {opt.flag: opt for opt in (
+    _Option("--config", "config", str, "JSON file with a RunConfig"),
+    _Option("--emit-config", "emit_config", str, "write the resolved RunConfig here"),
+    *_OPTIONS,
+) if opt.flag}
+# what reads a flag's string (each item's, for a list); a choice stays a string
+_READERS = {int: int, _COUNT: int, float: float, dict: _read_game, list: int}
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on the first call: it holds no state
-    between ``parse_args`` calls, and building it costs more than most
-    commands.  A flag not given is left out of the namespace."""
-    parser = _Parser(prog="petersburg", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        p.add_argument("--config", help="JSON file with a RunConfig")
-        p.add_argument("--emit-config", help="write the resolved RunConfig here")
-        for opt in _OPTIONS:
-            if opt.flag and opt.command in (None, name):
-                if isinstance(opt.type, tuple):
-                    kwargs = {"choices": opt.type}
-                else:  # the metavar is the config key: the help shows both names
-                    kwargs = _FLAG_KWARGS.get(opt.type, {"type": opt.type})
-                p.add_argument(opt.flag, dest=opt.key, help=opt.help, **kwargs)
-    return parser
+def _help(command: str) -> str:
+    """What -h prints: a command's flags and config keys, or the commands."""
+    if command not in _HANDLERS:
+        return __doc__.split("\n\n")[1]
+    opts = [opt for opt in _FLAGS.values() if opt.command in (None, command)]
+    keys = [opt.key if opt.key in _BY_KEY else "" for opt in opts]
+    helps = [opt.help or f"one of {', '.join(opt.type)}" for opt in opts]
+    table = _text_table(("flag", "config key", "help"), ([opt.flag for opt in opts], keys, helps))
+    return "\n".join([f"usage: petersburg {command} [--flag value | --flag=value ...]", "", *table])
 
 
-def _output_stream(cfg: RunConfig):
-    if cfg.output_path is None:
-        return sys.stdout, False
-    path = cfg.output_path
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+def _read_flag(flag: str, reader, string: str):
+    try:
+        return reader(string)
+    except ValueError:
+        message = f"argument {flag}: invalid {reader.__name__} value: {string!r}"
+        raise _ConfigError(message) from None
+
+
+def _parse(argv: Sequence[str]) -> dict:
+    """The values ``argv`` gives by config key, read as their options' types
+    for ``_check``.  Flags are exact names; ``--flag=value`` is ``--flag
+    value``; a separate value never starts with ``--``, and ``--n-games``
+    takes every argument up to one that does.  The last of a flag wins."""
+    if not argv or argv[0].startswith("-"):
+        raise _ConfigError("the following arguments are required: command")
+    if argv[0] not in _HANDLERS:
+        raise _ConfigError(f"command: invalid choice (one of {', '.join(_HANDLERS)}): {argv[0]!r}")
+    given, rest = {"command": argv[0]}, list(argv[1:])
+    while rest:
+        flag, eq, value = rest.pop(0).partition("=")
+        opt = _FLAGS.get(flag) if flag.startswith("--") else None
+        if opt is None or opt.command not in (None, argv[0]) or opt.type is bool and eq:
+            raise _ConfigError(f"unrecognized arguments: {flag}{eq}{value}")
+        if opt.type is bool:  # --no-timestamp takes no value
+            given[opt.key] = False
+            continue
+        strings = [value] if eq else []
+        while rest and not rest[0].startswith("--") and (opt.type is list or not strings):
+            strings.append(rest.pop(0))
+        if not strings and opt.type is not list:
+            raise _ConfigError(f"argument {flag}: expected one argument")
+        values = [_read_flag(flag, _READERS.get(opt.type, str), s) for s in strings]
+        given[opt.key] = values if opt.type is list else values[0]
+    return given
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:  # a command's flags, or the commands
+        print(_help(argv[0]))
+        return 0
     try:
-        given = vars(_build_parser().parse_args(argv))
+        given = _parse(argv)
         emit_path = given.pop("emit_config", None)
         path = given.pop("config", None)
         cfg = RunConfig.from_json(_read_json(path, "config")) if path else RunConfig()
@@ -644,7 +657,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg.apply(given, fresh=[s for s in ("prior", "utility") if f"{s}.kind" in given])
         if emit_path:
             # unrounded: float repr round-trips, so the file replays the run
-            with open(emit_path, "w", encoding="utf-8") as fh:
+            with _open_output(emit_path, "emitted config") as fh:
                 json.dump(asdict(cfg), fh, sort_keys=True, indent=2)
                 fh.write("\n")
         _emit(cfg, _HANDLERS[cfg.command](cfg))

@@ -1,7 +1,10 @@
 """Command-line surface: outputs, config handling, and exit codes."""
 
 import json
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,7 +232,7 @@ class TestRepeatedCommand:
 
 
 class TestNegativeFloatFlags:
-    # argparse reads a separate "-1e-3" as an option unless told otherwise
+    # a separate value that starts with one dash is a value, exponent or not
     def test_beta_in_exponent_form(self, capsys):
         code, out, err = run(
             capsys, "optimal", "--beta", "-1e-3", "--format", "json",
@@ -346,8 +349,8 @@ class TestConfigHandling:
 
 
 
-# a value of the wrong type for each option type, and a flag string argparse
-# turns into one (None where argparse cannot express it)
+# a value of the wrong type for each option type, and a bad flag string for
+# it (None where no flag string can give one)
 BAD_VALUES = {
     int: (10.7, "10.7"),
     _COUNT: (-1, "-1"),
@@ -548,3 +551,124 @@ def test_positive_beta_exits_two_iff_declared_unbounded(capsys, tmp_path, family
     assert code == (2 if unbounded else 0 if family == "custom" else 3), err
     if unbounded:
         assert err.startswith("error:domain:beta must be negative for unbounded")
+
+
+# -- reading argv ---------------------------------------------------------
+
+CUSTOM_GAME = {"family": "custom", "lotteries": [
+    {"outcomes": [{"payoff": 2.0, "prob": 0.5}], "residual": 0.5},
+]}
+
+
+def _flag_and_json(opt, default, tmp_path):
+    """A value other than the default for option ``opt``: its flag strings
+    and the JSON value a config file holds for it."""
+    kind = opt.type
+    if isinstance(kind, tuple):
+        choice = next(c for c in kind if c != default)
+        return [choice], choice
+    if kind is dict:
+        (tmp_path / "game.json").write_text(json.dumps(CUSTOM_GAME))
+        return [str(tmp_path / "game.json")], CUSTOM_GAME
+    if kind is str:
+        return [str(tmp_path / "out.txt")], str(tmp_path / "out.txt")
+    if kind is bool:
+        return [], False
+    if kind is list:
+        return ["8", "16"], [8, 16]
+    return {int: (["7"], 7), _COUNT: (["3"], 3), float: (["-8.3e-05"], -8.3e-05)}[kind]
+
+
+@pytest.mark.parametrize("opt", [opt for opt in _OPTIONS if opt.flag], ids=lambda opt: opt.flag)
+def test_flag_and_file_give_one_config(capsys, tmp_path, monkeypatch, opt):
+    # --flag value, --flag=value and a config file resolve to one config
+    monkeypatch.setitem(cli._HANDLERS, "simulate", lambda cfg: cli.Result(doc={}))
+    default = asdict(RunConfig(command="simulate"))
+    section, _, leaf = opt.key.rpartition(".")
+    strings, value = _flag_and_json(opt, (default[section] if section else default).get(leaf),
+                                    tmp_path)
+    path, emitted = tmp_path / "run.json", tmp_path / "resolved.json"
+    path.write_text(json.dumps({section: {**default[section], leaf: value}} if section
+                               else {leaf: value}))
+    routes = [["--config", str(path)], [opt.flag, *strings]]
+    if strings:
+        routes.append([f"{opt.flag}={strings[0]}", *strings[1:]])
+    docs = []
+    for route in routes:
+        code, _, err = run(capsys, "simulate", *route, "--emit-config", str(emitted))
+        assert (code, err) == (0, ""), route
+        docs.append(json.loads(emitted.read_text()))
+    assert docs[0] != default
+    assert all(doc == docs[0] for doc in docs), routes
+
+
+def test_list_flag_stops_at_the_next_flag(capsys, tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "simulate", lambda cfg: cli.Result(doc={}))
+    emitted = tmp_path / "resolved.json"
+    code, _, err = run(capsys, "simulate", "--n-games", "8", "16", "--format", "json",
+                       "--seed", "-3", "--beta=-1", "--beta", "-2e-1",
+                       "--emit-config", str(emitted))
+    assert (code, err) == (0, "")
+    doc = json.loads(emitted.read_text())
+    # a separate negative number is a value, and the last of a flag wins
+    assert (doc["n_games"], doc["output_format"]) == ([8, 16], "json")
+    assert (doc["sim"]["seed"], doc["beta"]) == (-3, -0.2)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--beta=-1"], "the following arguments are required: command"),
+    (["bogus"], "command: invalid choice (one of distribution, optimal, calibrate, repeated, "
+                "roulette, simulate): 'bogus'"),
+    (["optimal", "--beta"], "argument --beta: expected one argument"),
+    (["optimal", "--beta", "--format", "json"], "argument --beta: expected one argument"),
+    (["optimal", "--no-timestamp=x"], "unrecognized arguments: --no-timestamp=x"),
+    (["optimal", "--bet=-1"], "unrecognized arguments: --bet=-1"),
+    (["optimal", "--target", "repeated"], "unrecognized arguments: --target"),
+    (["optimal", "--beta=-1", "stray"], "unrecognized arguments: stray"),
+    (["optimal", "--rows", "x"], "argument --rows: invalid int value: 'x'"),
+    (["optimal", "--beta", "x"], "argument --beta: invalid float value: 'x'"),
+    (["simulate", "--n-games", "8", "x"], "argument --n-games: invalid int value: 'x'"),
+    (["simulate", "--n-games", "--format", "json"], "n_games: invalid list value: []"),
+    (["optimal", "--prior", "x"], "prior.kind: invalid choice (one of luce, power, log, logit): 'x'"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_argv_errors_exit_one(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error:config:{message}\n")
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_help_lists_each_flag_with_its_key(capsys, command):
+    code, out, err = run(capsys, command, "-h")
+    assert (code, err) == (0, "")
+    # under a usage line, a blank line, the header and its rule
+    listed = {line.split()[0]: line.split()[1:] for line in out.splitlines()[4:]}
+    for opt in [opt for opt in _OPTIONS if opt.flag]:
+        if opt.command in (None, command):
+            assert listed.pop(opt.flag)[0] == opt.key, opt.flag
+        else:
+            assert opt.flag not in listed
+    assert sorted(listed) == ["--config", "--emit-config"]
+    assert run(capsys, command, "--beta=-1", "--help") == (0, out, "")
+
+
+def test_help_without_a_command_lists_the_commands(capsys):
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert [line.split()[0] for line in out.splitlines()[1:]] == list(cli._HANDLERS)
+
+
+def test_help_as_a_module():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "petersburg.cli", "optimal", "-h"],
+                          capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "--beta          beta" in proc.stdout
+
+
+@pytest.mark.parametrize("flag, what", [("--output", "output"), ("--emit-config", "emitted config")])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_path_exits_one(capsys, tmp_path, flag, what, where):
+    path = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "optimal", "--beta=-1", flag, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error:config:cannot write {what}: [Errno ") and err.count("\n") == 1

@@ -538,7 +538,7 @@ def test_random_rows_match_reference(rows):
     assert emit_rows(u, p, "table") == table_rows(u, p)
 
 
-# -- one parser for the whole process -------------------------------------
+# -- no state kept between calls -----------------------------------------
 
 SRC = str(Path(petersburg.__file__).resolve().parents[1])
 
@@ -566,4 +566,3 @@ def test_parser_reuse_leaks_no_state(capsys):
         assert (code, captured.out, captured.err) == fresh_process(argv)
     assert code == 0
     assert [r["n_games"] for r in json.loads(captured.out)["runs"]] == cli.RunConfig().n_games
-    assert cli._build_parser() is cli._build_parser()
