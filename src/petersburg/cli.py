@@ -84,12 +84,9 @@ class RunConfig:
     output_path: str | None = None
     timestamp: bool = True
     rows: int = 50
-    truncation: dict = field(default_factory=lambda: {
-        "rel_tol": 1e-14, "max_index": 10 ** 6,
-    })
-    sim: dict = field(default_factory=lambda: {
-        "seed": 0, "replications": 1000, "max_tosses": 60, "parallel_shards": 1,
-    })
+    # each a fresh copy of the defaults, read once from their dataclasses
+    truncation: dict = field(default_factory=asdict(TruncationPolicy()).copy)
+    sim: dict = field(default_factory=asdict(SimConfig()).copy)
     stages: int = 5
     x0: float = 1.0
     p_win: float = DOUBLE_ZERO_WIN_PROB
@@ -151,13 +148,6 @@ class RunConfig:
     def utilities(self) -> ExpectedUtilitySeq:
         family = self._read("game", GameFamily.from_json)
         return ExpectedUtilitySeq.from_family(family, self._read("utility", UtilitySpec.from_json))
-
-    def is_coin_toss(self) -> bool:
-        """Whether U_n = n: the Bernoulli family under linear utility."""
-        return self.game.get("family") == "bernoulli" and self.utility.get("kind") == "linear"
-
-    def is_bernoulli_luce(self) -> bool:
-        return self.is_coin_toss() and self.prior.get("kind") == "luce"
 
 
 def _read_json(path: str, what: str):
@@ -245,17 +235,15 @@ def _fmt(x, sig: int = 12) -> str:
     return format(x, f".{sig}g") if isinstance(x, float) else str(x)
 
 
-def _round_floats(obj, sig: int = 12):
-    """Recursively normalize floats to ``sig`` significant digits so JSON
-    output is precision-stable; non-finite values become strings."""
+def _round_floats(obj):
+    """Recursively normalize floats to 12 significant digits so JSON output
+    is precision-stable; non-finite values become strings."""
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return _fmt(obj)
-        return float(f"{obj:.{sig}g}")
+        return float(_fmt(obj)) if math.isfinite(obj) else _fmt(obj)
     if isinstance(obj, dict):
-        return {k: _round_floats(v, sig) for k, v in obj.items()}
+        return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v, sig) for v in obj]
+        return [_round_floats(v) for v in obj]
     return obj
 
 
@@ -435,9 +423,11 @@ _WRITERS = {"table": _write_table, "csv": _write_csv, "json": _write_json}
 
 
 def _open_output(path: str | None, what: str):
-    """The file ``path`` opened to write ``what``, or stdout when None."""
-    if path is None:
+    """The file ``path`` opened to write ``what``, or stdout when there is
+    none; a relative path is taken under $PETERSBURG_OUTDIR when that is set."""
+    if not path:
         return contextlib.nullcontext(sys.stdout)
+    path = os.path.join(os.environ.get(OUTDIR_ENV, ""), path)
     try:
         return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -446,35 +436,37 @@ def _open_output(path: str | None, what: str):
 
 def _emit(cfg: RunConfig, result: Result) -> None:
     """Write the result in ``cfg.output_format`` to stdout or the output file."""
-    path = cfg.output_path and os.path.join(os.environ.get(OUTDIR_ENV, ""), cfg.output_path)
-    with _open_output(path, "output") as stream:
+    with _open_output(cfg.output_path, "output") as stream:
         _WRITERS[cfg.output_format](stream, result, cfg.timestamp)
 
 
 # -- command handlers ----------------------------------------------------
 
 
-def _resolve_beta(cfg: RunConfig) -> tuple[float, CalibrationResult | None]:
+def _calibrate(
+    cfg: RunConfig, prior: PriorSpec, utilities: ExpectedUtilitySeq
+) -> tuple[CalibrationResult, str]:
+    """The calibration and its route: closed for the luce prior on a
+    sequence that declares U_n = n, general otherwise."""
+    if utilities.identity and prior.kind == "luce":
+        return calibrate_bernoulli_disbelief(), "closed"
+    return calibrate_disbelief_general(utilities, prior, cfg.policy()), "general"
+
+
+def _resolve_beta(
+    cfg: RunConfig, prior: PriorSpec, utilities: ExpectedUtilitySeq
+) -> tuple[float, CalibrationResult | None]:
     """The configured beta, or -|beta| from calibration when absent."""
     if cfg.beta is not None:
         return cfg.beta, None
-    result = _calibrate(cfg)
+    result, _ = _calibrate(cfg, prior, utilities)
     return -result.abs_beta, result
 
 
-def _calibrate(cfg: RunConfig) -> CalibrationResult:
-    if cfg.command == "repeated":
-        utilities = repeated_game_utilities()
-    elif cfg.is_bernoulli_luce():
-        return calibrate_bernoulli_disbelief()
-    else:
-        utilities = cfg.utilities()
-    return calibrate_disbelief_general(utilities, cfg.prior_spec(), cfg.policy())
-
-
 def _cmd_distribution(cfg: RunConfig) -> Result:
-    beta, calib = _resolve_beta(cfg)
-    dist = posterior(cfg.prior_spec(), cfg.utilities(), beta, cfg.policy())
+    prior, utilities = cfg.prior_spec(), cfg.utilities()
+    beta, calib = _resolve_beta(cfg, prior, utilities)
+    dist = posterior(prior, utilities, beta, cfg.policy())
     meta = dist.meta()
     return Result(
         doc={"meta": meta if calib is None else {**meta, "calibration": vars(calib)}},
@@ -488,13 +480,13 @@ def _cmd_distribution(cfg: RunConfig) -> Result:
 
 
 def _cmd_optimal(cfg: RunConfig) -> Result:
-    beta, calib = _resolve_beta(cfg)
-    prior = cfg.prior_spec()
-    dist = posterior(prior, cfg.utilities(), beta, cfg.policy())
+    prior, utilities = cfg.prior_spec(), cfg.utilities()
+    beta, calib = _resolve_beta(cfg, prior, utilities)
+    dist = posterior(prior, utilities, beta, cfg.policy())
     n_opt = stochastically_optimal(dist)
     u_star = continuous_optimum(prior, beta) if beta < 0.0 else None
     bracket = (None, None)
-    if u_star is not None and cfg.is_coin_toss():
+    if u_star is not None and utilities.identity:
         bracket = integer_bracket(u_star)
     fields = {
         "beta": beta,
@@ -510,15 +502,16 @@ def _cmd_optimal(cfg: RunConfig) -> Result:
 
 
 def _cmd_calibrate(cfg: RunConfig) -> Result:
-    fields = dict(vars(_calibrate(cfg)))
-    fields["route"] = "closed" if cfg.is_bernoulli_luce() else "general"
+    result, route = _calibrate(cfg, cfg.prior_spec(), cfg.utilities())
+    fields = {**vars(result), "route": route}
     return Result(doc=fields, fields=fields)
 
 
 def _cmd_repeated(cfg: RunConfig) -> Result:
-    if cfg.prior_spec().kind != "luce":
+    prior = cfg.prior_spec()
+    if prior.kind != "luce":
         raise _ConfigError("repeated takes only the luce prior")
-    beta, calib = _resolve_beta(cfg)
+    beta, calib = _resolve_beta(cfg, prior, repeated_game_utilities())
     fields = vars(repeated_optimal(beta))
     dist = repeated_game_posterior(beta, cfg.policy())
     meta = dist.meta()

@@ -23,6 +23,7 @@ PROB_TOL = 1e-12
 # float(2**m) is exact for m <= 52 and representable up to m = 1023; beyond
 # that the payoff itself overflows binary64.
 MAX_TOSS_INDEX = 1023
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -152,20 +153,19 @@ def expected_utility(lottery: Lottery, utility: UtilitySpec) -> float:
     return total
 
 
-def geometric_expected_utility(n: int, x: float) -> tuple[float, bool]:
-    """Expected utility of the n-toss game under u(x_m) = x^m:
-    x (2^n - x^n) / (2^n (2 - x)), with the x = 2 special case equal to n.
+def geometric_expected_utility(n: float | np.ndarray, *, log_ratio: float) -> float | np.ndarray:
+    """U_n = sum_{m<=n} rho^m for an index n or an array of them, with
+    rho = exp(log_ratio): the n-toss game's expected utility under a utility
+    whose terms u(2^m) 2^-m are rho^m, that is rho = 1 under linear utility,
+    2^(e-1) under power e and x/2 under geometric base x.
 
-    Returns (value, convergent) where ``convergent`` is True iff the sequence
-    has a finite limit as n grows, i.e. iff x < 2.
+    Written rho expm1(n ln rho) / expm1(ln rho), which keeps its relative
+    accuracy as rho -> 1; a value past binary64 is inf, with no warning.
     """
-    check_positive_index(n, "n")
-    if x <= 0.0:
-        raise DomainError(f"geometric base must be positive, got {x}")
-    if x == 2.0:
-        return float(n), False
-    value = x * (2.0 ** n - x ** n) / (2.0 ** n * (2.0 - x))
-    return value, x < 2.0
+    if log_ratio == 0.0:
+        return np.multiply(n, 1.0)
+    with np.errstate(over="ignore"):
+        return np.expm1(np.multiply(n, log_ratio)) / math.expm1(log_ratio) * math.exp(log_ratio)
 
 
 @dataclass(frozen=True)
@@ -244,34 +244,30 @@ class ExpectedUtilitySeq:
 
     @classmethod
     def from_family(cls, family: GameFamily, utility: UtilitySpec) -> "ExpectedUtilitySeq":
-        """U_n of each lottery of the family under ``utility``."""
+        """U_n of each lottery of the family under ``utility``, in closed form
+        for the coin toss.  A bounded coin-toss family raises DomainError:
+        no beta normalizes its posterior."""
         if family.lotteries is not None:
             return cls.from_values(
                 [expected_utility(lot, utility) for lot in family.lotteries]
             )
-        if utility.kind == "linear":
+        # U_n sums the terms u(2^m) 2^-m, which are rho^m but under log
+        log_ratio = (
+            0.0 if utility.kind == "linear"
+            else (utility.exponent - 1.0) * _LN2 if utility.kind == "power"
+            else math.log(utility.base / 2.0) if utility.kind == "geometric"
+            else -math.inf
+        )
+        if log_ratio < 0.0:
+            limit = 2.0 * _LN2 if utility.kind == "logarithmic" else 1.0 / math.expm1(-log_ratio)
+            raise DomainError(
+                f"{utility.kind} utility bounds the coin-toss expected utilities "
+                f"(U_n -> {limit:.12g}): their posterior weights tend to a "
+                "positive constant, and no beta normalizes them"
+            )
+        if log_ratio == 0.0:
             return bernoulli_utilities()
-        # U_n = sum_{m<=n} u(2^m) 2^-m, summed in expected_utility's order so
-        # that every value is the lottery's to the bit; the family ends where
-        # a term overflows, or past MAX_TOSS_INDEX where the payoff does
-        terms = []
-        for m in range(1, MAX_TOSS_INDEX + 1):
-            try:
-                terms.append(utility.value(float(2 ** m), m) * math.ldexp(1.0, -m))
-            except DomainError:
-                break
-        sums = np.append(np.cumsum(terms), math.nan)
-        # terms ~ 2^(m(e-1)) under power e, (base/2)^m under geometric; the
-        # logarithmic sums tend to 2 ln 2
-        unbounded = (
-            utility.exponent >= 1.0 if utility.kind == "power"
-            else utility.kind == "geometric" and utility.base >= 2.0
-        )
-        last = len(sums) - 1
-        return cls(
-            lambda n: sums[np.minimum(n - 1.0, last).astype(np.intp)],
-            unbounded=unbounded,
-        )
+        return cls(lambda n: geometric_expected_utility(n, log_ratio=log_ratio))
 
     @property
     def finite(self) -> bool:

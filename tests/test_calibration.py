@@ -109,14 +109,12 @@ class TestGeneralCalibration:
 
     def test_saturating_family_fails_honestly(self):
         # logarithmic coin-toss utilities saturate at 2 ln 2, so the weights
-        # never decay and sigma has no resolvable self-consistent root
+        # never decay and no beta normalizes them: the family is refused
+        # before any calibration
         from petersburg import GameFamily, UtilitySpec
 
-        seq = ExpectedUtilitySeq.from_family(
-            GameFamily.bernoulli(), UtilitySpec.logarithmic()
-        )
-        with pytest.raises(CalibrationError):
-            calibrate_disbelief_general(seq, LUCE)
+        with pytest.raises(DomainError, match="bounds the coin-toss"):
+            ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), UtilitySpec.logarithmic())
 
     def test_doubled_utilities_against_grid_oracle(self):
         # For U_n = 2n the posterior index distribution matches the coin-toss

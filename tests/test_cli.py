@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from petersburg import cli, roulette_stage_choice
+from petersburg import DomainError, cli, roulette_stage_choice
 from petersburg.cli import _COUNT, _OPTIONS, RunConfig, main
 
 
@@ -521,6 +521,20 @@ class TestOutputFiles:
         doc = json.loads((tmp_path / "result.json").read_text())
         assert abs(doc["abs_beta"] - 1.157) < 1e-3
 
+    def test_outdir_env_redirects_the_emitted_config_too(self, capsys, tmp_path, monkeypatch):
+        # one rule for every path written: both files land under the variable
+        outdir, cwd = tmp_path / "out", tmp_path / "cwd"
+        outdir.mkdir(), cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("PETERSBURG_OUTDIR", str(outdir))
+        code, _, err = run(
+            capsys, "optimal", "--beta=-1", "--emit-config", "e.json", "--output", "o.json",
+        )
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in outdir.iterdir()) == ["e.json", "o.json"]
+        assert list(cwd.iterdir()) == []
+        assert json.loads((outdir / "e.json").read_text())["beta"] == -1.0
+
 
 
 UTILITIES = [
@@ -544,13 +558,48 @@ def test_positive_beta_exits_two_iff_declared_unbounded(capsys, tmp_path, family
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"game": game, "utility": utility}))
     # the declarations themselves are tabled in test_lotteries
-    unbounded = RunConfig(game=game, utility=utility).utilities().unbounded
+    try:
+        unbounded = RunConfig(game=game, utility=utility).utilities().unbounded
+    except DomainError:  # a bounded coin-toss family: no beta normalizes it
+        unbounded = None
     code, _, err = run(capsys, "distribution", "--config", str(path), "--beta", "0.5")
-    # a finite family sums at any beta; a bounded coin-toss family never
-    # stops summing, since its weights do not decay
-    assert code == (2 if unbounded else 0 if family == "custom" else 3), err
+    # a finite family sums at any beta; the coin toss exits 2 either way
+    assert code == (0 if family == "custom" else 2), err
     if unbounded:
         assert err.startswith("error:domain:beta must be negative for unbounded")
+    elif unbounded is None:
+        assert err.startswith(f"error:domain:{utility['kind']} utility bounds the coin-toss")
+
+
+# U_n = n is known to the sequence alone: these utilities give the coin toss
+# under linear utility in every command, to the byte
+@pytest.mark.parametrize("command", ["distribution", "optimal", "calibrate"])
+@pytest.mark.parametrize("beta", [["--beta=-1e-3"], ["--beta=-0.5"], []],
+                         ids=["-1e-3", "-0.5", "calibrated"])
+def test_identity_utilities_print_the_linear_coin_toss(capsys, command, beta):
+    argv = [command, *beta, "--format", "json", "--no-timestamp"]
+    code, linear, err = run(capsys, *argv, "--utility", "linear")
+    assert (code, err) == (0, "")
+    for utility in (["power", "--exponent", "1"], ["geometric", "--base", "2"]):
+        assert run(capsys, *argv, "--utility", *utility) == (0, linear, ""), utility
+
+
+@pytest.mark.parametrize("utility", [
+    ["logarithmic"], ["power", "--exponent", "0.5"], ["geometric", "--base", "1.5"],
+], ids=lambda u: "-".join(u))
+@pytest.mark.parametrize("command", ["distribution", "optimal", "calibrate"])
+def test_bounded_coin_toss_exits_two(capsys, command, utility):
+    code, out, err = run(capsys, command, "--beta=-1", "--utility", *utility)
+    assert (code, out) == (2, "") and err.startswith("error:domain:"), err
+    code, out, err = run(capsys, command, "--utility", *utility)  # calibrated
+    assert (code, out) == (2, "") and err.startswith("error:domain:"), err
+
+
+def test_power_just_above_one_runs(capsys):
+    code, out, err = run(capsys, "distribution", "--utility", "power", "--exponent", "1.001",
+                         "--beta=-1e-3", "--format", "csv", "--no-timestamp")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[5].startswith("1,1.00069338746,")
 
 
 # -- reading argv ---------------------------------------------------------

@@ -1,6 +1,10 @@
 """Lottery construction, expected utilities, and the geometric closed form."""
 
+import contextlib
 import math
+import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,44 +98,45 @@ class TestExpectedUtility:
         np.testing.assert_allclose(value, oracle, rtol=1e-15)
 
 
+def _closed(n, x):
+    """U_n under geometric utility with base x, whose ratio is rho = x/2."""
+    return geometric_expected_utility(n, log_ratio=math.log(x / 2.0))
+
+
 class TestGeometricExpectedUtility:
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_base_two_special_case(self, n):
-        value, convergent = geometric_expected_utility(n, 2.0)
-        assert value == float(n)
-        assert not convergent
+        assert _closed(n, 2.0) == float(n)
 
     def test_base_one(self):
-        value, convergent = geometric_expected_utility(3, 1.0)
-        np.testing.assert_allclose(value, 0.875, rtol=1e-15)
-        assert convergent
+        np.testing.assert_allclose(_closed(3, 1.0), 0.875, rtol=1e-15)
 
     @pytest.mark.parametrize("x", [0.5, 1.5, 3.0])
     def test_against_series_oracle(self, x):
+        values = _closed(np.arange(1.0, 21.0), x)
         for n in range(1, 21):
             oracle = sum(x ** m / 2.0 ** m for m in range(1, n + 1))
-            value, convergent = geometric_expected_utility(n, x)
-            np.testing.assert_allclose(value, oracle, rtol=1e-12)
-            assert convergent == (x < 2.0)
+            np.testing.assert_allclose(values[n - 1], oracle, rtol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 5, 10, 25])
     def test_limit_toward_base_two(self, n):
+        # exact rational sums: expm1 keeps every digit as rho -> 1
         for x in (2.0 - 1e-8, 2.0 + 1e-8):
-            value, _ = geometric_expected_utility(n, x)
-            np.testing.assert_allclose(value, float(n), rtol=1e-6)
+            oracle = float(sum(Fraction(x / 2.0) ** m for m in range(1, n + 1)))
+            np.testing.assert_allclose(_closed(n, x), oracle, rtol=1e-14)
 
     def test_matches_expected_utility_with_geometric_spec(self):
         for n in range(1, 15):
             via_lottery = expected_utility(
                 bernoulli_lottery(n), UtilitySpec.geometric(1.5)
             )
-            closed, _ = geometric_expected_utility(n, 1.5)
-            np.testing.assert_allclose(via_lottery, closed, rtol=1e-12)
+            np.testing.assert_allclose(via_lottery, _closed(n, 1.5), rtol=1e-12)
 
     @pytest.mark.parametrize("x", [0.0, -1.0])
     def test_nonpositive_base_rejected(self, x):
+        # no ratio exists: the spec refuses the base before any closed form
         with pytest.raises(DomainError):
-            geometric_expected_utility(3, x)
+            UtilitySpec.geometric(x)
 
 
 class TestLotteryValidation:
@@ -232,18 +237,21 @@ class TestSerialization:
             assert UtilitySpec.from_json(doc) == spec
 
 
-# every utility kind the CLI can name, and whether its coin-toss expected
-# utilities are declared unbounded: the terms of U_n are u(2^m) 2^-m
+# every utility kind the CLI can name, and what the coin-toss family declares
+# under it.  The terms u(2^m) 2^-m of U_n are rho^m but under log, so U_n = n
+# where rho = 1 ("identity"), grows without bound where rho > 1
+# ("unbounded"), and rises to the limit given where rho < 1 or under log,
+# where no beta normalizes a posterior and the family is refused
 COIN_TOSS_DECLARATIONS = [
-    (UtilitySpec.linear(), True),
-    (UtilitySpec.logarithmic(), False),  # U_n -> 2 ln 2
-    (UtilitySpec.power(0.5), False),
-    (UtilitySpec.power(0.99), False),  # terms 2^(-0.01 m)
-    (UtilitySpec.power(1.0), True),  # U_n = n
-    (UtilitySpec.power(2.0), True),
-    (UtilitySpec.geometric(1.5), False),  # terms 0.75^m
-    (UtilitySpec.geometric(2.0), True),  # U_n = n
-    (UtilitySpec.geometric(3.0), True),
+    (UtilitySpec.linear(), "identity"),
+    (UtilitySpec.logarithmic(), 2.0 * math.log(2.0)),  # terms m ln 2 2^-m
+    (UtilitySpec.power(0.5), 1.0 + math.sqrt(2.0)),  # rho = 2^-0.5
+    (UtilitySpec.power(0.99), 1.0 / math.expm1(0.01 * math.log(2.0))),  # rho = 2^-0.01
+    (UtilitySpec.power(1.0), "identity"),
+    (UtilitySpec.power(2.0), "unbounded"),  # rho = 2
+    (UtilitySpec.geometric(1.5), 3.0),  # rho = 0.75
+    (UtilitySpec.geometric(2.0), "identity"),
+    (UtilitySpec.geometric(3.0), "unbounded"),  # rho = 1.5
 ]
 
 
@@ -293,29 +301,34 @@ class TestExpectedUtilitySeq:
     @pytest.mark.parametrize("utility", [u for u, _ in COIN_TOSS_DECLARATIONS],
                              ids=lambda u: f"{u.kind}-{u.exponent or u.base}")
     def test_coin_toss_values_match_the_lotteries(self, utility):
-        seq = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
-        u = seq.values(1, 2000)
-        end = len(u) + 1  # the first index the family does not reach
+        declared = dict(COIN_TOSS_DECLARATIONS)[utility]
+        sums = {}
         for n in (1, 2, 53, 500, 1023):
-            if n < end:
-                assert u[n - 1] == expected_utility(bernoulli_lottery(n), utility), n
-        # the family ends at the first overflow, or past the last payoff;
-        # under linear utility the closed form U_n = n goes on
-        if utility.kind == "linear":
-            assert end == 2000
-        elif end <= 1023:
-            with pytest.raises(DomainError, match="overflows"):
-                expected_utility(bernoulli_lottery(end), utility)
-        else:
-            assert end == 1024
-            with pytest.raises(DomainError):
-                seq.values(end, end + 1)
+            with contextlib.suppress(DomainError):  # a term past binary64
+                sums[n] = expected_utility(bernoulli_lottery(n), utility)
+        if isinstance(declared, float):
+            # the sums rise to the limit the refusal names (2^-0.01 slowest)
+            with pytest.raises(DomainError, match=re.escape(f"U_n -> {declared:.12g})")):
+                ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
+            assert sums[1023] == pytest.approx(declared, rel=1e-3)
+            assert max(sums.values()) <= declared * (1.0 + 1e-12)
+            return
+        u = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility).values(1, 2000)
+        for n, value in sums.items():
+            # U_n = n exactly; the closed forms to the mpmath tolerance below
+            if declared != "identity":
+                value = pytest.approx(value, rel=2e-13)
+            assert u[n - 1] == value, n
 
     def test_coin_toss_declarations(self):
-        for utility, unbounded in COIN_TOSS_DECLARATIONS:
+        for utility, declared in COIN_TOSS_DECLARATIONS:
+            if isinstance(declared, float):
+                with pytest.raises(DomainError, match="bounds the coin-toss"):
+                    ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
+                continue
             seq = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
-            assert seq.unbounded is unbounded, utility
-            assert seq.identity is (utility.kind == "linear"), utility
+            assert seq.unbounded and not seq.finite, utility
+            assert seq.identity is (declared == "identity"), utility
 
     def test_values_stop_short_at_a_non_finite_value(self):
         for end in (math.nan, math.inf, -math.inf):
@@ -327,3 +340,42 @@ class TestExpectedUtilitySeq:
         # values near the binary64 limit are finite: no end, no warning
         huge = ExpectedUtilitySeq(lambda n: np.full_like(n, 1e308))
         assert len(huge.values(1, 10)) == 9
+
+
+# the grid of ratios rho: power e has rho = 2^(e-1), geometric x has x/2
+CLOSED_FORM_GRID = [("power", e) for e in (1.001, 1.5, 2.0, 3.0)] + [
+    ("geometric", x) for x in (1.5, 2.0 - 1e-8, 2.0 + 1e-8, 3.0)
+]
+
+
+@pytest.mark.parametrize("kind, param", CLOSED_FORM_GRID)
+def test_closed_forms_against_mpmath(kind, param):
+    # every n up to the first overflow of U_n or 4,096, then 200 indices
+    # spaced geometrically to the last finite U_n (or 1e12 where rho < 1)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = mpmath.mpf(param)
+        rho = mpmath.power(2, p - 1) if kind == "power" else p / 2
+        top = mpmath.mpf(sys.float_info.max)
+        end = 10 ** 12  # past the last index checked
+        if rho > 1:  # the first n with U_n = rho (rho^n - 1)/(rho - 1) > top
+            end = int(mpmath.floor(mpmath.log(top * (rho - 1) / rho + 1) / mpmath.log(rho))) + 1
+        oracle, u = {}, mpmath.mpf(0)
+        for n in range(1, min(end, 4097)):
+            u = rho * (1 + u)
+            oracle[n] = u
+        for n in np.unique(np.geomspace(4097, end - 1, 200).astype(np.int64)).tolist():
+            if n < end:
+                oracle[n] = rho * (rho ** n - 1) / (rho - 1)
+        assert rho <= 1 or rho * (rho ** end - 1) / (rho - 1) > top >= oracle[end - 1]
+    ns = np.array(sorted(oracle), dtype=float)
+    if rho > 1:
+        utility = UtilitySpec(kind, **{"exponent" if kind == "power" else "base": param})
+        seq = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
+        got = np.array([seq.values(n, n + 1)[0] for n in sorted(oracle)])
+        # the sequence ends, with no warning, at the first overflow
+        assert len(seq.values(end - 1, end + 1)) == 1
+    else:  # a bounded family is refused; the closed form itself still holds
+        got = geometric_expected_utility(ns, log_ratio=math.log(param / 2.0))
+    want = np.array([float(oracle[n]) for n in sorted(oracle)])
+    assert np.max(np.abs(got / want - 1.0)) <= 2e-13

@@ -156,7 +156,8 @@ PROBES = {
         ["optimal", "--prior", "power", "--alpha", "6.77", "--beta=-1e12"], 0, ""),
     "log-optimum-zero-step": (["optimal", "--prior", "log", "--beta=-1e300"], 0, ""),
     "log-utility-zero-step": (
-        ["optimal", "--utility", "logarithmic", "--beta=-1e300"], 0, ""),
+        ["optimal", "--utility", "logarithmic", "--beta=-1e300"], 2,
+        "error:domain:logarithmic utility bounds the coin-toss expected utilities"),
     "roulette-largest-stage": (["roulette", "--stages", "13836", "--format", "csv"], 0, ""),
     "roulette-stage-overflow": (
         ["roulette", "--stages", "13837"], 2,
