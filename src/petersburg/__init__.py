@@ -35,17 +35,14 @@ from .posteriors import (
     PosteriorDistribution,
     TruncationPolicy,
     bernoulli_partition_closed,
-    global_mean,
-    optimal_bracket,
+    integer_bracket,
     posterior,
     posterior_moments,
     stochastically_optimal,
 )
 from .priors import (
     PriorSpec,
-    attribute_weight,
     continuous_optimum,
-    log_attribute_weight,
     pair_probabilities,
 )
 from .scenarios import (
@@ -55,11 +52,9 @@ from .scenarios import (
     StageChoice,
     repeated_game_posterior,
     repeated_game_utilities,
-    repeated_game_value,
     repeated_optimal,
     roulette_expected_value,
     roulette_sequence,
-    roulette_stage_choice,
 )
 from .simulate import (
     MartingaleSummary,
@@ -93,7 +88,6 @@ __all__ = [
     "TruncationError",
     "TruncationPolicy",
     "UtilitySpec",
-    "attribute_weight",
     "bernoulli_lottery",
     "bernoulli_partition_closed",
     "bernoulli_utilities",
@@ -103,19 +97,15 @@ __all__ = [
     "continuous_optimum",
     "expected_utility",
     "geometric_expected_utility",
-    "global_mean",
-    "log_attribute_weight",
-    "optimal_bracket",
+    "integer_bracket",
     "pair_probabilities",
     "posterior",
     "posterior_moments",
     "repeated_game_posterior",
     "repeated_game_utilities",
-    "repeated_game_value",
     "repeated_optimal",
     "roulette_expected_value",
     "roulette_sequence",
-    "roulette_stage_choice",
     "simulate_martingale",
     "simulate_repeated",
     "stochastically_optimal",

@@ -49,10 +49,6 @@ class Lottery:
         if abs(total - 1.0) > PROB_TOL:
             raise DomainError(f"probabilities sum to {total}, expected 1")
 
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.outcomes)
-
     @classmethod
     def from_json(cls, doc: dict) -> "Lottery":
         outcomes = tuple(

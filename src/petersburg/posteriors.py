@@ -1,7 +1,8 @@
 """Normalized probability distributions over lottery families.
 
 The distribution over lotteries with expected utilities U_n has weights
-attribute_weight(prior, U_n) * exp(beta * U_n), normalized over the support.
+w(U_n) * exp(beta * U_n), normalized over the support, where w is the prior
+weight whose log ``priors.log_attribute_weights`` gives.
 For unbounded utility families the normalizing series converges only for
 beta < 0, and a finite implementation must truncate it: construction
 evaluates log-domain weights in chunks of growing size and stops at the first
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DomainError, SignError, TruncationError, check_positive_index
 from .lotteries import ExpectedUtilitySeq
-from .priors import PriorSpec, continuous_optimum, log_attribute_weights
+from .priors import PriorSpec, log_attribute_weights
 
 _SMALL_TERM_RUN = 50
 
@@ -308,8 +309,8 @@ def posterior(
     beta: float,
     policy: TruncationPolicy | None = None,
 ) -> PosteriorDistribution:
-    """Distribution with probs[n] proportional to
-    attribute_weight(prior, U_n) * exp(beta * U_n).
+    """Distribution with probs[n] proportional to w(U_n) * exp(beta * U_n),
+    w the prior weight.
 
     Finite families accept any beta; a sequence declared unbounded requires
     beta < 0 (otherwise the normalizing sum diverges and a SignError is
@@ -386,28 +387,9 @@ def stochastically_optimal(dist: PosteriorDistribution) -> int:
     return int(np.argmax(dist.probs)) + 1
 
 
-def optimal_bracket(
-    beta: float, prior: PriorSpec | None = None
-) -> tuple[int, int]:
-    """Integer bracket around the continuous optimum for a family with
-    U_n = n: (entier(x*), entier(x*) + 1), clamped below at index 1.
-
-    With the default luce prior x* = 1/|beta|.
-    """
-    if beta >= 0.0:
-        raise SignError(f"bracket requires beta < 0, got {beta}")
-    prior = prior if prior is not None else PriorSpec.luce()
-    return integer_bracket(continuous_optimum(prior, beta))
-
-
 def integer_bracket(x_star: float) -> tuple[int, int]:
-    """(entier(x*), entier(x*) + 1), clamped below at index 1: the
-    ``optimal_bracket`` of a known continuous optimum x*."""
+    """Integer bracket around a continuous optimum x* for a family with
+    U_n = n: (entier(x*), entier(x*) + 1), clamped below at index 1."""
     low = max(1, math.floor(x_star))
     return low, max(low, math.floor(x_star) + 1)
 
-
-def global_mean(dist: PosteriorDistribution) -> float:
-    """Mean expected utility under the distribution, over the truncated
-    support."""
-    return float(np.dot(dist.probs, dist.utilities))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SignError
 from .rootfind import bisect_root
 
 
@@ -85,52 +85,17 @@ class PriorSpec:
         raise DomainError(f"unknown prior kind {kind!r}")
 
 
-def attribute_weight(prior: PriorSpec, u: float) -> float:
-    """Unnormalized prior weight of a lottery with expected utility ``u``.
+def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
+    """ln of the unnormalized prior weight of each utility in ``u``, by the
+    laws in the module docstring; -inf where the weight is 0.  The posterior
+    machinery works with these logs so that exp(beta*U) never under- or
+    overflows.
 
-    Strictly increasing in u on u > 0 for every family.  The luce family is
+    Each weight is strictly increasing in u on u > 0.  The luce family is
     discontinuous across u = 0: the weight grows without bound as u -> 0-
     but vanishes as u -> 0+; exactly u = 0 takes the identity branch and
-    weighs 0.
-    """
-    if prior.kind == "luce":
-        return u if u >= 0.0 else 1.0 / abs(u)
-    if u < 0.0:
-        raise DomainError(
-            f"{prior.kind} prior is defined for nonnegative utilities, got {u}"
-        )
-    if prior.kind == "power":
-        return u ** prior.alpha
-    if prior.kind == "log":
-        return math.log1p(u / prior.u0)
-    return math.exp(prior.b * u ** prior.gamma + prior.c)
-
-
-def log_attribute_weight(prior: PriorSpec, u: float) -> float:
-    """ln(attribute_weight); -inf where the weight is 0.  Used by the
-    posterior machinery so that exp(beta*U) never under- or overflows."""
-    if prior.kind == "luce":
-        if u > 0.0:
-            return math.log(u)
-        if u < 0.0:
-            return -math.log(abs(u))
-        return -math.inf
-    if u < 0.0:
-        raise DomainError(
-            f"{prior.kind} prior is defined for nonnegative utilities, got {u}"
-        )
-    if prior.kind == "power":
-        return prior.alpha * math.log(u) if u > 0.0 else -math.inf
-    if prior.kind == "log":
-        w = math.log1p(u / prior.u0)
-        return math.log(w) if w > 0.0 else -math.inf
-    return prior.b * u ** prior.gamma + prior.c
-
-
-def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
-    """``log_attribute_weight`` over an array of utilities, elementwise.
-
-    Raises DomainError for a negative utility under any family but luce.
+    weighs 0.  Raises DomainError for a negative utility under any family
+    but luce.
     """
     lowest = np.minimum.reduce(u, axis=None, initial=math.inf)
     if prior.kind != "luce" and lowest < 0.0:
@@ -153,15 +118,16 @@ def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
 
 
 def continuous_optimum(prior: PriorSpec, beta: float) -> float:
-    """Continuous-utility maximizer of attribute_weight(U) * exp(beta*U).
+    """Continuous-utility maximizer of the prior weight times exp(beta*U).
 
     Closed forms: luce -> 1/|beta|; power(alpha) -> alpha/|beta|;
     logit(b, c, gamma) -> (b*gamma/|beta|)**(1/(1-gamma)).  The log family
     solves y e^y = 1/(|beta|*U0), y = ln(1 + U/U0), by bisection and returns
-    U0*expm1(y).  An optimum that is 0 or not finite is a DomainError.
+    U0*expm1(y).  A nonnegative beta is a SignError, and an optimum that is
+    0 or not finite a DomainError.
     """
     if beta >= 0.0:
-        raise DomainError(f"continuous optimum requires beta < 0, got {beta}")
+        raise SignError(f"continuous optimum requires beta < 0, got {beta}")
     abs_beta = abs(beta)
     if prior.kind == "luce":
         x_opt = 1.0 / abs_beta
@@ -188,7 +154,7 @@ def pair_probabilities(
     prior: PriorSpec, u_first, u_second, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Choice probabilities over exactly two alternatives, proportional to
-    attribute_weight(U) * exp(beta*U), computed stably in the log domain;
+    the prior weight times exp(beta*U), computed stably in the log domain;
     elementwise over arrays of pairs.  A pair whose larger log weight is not
     finite is a DomainError."""
     u = np.array([u_first, u_second], dtype=float)

@@ -54,30 +54,31 @@ class RepeatedGameResult:
 
 
 class StageChoice(NamedTuple):
-    """Stop-or-continue probabilities of the roulette sequence: one stage's
-    values, or the columns of a run of stages.
+    """Stop-or-continue probabilities of the roulette sequence, as the
+    columns of a run of stages.
 
     Utilities are in units of the initial bid; both are negative, with the
     continuation strictly worse.
     """
 
-    stage: int
-    u_stop: float
-    u_continue: float
-    p_stop: float
-    p_continue: float
+    stage: range
+    u_stop: list[float]
+    u_continue: list[float]
+    p_stop: np.ndarray
+    p_continue: np.ndarray
 
 
-def repeated_game_value(n: int) -> float:
-    """Average per-game expected value of a run of n games: 1 + log2(n)."""
-    check_positive_index(n, "n")
-    return 1.0 + math.log2(n)
+def _run_length_values(n: float | np.ndarray) -> float | np.ndarray:
+    """Average per-game expected value U_N = 1 + log2(N) of a run of N games,
+    elementwise.  N is a float: an optimum N* can be an int past 2^64, which
+    np.log2 refuses."""
+    return 1.0 + np.log2(n)
 
 
 def repeated_game_utilities() -> ExpectedUtilitySeq:
     """U_N = 1 + log2(N) for N = 1, 2, ..., declared unbounded, with its
     luce moments in closed form."""
-    return ExpectedUtilitySeq(lambda n: 1.0 + np.log2(n), luce_moments=_run_length_moments)
+    return ExpectedUtilitySeq(_run_length_values, luce_moments=_run_length_moments)
 
 
 _Q = 1.0 / math.log(2.0)
@@ -117,12 +118,6 @@ def _primitive(c: list[float], x: float, t: float) -> float:
     return x ** t * inner / t
 
 
-def _run_length_weights(stop: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """U_N = 1 + log2 N and the weights U_N exp(beta U_N) for N = 1..stop."""
-    u = 1.0 + np.log2(np.arange(1, stop + 1, dtype=float))
-    return u, u * np.exp(beta * u)
-
-
 def _run_length_sum(
     m: float, beta: float, poly: tuple[float, ...] = _U, shift: float = 0.0
 ) -> float:
@@ -139,8 +134,9 @@ def _run_length_sum(
     primitive is x^t sum_j (-1)^j c^(j)(ln x)/t^(j+1), t = e + 1, and the
     derivatives follow c -> c' + e c.
     """
-    stop = min(m, _HEAD)
-    u = 1.0 + np.log2(np.arange(1, stop + 1, dtype=float))
+    if beta < _LOWEST_BETA:  # every weight, and so the sum, would be 0
+        raise DomainError(f"run-length weights underflow below beta = {_LOWEST_BETA:.6g}")
+    u = _run_length_values(np.arange(1, min(m, _HEAD) + 1, dtype=float))
     head = float((np.polyval(poly[::-1], u - shift) * np.exp(beta * u)).sum())
     if m <= _HEAD:
         return head
@@ -185,8 +181,6 @@ def _run_length_moments(beta: float) -> tuple[float, float, float]:
     U_N exp(beta U_N) over all N >= 1: S_1/S_0 from the sums S_k of
     U_N^(k+1) exp(beta U_N), then the sums of U_N (U_N - mean)^k
     exp(beta U_N), k = 2, 3, which do not cancel as S_2/S_0 - mean^2 does."""
-    if beta < _LOWEST_BETA:  # every weight would be 0
-        raise DomainError(f"run-length weights underflow below beta = {_LOWEST_BETA:.6g}")
     s0 = _run_length_sum(math.inf, beta)
     if s0 == math.inf:
         raise TruncationError(f"the run-length series diverges at beta = {beta} >= -ln 2")
@@ -214,8 +208,8 @@ class RunLengthPosterior:
     def columns(self, stop: int) -> tuple[range, np.ndarray, np.ndarray]:
         """Rows 1..min(stop, n_trunc) as columns (N, U_N, prob)."""
         stop = max(0, min(stop, self.n_trunc))
-        u, weights = _run_length_weights(stop, self.beta)
-        return range(1, stop + 1), u, weights / self.normalizer
+        u = _run_length_values(np.arange(1, stop + 1, dtype=float))
+        return range(1, stop + 1), u, u * np.exp(self.beta * u) / self.normalizer
 
 
 def repeated_game_posterior(
@@ -235,8 +229,6 @@ def repeated_game_posterior(
         raise SignError(
             f"run-length values are unbounded; beta must be negative, got {beta}"
         )
-    if beta < _LOWEST_BETA:  # every weight, and so the normalizer, would be 0
-        raise DomainError(f"run-length weights underflow below beta = {_LOWEST_BETA:.6g}")
     policy = policy if policy is not None else TruncationPolicy()
 
     t = 1.0 + beta * _Q  # 1 - s, s = |beta|/ln 2; the series diverges for s <= 1
@@ -276,7 +268,7 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
         ) from None
 
     def weight(n: int) -> float:
-        u = repeated_game_value(n)
+        u = _run_length_values(float(n))
         return u * math.exp(beta * u)
 
     low = max(1, math.floor(n_continuous))
@@ -313,42 +305,27 @@ def roulette_expected_value(
     return (1.0 - r ** n) * x0
 
 
-def _roulette_stages(first: int, last: int, beta: float, x0: float, p_win: float) -> StageChoice:
-    """Stage choices first..last as columns; each stage value is the scalar
-    power (1 - r**k) * x0, once (numpy's differs by an ulp, which 1 - r^k magnifies)."""
-    r = _check_roulette_args(last, x0, p_win, ahead=1)
-    if r == 1.0:
-        raise SingularAttributeError("inverse weight |U|^-1 is singular at the fair wheel's U = 0")
-    if r < 1.0:
-        raise DomainError(f"stage values are positive unless p_win < 1/2, got {p_win}")
-    values = [(1.0 - r ** k) * x0 for k in range(first, last + 2)]
-    p_stop, p_continue = pair_probabilities(PriorSpec.luce(), values[:-1], values[1:], beta)
-    return StageChoice(range(first, last + 1), values[:-1], values[1:], p_stop, p_continue)
-
-
-def roulette_stage_choice(
-    n: int,
-    beta: float = 0.0,
-    x0: float = 1.0,
-    p_win: float = DOUBLE_ZERO_WIN_PROB,
-) -> StageChoice:
-    """Stop-or-continue choice after the n-th spin: row n of ``roulette_sequence``.
-
-    Both alternatives have negative expected values, so weights are
-    |U|^(-1) * exp(beta * U), normalized over the pair.  ``beta`` defaults to
-    0 (neutral beliefs), where the pair reduces to |U_{n+1}| : |U_n| odds
-    independent of the bid size.
-    """
-    return StageChoice._make(column[0] for column in _roulette_stages(n, n, beta, x0, p_win))
-
-
 def roulette_sequence(
     n_stages: int,
     beta: float = 0.0,
     x0: float = 1.0,
     p_win: float = DOUBLE_ZERO_WIN_PROB,
 ) -> StageChoice:
-    """Stage choices for stages 1..n_stages as five columns: the stages (a
-    range), the stage values (lists) and the probabilities (arrays)."""
+    """Stop-or-continue choices after spins 1..n_stages as five columns: the
+    stages (a range), the stage values (lists) and the probabilities (arrays).
+
+    Both alternatives have negative expected values, so weights are
+    |U|^(-1) * exp(beta * U), normalized over the pair.  ``beta`` defaults to
+    0 (neutral beliefs), where the pair reduces to |U_{n+1}| : |U_n| odds
+    independent of the bid size.  Each stage value is the scalar power
+    (1 - r**k) * x0, once (numpy's differs by an ulp, which 1 - r^k magnifies).
+    """
     check_positive_index(n_stages, "n_stages")
-    return _roulette_stages(1, n_stages, beta, x0, p_win)
+    r = _check_roulette_args(n_stages, x0, p_win, ahead=1)
+    if r == 1.0:
+        raise SingularAttributeError("inverse weight |U|^-1 is singular at the fair wheel's U = 0")
+    if r < 1.0:
+        raise DomainError(f"stage values are positive unless p_win < 1/2, got {p_win}")
+    values = [(1.0 - r ** k) * x0 for k in range(1, n_stages + 2)]
+    p_stop, p_continue = pair_probabilities(PriorSpec.luce(), values[:-1], values[1:], beta)
+    return StageChoice(range(1, n_stages + 1), values[:-1], values[1:], p_stop, p_continue)

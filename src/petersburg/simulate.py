@@ -12,6 +12,7 @@ single stream, O(n_stages) whatever the replication count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -99,10 +100,11 @@ def _block_bounds(replications: int) -> list[tuple[int, int, int]]:
 
 def _run_blocks(blocks, worker, parallel_shards: int) -> list:
     """``worker(block_triple)`` for every block, in parallel when asked, in
-    block order."""
-    if parallel_shards <= 1 or len(blocks) <= 1:
+    block order, on at most one thread per block and per CPU."""
+    workers = min(parallel_shards, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=parallel_shards) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, blocks))
 
 

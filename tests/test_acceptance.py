@@ -20,12 +20,11 @@ from petersburg import (
     bernoulli_variance_closed,
     calibrate_bernoulli_disbelief,
     continuous_optimum,
-    global_mean,
-    optimal_bracket,
+    integer_bracket,
     posterior,
     repeated_optimal,
     roulette_expected_value,
-    roulette_stage_choice,
+    roulette_sequence,
     simulate_martingale,
     simulate_repeated,
     stochastically_optimal,
@@ -68,24 +67,21 @@ def test_criterion_02_roulette_stage_table():
     }
 
     def build():
-        return [roulette_stage_choice(n) for n in (1, 2, 3, 4)] + [
-            roulette_stage_choice(500)
-        ]
+        return roulette_sequence(500)
 
-    choices = build()
+    table = build()
     elapsed = _best_time(build)
     ok = True
-    for choice in choices[:4]:
-        want = expected[choice.stage]
-        ok &= abs(choice.p_stop - want[0]) <= 2e-3
-        ok &= abs(choice.p_continue - want[1]) <= 2e-3
-    deep = choices[4]
-    ok &= abs(deep.p_stop - 0.513) <= 2e-3 and abs(deep.p_continue - 0.487) <= 2e-3
+    for stage, want in expected.items():
+        ok &= abs(table.p_stop[stage - 1] - want[0]) <= 2e-3
+        ok &= abs(table.p_continue[stage - 1] - want[1]) <= 2e-3
+    deep_stop, deep_continue = table.p_stop[-1], table.p_continue[-1]
+    ok &= abs(deep_stop - 0.513) <= 2e-3 and abs(deep_continue - 0.487) <= 2e-3
     ok &= elapsed < 10e-3
     _report(
         2, ok,
-        f"stage pairs {[round(c.p_stop, 4) for c in choices[:4]]} + "
-        f"limit {deep.p_stop:.4f}/{deep.p_continue:.4f} within ±0.002, "
+        f"stage pairs {[round(float(p), 4) for p in table.p_stop[:4]]} + "
+        f"limit {deep_stop:.4f}/{deep_continue:.4f} within ±0.002, "
         f"{elapsed * 1e3:.2f} ms < 10 ms",
     )
 
@@ -133,7 +129,7 @@ def test_criterion_04_bernoulli_closed_forms():
         v_err = abs(bernoulli_variance_closed(a) / var_series - 1.0)
         # the package mean over the same support
         dist = posterior(LUCE, bernoulli_utilities(), float(beta))
-        g_err = abs(global_mean(dist) / mean_series - 1.0)
+        g_err = abs(dist.probs @ dist.utilities / mean_series - 1.0)
         worst = max(worst, z_err, u_err, v_err, g_err)
         ok &= max(z_err, u_err, v_err, g_err) <= 1e-10
     elapsed = time.perf_counter() - t0
@@ -149,7 +145,7 @@ def test_criterion_05_discrete_optimum_containment():
     ok = True
     for k in range(1, 61):
         beta = -0.05 * k
-        low, high = optimal_bracket(beta)
+        low, high = integer_bracket(continuous_optimum(LUCE, beta))
         n_opt = stochastically_optimal(posterior(LUCE, bernoulli_utilities(), beta))
         ok &= low <= n_opt <= high
     calibrated = stochastically_optimal(
@@ -298,7 +294,7 @@ def test_criterion_11_sign_rule_enforcement():
     with pytest.raises(SignError):
         bernoulli_partition_closed(0.0)
     with pytest.raises(SignError):
-        optimal_bracket(0.25)
+        continuous_optimum(LUCE, 0.25)
     _report(
         11, ok,
         "nonnegative beta with unbounded utilities rejected with the sign error",

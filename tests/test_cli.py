@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from petersburg import DomainError, cli, roulette_stage_choice
+from petersburg import DomainError, cli, roulette_sequence
 from petersburg.cli import _COUNT, _OPTIONS, RunConfig, main
 
 
@@ -94,7 +94,6 @@ class TestOptimalCommand:
             return original(*args)
 
         monkeypatch.setattr(cli, "continuous_optimum", counted)
-        monkeypatch.setattr("petersburg.posteriors.continuous_optimum", counted)
         code, _, _ = run(capsys, "optimal", "--prior", "log", "--beta=-0.7")
         assert code == 0
         assert len(calls) == 1
@@ -175,8 +174,8 @@ class TestRouletteCommand:
         assert code == 0
         doc = json.loads(out)
         stage1 = doc["stages"][0]
-        expected = roulette_stage_choice(1)
-        np.testing.assert_allclose(stage1["p_stop"], expected.p_stop, rtol=1e-9)
+        expected = roulette_sequence(2).p_stop[0]
+        np.testing.assert_allclose(stage1["p_stop"], expected, rtol=1e-9)
 
 
 class TestSimulateCommand:

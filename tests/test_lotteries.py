@@ -37,7 +37,7 @@ class TestBernoulliLottery:
 
     def test_probabilities_sum_exactly_to_one(self):
         lot = bernoulli_lottery(10)
-        assert sum(lot.probabilities) + lot.residual_probability == 1.0
+        assert sum(p for _, p in lot.outcomes) + lot.residual_probability == 1.0
 
     @pytest.mark.parametrize("bad", [0, -1, -7])
     def test_invalid_index(self, bad):
@@ -51,7 +51,7 @@ class TestBernoulliLottery:
     def test_family_normalization(self):
         for n in range(1, 101):
             lot = bernoulli_lottery(n)
-            total = sum(lot.probabilities) + lot.residual_probability
+            total = sum(p for _, p in lot.outcomes) + lot.residual_probability
             assert abs(total - 1.0) <= 1e-12
 
 

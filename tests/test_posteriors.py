@@ -17,8 +17,8 @@ from petersburg import (
     TruncationPolicy,
     bernoulli_partition_closed,
     bernoulli_utilities,
-    global_mean,
-    optimal_bracket,
+    continuous_optimum,
+    integer_bracket,
     posterior,
     stochastically_optimal,
 )
@@ -200,26 +200,30 @@ class TestStochasticOptimum:
         assert stochastically_optimal(dist) == 1
 
 
+def luce_bracket(beta: float) -> tuple[int, int]:
+    return integer_bracket(continuous_optimum(LUCE, beta))
+
+
 class TestOptimalBracket:
     def test_clamped_at_one(self):
-        assert optimal_bracket(-1.157) == (1, 1)
+        assert luce_bracket(-1.157) == (1, 1)
 
     def test_exact_entier(self):
-        assert optimal_bracket(-0.25) == (4, 5)
+        assert luce_bracket(-0.25) == (4, 5)
 
     def test_discrete_optimum_in_bracket_example(self):
-        assert optimal_bracket(-0.3) == (3, 4)
+        assert luce_bracket(-0.3) == (3, 4)
         dist = posterior(LUCE, bernoulli_utilities(), -0.3)
         assert stochastically_optimal(dist) == 3
 
     def test_sign_rule(self):
         with pytest.raises(SignError):
-            optimal_bracket(0.5)
+            luce_bracket(0.5)
 
     def test_containment_sweep(self):
         for k in range(1, 61):
             beta = -0.05 * k
-            low, high = optimal_bracket(beta)
+            low, high = luce_bracket(beta)
             n_opt = stochastically_optimal(posterior(LUCE, bernoulli_utilities(), beta))
             assert low <= n_opt <= high, (beta, low, n_opt, high)
 
@@ -252,24 +256,24 @@ class TestGlobalMean:
     def test_hyperbolic_identity(self, beta):
         dist = posterior(LUCE, bernoulli_utilities(), beta)
         expected = 1.0 / math.tanh(abs(beta) / 2.0)
-        np.testing.assert_allclose(global_mean(dist), expected, rtol=1e-8)
+        np.testing.assert_allclose(dist.probs @ dist.utilities, expected, rtol=1e-8)
 
     @pytest.mark.parametrize("beta", [-1.0, -2.0, -0.5])
     def test_against_series_oracle(self, beta):
         dist = posterior(LUCE, bernoulli_utilities(), beta)
         oracle = _series_sum(beta, 2) / _series_sum(beta, 1)
-        np.testing.assert_allclose(global_mean(dist), oracle, rtol=1e-10)
+        np.testing.assert_allclose(dist.probs @ dist.utilities, oracle, rtol=1e-10)
 
     def test_second_moment_identity(self):
         for beta in (-0.5, -1.0, -2.0):
             dist = posterior(LUCE, bernoulli_utilities(), beta)
-            u = global_mean(dist)
+            u = dist.probs @ dist.utilities
             second = float(np.dot(dist.probs, dist.utilities ** 2))
             np.testing.assert_allclose(second, 0.5 * (3.0 * u * u - 1.0), rtol=1e-8)
 
     def test_degenerate_family(self):
         dist = posterior(LUCE, ExpectedUtilitySeq.from_values([7.0]), 0.0)
-        assert global_mean(dist) == 7.0
+        assert dist.probs @ dist.utilities == 7.0
 
 
 class TestSerialization:

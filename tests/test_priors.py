@@ -8,14 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petersburg import (
-    DomainError,
-    PriorSpec,
-    attribute_weight,
-    continuous_optimum,
-    log_attribute_weight,
-    pair_probabilities,
-)
+from petersburg import DomainError, PriorSpec, continuous_optimum, pair_probabilities
+from petersburg.priors import log_attribute_weights
 
 
 def _weight_curve(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
@@ -43,29 +37,35 @@ ALL_PRIORS = [
 ]
 
 
+def _weight(prior: PriorSpec, u: float) -> float:
+    """The package's prior weight at one utility."""
+    return math.exp(log_attribute_weights(prior, np.array([u]))[0])
+
+
 class TestAttributeWeight:
     def test_luce_identity_branch(self):
-        assert attribute_weight(PriorSpec.luce(), 5.0) == 5.0
+        assert log_attribute_weights(PriorSpec.luce(), np.array([5.0]))[0] == np.log(5.0)
 
     def test_luce_inverse_branch(self):
         u = -0.05263157894736842  # one-stage roulette expected value
-        np.testing.assert_allclose(
-            attribute_weight(PriorSpec.luce(), u), 19.0, rtol=1e-12
-        )
+        np.testing.assert_allclose(_weight(PriorSpec.luce(), u), 19.0, rtol=1e-12)
 
     def test_luce_weighs_zero_at_zero(self):
-        assert attribute_weight(PriorSpec.luce(), 0.0) == 0.0
+        assert _weight(PriorSpec.luce(), 0.0) == 0.0
 
     def test_power_alpha_one_equals_luce_on_nonnegative(self):
-        for u in np.linspace(0.0, 12.0, 25):
-            assert attribute_weight(PriorSpec.power(1.0), float(u)) == float(u)
+        u = np.linspace(0.0, 12.0, 25)
+        np.testing.assert_array_equal(
+            log_attribute_weights(PriorSpec.power(1.0), u),
+            log_attribute_weights(PriorSpec.luce(), u),
+        )
 
     @pytest.mark.parametrize(
         "prior", [PriorSpec.power(2.0), PriorSpec.log_shape(), PriorSpec.logit(1.0)]
     )
     def test_negative_utility_rejected(self, prior):
         with pytest.raises(DomainError):
-            attribute_weight(prior, -1.0)
+            log_attribute_weights(prior, np.array([-1.0]))
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_strictly_increasing_on_positive_axis(self, prior):
@@ -73,21 +73,20 @@ class TestAttributeWeight:
         w = _weight_curve(prior, u)
         assert np.all(np.diff(w) > 0.0)
         # package agrees with the oracle curve
-        got = np.array([attribute_weight(prior, float(x)) for x in u])
+        got = np.exp(log_attribute_weights(prior, u))
         np.testing.assert_allclose(got, w, rtol=1e-12)
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_log_weight_consistent(self, prior):
-        for u in (0.3, 1.0, 4.2, 9.7):
-            np.testing.assert_allclose(
-                math.exp(log_attribute_weight(prior, u)),
-                attribute_weight(prior, u),
-                rtol=1e-12,
-            )
+        u = np.array([0.3, 1.0, 4.2, 9.7])
+        np.testing.assert_allclose(
+            log_attribute_weights(prior, u), np.log(_weight_curve(prior, u)), rtol=1e-12
+        )
 
     def test_log_weight_of_zero_weight(self):
-        assert log_attribute_weight(PriorSpec.luce(), 0.0) == -math.inf
-        assert log_attribute_weight(PriorSpec.power(2.0), 0.0) == -math.inf
+        zero = np.array([0.0])
+        assert log_attribute_weights(PriorSpec.luce(), zero)[0] == -math.inf
+        assert log_attribute_weights(PriorSpec.power(2.0), zero)[0] == -math.inf
 
     @given(
         u=st.floats(0.01, 50.0),
@@ -97,7 +96,7 @@ class TestAttributeWeight:
     @settings(max_examples=200)
     def test_monotone_property(self, u, delta, alpha):
         prior = PriorSpec.power(alpha)
-        assert attribute_weight(prior, u + delta) > attribute_weight(prior, u)
+        assert _weight(prior, u + delta) > _weight(prior, u)
 
 
 class TestContinuousOptimum:
@@ -231,8 +230,9 @@ class TestPairProbabilities:
         for beta in (0.0, -1.0, 2.0, -0.3):
             p_first, p_second = pair_probabilities(luce, u_first, u_second, beta)
             for i, (u, v) in enumerate(zip(u_first, u_second)):
-                lw_u = log_attribute_weight(luce, u) + beta * u
-                lw_v = log_attribute_weight(luce, v) + beta * v
+                # the luce weight of a negative utility is 1/|U|
+                lw_u = -math.log(-u) + beta * u
+                lw_v = -math.log(-v) + beta * v
                 top = max(lw_u, lw_v)
                 w_u, w_v = math.exp(lw_u - top), math.exp(lw_v - top)
                 np.testing.assert_allclose(

@@ -38,3 +38,33 @@ def test_readme_command(capsys, tmp_path, monkeypatch, line, expected):
     assert code == expected, err
     if expected:
         assert err.startswith("error:")
+
+
+def readme_python_blocks() -> list[str]:
+    """The source of each ```python block of the README."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_python_blocks_are_found():
+    assert len(readme_python_blocks()) >= 2
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(source, id=f"block{i}") for i, source in enumerate(readme_python_blocks(), 1)
+])
+def test_readme_python_block(capsys, source):
+    """The block runs, and each ``print(...)  # value`` line prints its
+    comment; a comment starting with "~" is the value rounded to the digits
+    shown."""
+    exec(compile(source, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.partition("#")[2].strip()
+                for line in source.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments)
+    for shown, comment in zip(printed, comments):
+        if comment.startswith("~"):
+            digits = len(comment.partition(".")[2])
+            assert f"{float(shown):.{digits}f}" == comment[1:]
+        else:
+            assert shown == comment

@@ -32,7 +32,7 @@ from petersburg import (
     bernoulli_utilities,
     calibrate_bernoulli_disbelief,
     continuous_optimum,
-    optimal_bracket,
+    integer_bracket,
     posterior,
     repeated_game_posterior,
     repeated_optimal,
@@ -208,7 +208,8 @@ def reference_optimal(fmt: str, beta=None, game=None) -> str:
         beta = -calib.abs_beta
     prior = PriorSpec.luce()
     if game is None:
-        utilities, bracket = bernoulli_utilities(), optimal_bracket(beta, prior)
+        utilities = bernoulli_utilities()
+        bracket = integer_bracket(continuous_optimum(prior, beta))
     else:
         family = GameFamily.from_json(game)
         utilities = ExpectedUtilitySeq.from_family(family, UtilitySpec.linear())

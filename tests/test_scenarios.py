@@ -13,15 +13,14 @@ from petersburg import (
     RunLengthPosterior,
     SignError,
     SingularAttributeError,
+    StageChoice,
     TruncationPolicy,
     continuous_optimum,
     repeated_game_posterior,
     repeated_game_utilities,
-    repeated_game_value,
     repeated_optimal,
     roulette_expected_value,
     roulette_sequence,
-    roulette_stage_choice,
 )
 from petersburg.cli import main
 from petersburg.scenarios import _run_length_moments, _run_length_sum
@@ -42,23 +41,28 @@ def _stage_value_series(n: int, x0: float, p: float) -> float:
     return win_part + (1.0 - p) ** n * loss
 
 
+def run_length_value(n: int) -> float:
+    """U_n of the run-length sequence."""
+    return float(repeated_game_utilities().values(n, n + 1)[0])
+
+
 class TestRepeatedGameValue:
     def test_single_run(self):
-        assert repeated_game_value(1) == 1.0
+        assert run_length_value(1) == 1.0
 
     def test_power_of_two(self):
-        assert repeated_game_value(1024) == 11.0
+        assert run_length_value(1024) == 11.0
 
     def test_non_power(self):
         np.testing.assert_allclose(
-            repeated_game_value(3), 1.0 + math.log2(3.0), rtol=1e-15
+            run_length_value(3), 1.0 + math.log2(3.0), rtol=1e-15
         )
-        np.testing.assert_allclose(repeated_game_value(3), 2.58496, atol=1e-5)
+        np.testing.assert_allclose(run_length_value(3), 2.58496, atol=1e-5)
 
     @pytest.mark.parametrize("bad", [0, -2])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
-            repeated_game_value(bad)
+            run_length_value(bad)
 
 
 def reference_tail_bound(m, beta):
@@ -338,9 +342,14 @@ class TestRouletteAsymptoticValue:
         assert abs(roulette_asymptote(1) / exact - 1.0) > 10.0
 
 
+def stage_row(n: int, *args) -> StageChoice:
+    """Row n of the stage table that ends at stage n."""
+    return StageChoice._make(column[-1] for column in roulette_sequence(n, *args))
+
+
 class TestRouletteStageChoice:
     def test_first_stage_neutral(self):
-        choice = roulette_stage_choice(1)
+        choice = stage_row(1)
         np.testing.assert_allclose(
             [choice.p_stop, choice.p_continue], [0.671, 0.329], atol=2e-3
         )
@@ -351,13 +360,13 @@ class TestRouletteStageChoice:
         [(2, (0.606, 0.394)), (3, (0.579, 0.421)), (4, (0.562, 0.438))],
     )
     def test_early_stages_neutral(self, n, expected):
-        choice = roulette_stage_choice(n)
+        choice = stage_row(n)
         np.testing.assert_allclose(
             [choice.p_stop, choice.p_continue], expected, atol=2e-3
         )
 
     def test_deep_stage_limit(self):
-        choice = roulette_stage_choice(500)
+        choice = stage_row(500)
         np.testing.assert_allclose(
             [choice.p_stop, choice.p_continue],
             [20.0 / 39.0, 19.0 / 39.0],
@@ -365,22 +374,18 @@ class TestRouletteStageChoice:
         )
 
     def test_monotone_decline_toward_limit(self):
-        limit = 20.0 / 39.0
-        previous = roulette_stage_choice(1).p_stop
-        for n in range(2, 201):
-            current = roulette_stage_choice(n).p_stop
-            assert current < previous
-            assert current > limit
-            previous = current
+        p_stop = roulette_sequence(200).p_stop
+        assert np.all(np.diff(p_stop) < 0.0)
+        assert np.all(p_stop > 20.0 / 39.0)
 
     def test_neutral_choice_ignores_bid_size(self):
-        small = roulette_stage_choice(3, 0.0, 1.0)
-        large = roulette_stage_choice(3, 0.0, 750.0)
+        small = stage_row(3, 0.0, 1.0)
+        large = stage_row(3, 0.0, 750.0)
         np.testing.assert_allclose(small.p_stop, large.p_stop, rtol=1e-12)
 
     def test_nonzero_beta_depends_on_bid_size(self):
-        small = roulette_stage_choice(3, -1.0, 1.0)
-        large = roulette_stage_choice(3, -1.0, 2.0)
+        small = stage_row(3, -1.0, 1.0)
+        large = stage_row(3, -1.0, 2.0)
         assert abs(small.p_stop - large.p_stop) > 1e-4
         # recomputation oracle: weights |u|^(-1) exp(beta*u), pair-normalized
         for choice in (small, large):
@@ -392,14 +397,14 @@ class TestRouletteStageChoice:
 
     def test_fair_wheel_is_singular(self):
         with pytest.raises(SingularAttributeError):
-            roulette_stage_choice(1, p_win=0.5)
+            roulette_sequence(1, p_win=0.5)
 
     def test_winning_wheel_rejected(self):
         with pytest.raises(DomainError):
-            roulette_stage_choice(1, p_win=0.6)
+            roulette_sequence(1, p_win=0.6)
 
     def test_utility_ordering(self):
-        choice = roulette_stage_choice(7)
+        choice = stage_row(7)
         assert choice.u_continue < choice.u_stop < 0.0
 
 
@@ -407,12 +412,13 @@ class TestRouletteSequence:
     def test_sequence_stages(self):
         seq = roulette_sequence(5)
         assert list(seq.stage) == [1, 2, 3, 4, 5]
-        assert [column[2] for column in seq] == list(roulette_stage_choice(3))
+        assert [column[2] for column in seq] == list(stage_row(3))
 
     def test_columns_are_the_rows_of_stage_choice(self):
+        # a row does not depend on how many stages follow it
         seq = roulette_sequence(60, -0.7, 2.5, 0.45)
         for n in range(1, 61):
-            row = roulette_stage_choice(n, -0.7, 2.5, 0.45)
+            row = stage_row(n, -0.7, 2.5, 0.45)
             assert [column[n - 1] for column in seq] == list(row)
 
     def test_stage_values_are_the_scalar_closed_form(self):

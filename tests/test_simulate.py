@@ -15,8 +15,9 @@ from petersburg import (
     simulate_martingale,
     simulate_repeated,
 )
+from petersburg import simulate
 from petersburg.cli import main
-from petersburg.simulate import _block_rng, _replication_means, _toss_bins
+from petersburg.simulate import _BLOCK, _block_rng, _replication_means, _toss_bins
 
 
 def _single_game_means():
@@ -87,6 +88,31 @@ class TestSimulateRepeated:
             32, SimConfig(seed=9, replications=9000, parallel_shards=4)
         )
         assert base == sharded
+
+    @pytest.mark.parametrize("cpus,blocks,workers", [(4, 5, [4]), (64, 3, [3]), (None, 3, [])])
+    def test_threads_capped_by_blocks_and_cpus(self, monkeypatch, cpus, blocks, workers):
+        # a pool that records its size and maps serially, so no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        cfg = SimConfig(seed=5, replications=blocks * _BLOCK)
+        capped = simulate_repeated(8, SimConfig(**{**vars(cfg), "parallel_shards": 10 ** 6}))
+        assert sizes == workers
+        assert capped == simulate_repeated(8, cfg)
 
     def test_single_game_median(self):
         # The median is 2 only when more than half the games pay 2, which is a

@@ -18,7 +18,6 @@ from petersburg import (
     bernoulli_partition_closed,
     bernoulli_utilities,
     bernoulli_variance_closed,
-    log_attribute_weight,
     posterior,
     repeated_game_utilities,
 )
@@ -38,6 +37,27 @@ BETAS = [-3.0, -1.0, -0.3, -0.05, -0.01, -0.003, -0.001]
 def _document(prior):
     """The prior's config document: its kind and set parameters."""
     return {k: v for k, v in vars(prior).items() if v is not None}
+
+
+def log_attribute_weight(prior, u):
+    """The prior's log weight at one utility, one branch per family, kept as
+    the per-term reference for the array law; -inf where the weight is 0."""
+    if prior.kind == "luce":
+        if u > 0.0:
+            return math.log(u)
+        if u < 0.0:
+            return -math.log(abs(u))
+        return -math.inf
+    if u < 0.0:
+        raise DomainError(
+            f"{prior.kind} prior is defined for nonnegative utilities, got {u}"
+        )
+    if prior.kind == "power":
+        return prior.alpha * math.log(u) if u > 0.0 else -math.inf
+    if prior.kind == "log":
+        w = math.log1p(u / prior.u0)
+        return math.log(w) if w > 0.0 else -math.inf
+    return prior.b * u ** prior.gamma + prior.c
 
 
 def reference_stream(prior, utilities, beta, policy):
