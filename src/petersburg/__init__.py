@@ -9,7 +9,6 @@ simulator as an independent check.
 
 from .calibration import (
     CalibrationResult,
-    bernoulli_variance_closed,
     calibrate_bernoulli_disbelief,
     calibrate_disbelief_general,
 )
@@ -26,7 +25,6 @@ from .lotteries import (
     GameFamily,
     Lottery,
     UtilitySpec,
-    bernoulli_lottery,
     bernoulli_utilities,
     expected_utility,
     geometric_expected_utility,
@@ -34,7 +32,6 @@ from .lotteries import (
 from .posteriors import (
     PosteriorDistribution,
     TruncationPolicy,
-    bernoulli_partition_closed,
     integer_bracket,
     posterior,
     posterior_moments,
@@ -53,7 +50,6 @@ from .scenarios import (
     repeated_game_posterior,
     repeated_game_utilities,
     repeated_optimal,
-    roulette_expected_value,
     roulette_sequence,
 )
 from .simulate import (
@@ -88,10 +84,7 @@ __all__ = [
     "TruncationError",
     "TruncationPolicy",
     "UtilitySpec",
-    "bernoulli_lottery",
-    "bernoulli_partition_closed",
     "bernoulli_utilities",
-    "bernoulli_variance_closed",
     "calibrate_bernoulli_disbelief",
     "calibrate_disbelief_general",
     "continuous_optimum",
@@ -104,7 +97,6 @@ __all__ = [
     "repeated_game_posterior",
     "repeated_game_utilities",
     "repeated_optimal",
-    "roulette_expected_value",
     "roulette_sequence",
     "simulate_martingale",
     "simulate_repeated",

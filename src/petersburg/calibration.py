@@ -2,13 +2,10 @@
 
 The magnitude of the disbelief parameter is matched to the standard
 deviation of the expected utility under the very distribution it induces,
-|beta| = sigma(-|beta|).  For the coin-toss family (U_n = n, luce prior) the
-self-consistency condition reduces to the closed transcendental equation
-
-    sqrt(2) * |beta| * sinh(|beta|/2) = 1,
-
-whose unique positive root is 1.1567...; the general route solves the fixed
-point numerically through posterior moments.
+|beta| = sigma(-|beta|), solved by safeguarded Newton steps on posterior
+moments.  For the coin-toss family (U_n = n, luce prior) the moments are
+closed and the condition reads sqrt(2) |beta| sinh(|beta|/2) = 1, whose
+unique positive root is 1.15686...
 """
 
 from __future__ import annotations
@@ -20,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, DomainError, TruncationError
-from .lotteries import ExpectedUtilitySeq
+from .lotteries import ExpectedUtilitySeq, bernoulli_utilities
 from .posteriors import TruncationPolicy, has_declared_moments, posterior_moments
 # held by name only: perfbench/tests/test_perfbench.py checks that its tracer
 # patches ``posterior`` in every module holding it, this one included
 from .posteriors import posterior  # noqa: F401
 from .priors import PriorSpec
-from .rootfind import bisect_root, rtsafe
+from .rootfind import rtsafe
 
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 50.0
@@ -56,36 +53,10 @@ class CalibrationResult:
             raise DomainError("calibration residual must be finite")
 
 
-def bernoulli_variance_closed(abs_beta: float) -> float:
-    """Closed-form variance of the index under probs proportional to
-    n exp(-|beta| n): 1 / (2 sinh^2(|beta|/2))."""
-    if abs_beta <= 0.0:
-        raise DomainError(f"|beta| must be positive, got {abs_beta}")
-    s = math.sinh(abs_beta / 2.0)
-    return 1.0 / (2.0 * s * s)
-
-
 def calibrate_bernoulli_disbelief() -> CalibrationResult:
-    """Solve sqrt(2) |beta| sinh(|beta|/2) = 1 for the coin-toss family.
-
-    The left side vanishes at 0+ and increases strictly, so the root is
-    unique and bracketed analytically.
-    """
-    evaluations = 0
-
-    def f(b: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return math.sqrt(2.0) * b * math.sinh(b / 2.0) - 1.0
-
-    root, _ = bisect_root(f, _BRACKET_LO, _BRACKET_HI, xtol=1e-12)
-    return CalibrationResult(
-        abs_beta=root,
-        residual=f(root),
-        evaluations=evaluations,
-        bracket=(_BRACKET_LO, _BRACKET_HI),
-        method="bisection+secant on sqrt(2)*b*sinh(b/2)-1",
-    )
+    """The calibration of the coin-toss family under the luce prior, on its
+    declared closed moments."""
+    return calibrate_disbelief_general(bernoulli_utilities(), PriorSpec.luce())
 
 
 def _f_df(b: float, var: float, kappa3: float) -> tuple[float, float]:

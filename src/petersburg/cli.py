@@ -41,15 +41,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .calibration import (
-    CalibrationResult,
-    calibrate_bernoulli_disbelief,
-    calibrate_disbelief_general,
-)
+from .calibration import CalibrationResult, calibrate_disbelief_general
 from .errors import DomainError, SolverError
 from .lotteries import ExpectedUtilitySeq, GameFamily, UtilitySpec
 from .posteriors import (
     TruncationPolicy,
+    has_declared_moments,
     integer_bracket,
     posterior,
     stochastically_optimal,
@@ -443,23 +440,13 @@ def _emit(cfg: RunConfig, result: Result) -> None:
 # -- command handlers ----------------------------------------------------
 
 
-def _calibrate(
-    cfg: RunConfig, prior: PriorSpec, utilities: ExpectedUtilitySeq
-) -> tuple[CalibrationResult, str]:
-    """The calibration and its route: closed for the luce prior on a
-    sequence that declares U_n = n, general otherwise."""
-    if utilities.identity and prior.kind == "luce":
-        return calibrate_bernoulli_disbelief(), "closed"
-    return calibrate_disbelief_general(utilities, prior, cfg.policy()), "general"
-
-
 def _resolve_beta(
     cfg: RunConfig, prior: PriorSpec, utilities: ExpectedUtilitySeq
 ) -> tuple[float, CalibrationResult | None]:
     """The configured beta, or -|beta| from calibration when absent."""
     if cfg.beta is not None:
         return cfg.beta, None
-    result, _ = _calibrate(cfg, prior, utilities)
+    result = calibrate_disbelief_general(utilities, prior, cfg.policy())
     return -result.abs_beta, result
 
 
@@ -502,7 +489,9 @@ def _cmd_optimal(cfg: RunConfig) -> Result:
 
 
 def _cmd_calibrate(cfg: RunConfig) -> Result:
-    result, route = _calibrate(cfg, cfg.prior_spec(), cfg.utilities())
+    prior, utilities = cfg.prior_spec(), cfg.utilities()
+    result = calibrate_disbelief_general(utilities, prior, cfg.policy())
+    route = "closed" if has_declared_moments(prior, utilities) else "general"
     fields = {**vars(result), "route": route}
     return Result(doc=fields, fields=fields)
 

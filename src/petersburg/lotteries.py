@@ -19,10 +19,6 @@ import numpy as np
 from .errors import DomainError, check_positive_index
 
 PROB_TOL = 1e-12
-
-# float(2**m) is exact for m <= 52 and representable up to m = 1023; beyond
-# that the payoff itself overflows binary64.
-MAX_TOSS_INDEX = 1023
 _LN2 = math.log(2.0)
 
 
@@ -121,18 +117,6 @@ class UtilitySpec:
     @classmethod
     def from_json(cls, doc: dict) -> "UtilitySpec":
         return cls(doc["kind"], exponent=doc.get("exponent"), base=doc.get("base"))
-
-
-def bernoulli_lottery(n: int) -> Lottery:
-    """The n-toss coin game: pays 2^m with probability 2^-m for m = 1..n,
-    and nothing with the residual probability 2^-n."""
-    check_positive_index(n, "n")
-    if n > MAX_TOSS_INDEX:
-        raise DomainError(
-            f"payoff 2^{n} exceeds binary64 range (max index {MAX_TOSS_INDEX})"
-        )
-    outcomes = tuple((float(2 ** m), math.ldexp(1.0, -m)) for m in range(1, n + 1))
-    return Lottery(outcomes, residual_probability=math.ldexp(1.0, -n))
 
 
 def expected_utility(lottery: Lottery, utility: UtilitySpec) -> float:
@@ -290,10 +274,22 @@ class ExpectedUtilitySeq:
         raise DomainError(f"the sequence ends before index {lo}")
 
 
+def _bernoulli_luce_moments(beta: float) -> tuple[float, float, float]:
+    """Mean, variance and third central moment of n under the weights
+    n exp(beta n) over all n >= 1: with r = e^beta, (1+r)/(1-r), 2r/(1-r)^2
+    and 2r(1+r)/(1-r)^3.  Each division by 1 - r = -expm1(beta) is taken
+    alone, so that as beta -> 0- the moments overflow to inf, never to a
+    zero divisor."""
+    r, one_minus_r = math.exp(beta), -math.expm1(beta)
+    var = 2.0 * r / one_minus_r / one_minus_r
+    return (1.0 + r) / one_minus_r, var, var * (1.0 + r) / one_minus_r
+
+
 def bernoulli_utilities() -> ExpectedUtilitySeq:
-    """U_n = n: the coin-toss family under linear utility, in closed form.
+    """U_n = n: the coin-toss family under linear utility, in closed form,
+    with its luce moments declared.
 
     Evaluating the lottery sum would overflow binary64 payoffs past index
     1023; the closed form is exact for every index.
     """
-    return ExpectedUtilitySeq(lambda n: n, identity=True)
+    return ExpectedUtilitySeq(lambda n: n, identity=True, luce_moments=_bernoulli_luce_moments)

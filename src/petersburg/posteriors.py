@@ -373,15 +373,6 @@ def posterior_moments(
         return Moments(mean, float(wd2.sum()), float(wd2 @ d))
 
 
-def bernoulli_partition_closed(beta: float) -> float:
-    """Closed form of sum_{n>=1} n exp(beta n) for beta < 0:
-    1 / (4 sinh^2(|beta|/2))."""
-    if beta >= 0.0:
-        raise SignError(f"partition sum diverges for beta >= 0, got {beta}")
-    s = math.sinh(abs(beta) / 2.0)
-    return 1.0 / (4.0 * s * s)
-
-
 def stochastically_optimal(dist: PosteriorDistribution) -> int:
     """Index of the largest probability; ties break to the smallest index."""
     return int(np.argmax(dist.probs)) + 1

@@ -141,9 +141,7 @@ def continuous_optimum(prior: PriorSpec, beta: float) -> float:
     else:
         # where |beta| U0 underflows to 0 the target, and so the root, is +inf
         target = 1.0 / (abs_beta * prior.u0) if abs_beta * prior.u0 > 0.0 else math.inf
-        y, _ = bisect_root(
-            lambda y: y * math.exp(y) - target, 0.0, math.log1p(target), xtol=1e-14
-        )
+        y = bisect_root(lambda y: y * math.exp(y) - target, 0.0, math.log1p(target))
         x_opt = prior.u0 * math.expm1(y)
     if not 0.0 < x_opt < math.inf:
         raise DomainError(f"{prior.kind} optimum is {x_opt} in binary64 at beta = {beta}")

@@ -2,10 +2,10 @@
 and Newton steps safeguarded by bisection.
 
 Both converge unconditionally once a sign change is bracketed.  Bisection
-needs only f, and serves the closed-form equations, whose evaluations are
-cheap; the safeguarded Newton method serves equations that give f' with f
-at little extra cost, and takes a few evaluations where bisection takes
-dozens.
+needs only f, and serves the log-prior optimum, whose equation is cheap to
+evaluate; the safeguarded Newton method serves the calibration, whose
+posterior moments give f' with f at little extra cost, and takes a few
+evaluations where bisection takes dozens.
 """
 
 from __future__ import annotations
@@ -16,42 +16,35 @@ from typing import Callable
 from .errors import SolverError
 
 _MAX_ITER = 200
+_BISECT_XTOL = 1e-14
 _NEWTON_RTOL = 1e-10
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    xtol: float = 1e-12,
-) -> tuple[float, int]:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Find x in [lo, hi] with f(x) = 0, given f(lo) and f(hi) of opposite sign.
 
-    Bisects until the bracket width falls below ``xtol`` (at most
+    Bisects until the bracket width falls below ``_BISECT_XTOL`` (at most
     ``_MAX_ITER`` steps), then applies a single secant step inside the final
-    bracket.  Returns ``(root, iterations)``.
+    bracket.
 
     Raises SolverError if the initial bracket does not straddle a sign change.
     """
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
-        return lo, 0
+        return lo
     if fhi == 0.0:
-        return hi, 0
+        return hi
     if flo * fhi > 0.0:
         raise SolverError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
 
-    iterations = 0
-    while hi - lo > xtol and iterations < _MAX_ITER:
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at floating-point resolution
+        if hi - lo <= _BISECT_XTOL or mid <= lo or mid >= hi:
+            break  # converged, or the bracket is at floating-point resolution
         fmid = f(mid)
-        iterations += 1
         if fmid == 0.0:
-            return mid, iterations
+            return mid
         if flo * fmid < 0.0:
             hi, fhi = mid, fmid
         else:
@@ -62,8 +55,7 @@ def bisect_root(
         candidate = lo - flo * (hi - lo) / (fhi - flo)
         if lo <= candidate <= hi:
             root = candidate
-            iterations += 1
-    return root, iterations
+    return root
 
 
 def rtsafe(

@@ -296,15 +296,6 @@ def _check_roulette_args(n: int, x0: float, p_win: float, ahead: int = 0) -> flo
     return r
 
 
-def roulette_expected_value(
-    n: int, x0: float = 1.0, p_win: float = DOUBLE_ZERO_WIN_PROB
-) -> float:
-    """Expected net value of the doubling strategy at stage n:
-    [1 - (2(1-p))^n] * x0."""
-    r = _check_roulette_args(n, x0, p_win)
-    return (1.0 - r ** n) * x0
-
-
 def roulette_sequence(
     n_stages: int,
     beta: float = 0.0,

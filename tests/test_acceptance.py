@@ -15,15 +15,13 @@ from petersburg import (
     PriorSpec,
     SignError,
     SimConfig,
-    bernoulli_partition_closed,
     bernoulli_utilities,
-    bernoulli_variance_closed,
     calibrate_bernoulli_disbelief,
     continuous_optimum,
     integer_bracket,
     posterior,
+    posterior_moments,
     repeated_optimal,
-    roulette_expected_value,
     roulette_sequence,
     simulate_martingale,
     simulate_repeated,
@@ -95,15 +93,16 @@ def test_criterion_03_roulette_expected_values():
     ok = True
     worst = 0.0
     for p in (18.0 / 38.0, 0.4, 0.45):
+        values = roulette_sequence(60, p_win=p).u_stop
         for n in range(1, 61):
-            closed = roulette_expected_value(n, 1.0, p)
+            closed = values[n - 1]
             series = double_sum(n, p)
             err = abs(closed - series) / max(1.0, abs(series))
             worst = max(worst, err)
             ok &= err <= 1e-12
     paper_values = (-0.0526, -0.108, -0.166, -0.228, -0.292)
-    for n, want in enumerate(paper_values, start=1):
-        ok &= abs(roulette_expected_value(n) - want) <= 1e-3
+    for value, want in zip(roulette_sequence(5).u_stop, paper_values):
+        ok &= abs(value - want) <= 1e-3
     _report(
         3, ok,
         f"closed form vs double sum worst rel err {worst:.2e} <= 1e-12; "
@@ -124,11 +123,13 @@ def test_criterion_04_bernoulli_closed_forms():
         mean_series = float((n * w).sum() / z_series)
         var_series = float(((n - mean_series) ** 2 * w).sum() / z_series)
 
-        z_err = abs(bernoulli_partition_closed(beta) / z_series - 1.0)
-        u_err = abs((1.0 / math.tanh(a / 2.0)) / mean_series - 1.0)
-        v_err = abs(bernoulli_variance_closed(a) / var_series - 1.0)
-        # the package mean over the same support
+        # the package's normalizer, e^beta / p_1, and its declared moments
         dist = posterior(LUCE, bernoulli_utilities(), float(beta))
+        z_err = abs(math.exp(beta) / dist.prob(1) / z_series - 1.0)
+        mean, var, _ = bernoulli_utilities().luce_moments(float(beta))
+        u_err = abs(mean / mean_series - 1.0)
+        v_err = abs(var / var_series - 1.0)
+        # the package mean over the same support
         g_err = abs(dist.probs @ dist.utilities / mean_series - 1.0)
         worst = max(worst, z_err, u_err, v_err, g_err)
         ok &= max(z_err, u_err, v_err, g_err) <= 1e-10
@@ -255,8 +256,9 @@ def test_criterion_09_martingale_monte_carlo():
     elapsed = time.perf_counter() - t0
     ok = elapsed < 30.0
     worst_z = 0.0
+    exact = roulette_sequence(10).u_stop
     for n in range(1, 11):
-        z = abs(summary.stage_means[n - 1] - roulette_expected_value(n))
+        z = abs(summary.stage_means[n - 1] - exact[n - 1])
         z /= summary.stage_stderrs[n - 1]
         worst_z = max(worst_z, z)
         ok &= z < 3.0
@@ -292,7 +294,7 @@ def test_criterion_11_sign_rule_enforcement():
             posterior(LUCE, bernoulli_utilities(), beta)
         ok &= True
     with pytest.raises(SignError):
-        bernoulli_partition_closed(0.0)
+        posterior_moments(LUCE, bernoulli_utilities(), 0.0)
     with pytest.raises(SignError):
         continuous_optimum(LUCE, 0.25)
     _report(

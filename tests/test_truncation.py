@@ -15,9 +15,7 @@ from petersburg import (
     PriorSpec,
     TruncationError,
     TruncationPolicy,
-    bernoulli_partition_closed,
     bernoulli_utilities,
-    bernoulli_variance_closed,
     posterior,
     repeated_game_utilities,
 )
@@ -320,9 +318,6 @@ class TestHighPrecisionOracle:
         with mpmath.workdps(40):
             r = mpmath.exp(beta)
             full = r / (1 - r) ** 2  # sum_{n>=1} n r^n
-            np.testing.assert_allclose(
-                bernoulli_partition_closed(beta), float(full), rtol=1e-13
-            )
             dist = posterior(PriorSpec.luce(), bernoulli_utilities(), beta)
             n = dist.n_trunc
             # sum_{k<=n} k r^k in closed form
@@ -342,7 +337,7 @@ class TestHighPrecisionOracle:
         dist = posterior(PriorSpec.luce(), bernoulli_utilities(), beta)
         mean = float(np.dot(dist.probs, dist.utilities))
         var = float(np.dot(dist.probs, (dist.utilities - mean) ** 2))
-        closed = bernoulli_variance_closed(abs(beta))
+        closed = bernoulli_utilities().luce_moments(beta)[1]
         with mpmath.workdps(40):
             s = mpmath.sinh(mpmath.mpf(abs(beta)) / 2)
             np.testing.assert_allclose(closed, float(1 / (2 * s * s)), rtol=1e-13)
