@@ -16,11 +16,9 @@ is the only built-in sequence that declares U_n = n
 (``ExpectedUtilitySeq.identity``).  The rule that stopped the sum is recorded
 in ``PosteriorDistribution.tail_rule``:
 
-- ``exact-geometric``: the luce prior on a sequence declaring U_n = n has the
-  exact tail of sum m r^m, r = exp(beta);
-- ``majorant``: the power, log and logit priors on such a sequence have a
-  log weight concave in u > 0, so every later weight ratio is at most
-  q = exp(la(n) - la(n-1) + beta) and the tail is at most w_n q/(1-q);
+- ``majorant``: every prior has a log weight concave in u > 0, so on a
+  sequence declaring U_n = n every later weight ratio is at most
+  q = w_n / w_(n-1) and the tail is at most w_n q/(1-q);
 - ``heuristic``: on every sequence, a stop after 50 consecutive terms each
   below rel_tol times the accumulated sum, recording 50 times the last term
   as the bound.  It is not a bound: a sequence that rises again later can
@@ -43,7 +41,7 @@ from .priors import PriorSpec, log_attribute_weights
 
 _SMALL_TERM_RUN = 50
 
-TAIL_RULES = ("finite", "exact-geometric", "majorant", "heuristic")
+TAIL_RULES = ("finite", "majorant", "heuristic")
 
 
 @dataclass(frozen=True)
@@ -145,24 +143,16 @@ def _stream_truncated(
 
     Returns (log_weights, utility_values, tail_fraction, tail_rule) with the
     tail expressed relative to the retained sum.  The stop is the first
-    index n >= 4 where the sequence's declared certificate or the small-term
-    heuristic fires, the certificate winning a tie.  Raises TruncationError
-    when no rule fires by ``policy.max_index`` or the family cannot be
-    evaluated that far.
+    index n >= 4 where the majorant (on a sequence declaring U_n = n) or the
+    small-term heuristic fires, the majorant winning a tie.  Raises
+    TruncationError when no rule fires by ``policy.max_index`` or the family
+    cannot be evaluated that far.
     """
     rel_log = math.log(policy.rel_tol)
-    if utilities.identity and prior.kind == "luce" and beta < 0.0:
-        certificate = "exact-geometric"
-        one_minus_r = -math.expm1(beta)
-        log_scale = beta - 2.0 * math.log(one_minus_r)
-    elif utilities.identity and prior.kind != "luce":
-        certificate = "majorant"
-    else:
-        certificate = None
     lw_chunks: list[np.ndarray] = []
     u_chunks: list[np.ndarray] = []
     log_sum = -math.inf  # log of the retained sum before this chunk
-    prev_la = prev_lw = math.nan  # log weights of the last retained term
+    prev_lw = math.nan  # log weight of the last retained term
     small_run = 0  # trailing run of small terms before this chunk
     lo, size = 1, _FIRST_CHUNK
 
@@ -177,9 +167,8 @@ def _stream_truncated(
                 f"tail bound was met ({exc})"
             ) from exc
         m = len(u)
-        la = log_attribute_weights(prior, u)
-        lw = beta * u
-        lw += la
+        lw = log_attribute_weights(prior, u)
+        lw += beta * u
         top = _finite_top(lw)
 
         # log_sums[i]: log of the retained sum through this chunk's term i
@@ -203,24 +192,16 @@ def _stream_truncated(
         thresholds = log_sums[first:] + rel_log
 
         stop, rule = m, None
-        if certificate == "exact-geometric":
-            # exact tail of sum_{k>n} k r^k: r^(n+1) (1 + n(1-r)) / (1-r)^2
-            n = u[first:]
-            log_tail = beta * n
-            log_tail += np.log1p(n * one_minus_r)
-            log_tail += log_scale
-            fires = log_tail <= thresholds
-        elif certificate == "majorant":
+        if utilities.identity:
             # each prior's log weight is concave on u > 0, so with unit steps
-            # every later weight ratio is at most q = exp(la(n) - la(n-1) +
-            # beta) = w_n / w_(n-1); the tail is at most w_n q/(1-q), which
-            # is below the threshold t exactly when q (w_n + t) <= t
+            # every later weight ratio is at most q = w_n / w_(n-1); the tail
+            # is at most w_n q/(1-q), which is below the threshold t exactly
+            # when q (w_n + t) <= t
             before = lw[first - 1 : -1] if first else np.append(prev_lw, lw[:-1])
             fires = tested - before + np.logaddexp(tested, thresholds) <= thresholds
-        if certificate is not None:
             hits = fires.nonzero()[0]
             if hits.size:
-                stop, rule = int(hits[0]), certificate
+                stop, rule = int(hits[0]), "majorant"
 
         # heuristic: 50 consecutive terms each below rel_tol times the
         # retained sum; edges are the terms that break a run
@@ -239,12 +220,9 @@ def _stream_truncated(
         if rule is not None:
             if rule == "heuristic":
                 log_tail = math.log(_SMALL_TERM_RUN) + float(tested[stop])
-            elif rule == "majorant":
-                at = first + stop
-                lq = float(la[at]) - (float(la[at - 1]) if at else prev_la) + beta
-                log_tail = float(tested[stop]) + lq - math.log1p(-math.exp(lq))
             else:
-                log_tail = float(log_tail[stop])
+                lq = float(tested[stop] - before[stop])
+                log_tail = float(tested[stop]) + lq - math.log1p(-math.exp(lq))
             tail = math.exp(log_tail - float(log_sums[first + stop]))
             lw, u = lw[: first + stop + 1], u[: first + stop + 1]
             if lw_chunks:
@@ -254,7 +232,7 @@ def _stream_truncated(
         lw_chunks.append(lw)
         u_chunks.append(u)
         log_sum = float(log_sums[-1])
-        prev_la, prev_lw = float(la[-1]), float(lw[-1])
+        prev_lw = float(lw[-1])
         lo += m
         size = min(2 * size, _MAX_CHUNK)
 
@@ -379,8 +357,8 @@ def stochastically_optimal(dist: PosteriorDistribution) -> int:
 
 
 def integer_bracket(x_star: float) -> tuple[int, int]:
-    """Integer bracket around a continuous optimum x* for a family with
-    U_n = n: (entier(x*), entier(x*) + 1), clamped below at index 1."""
+    """Integer bracket around a continuous optimum x* over indices n >= 1:
+    (entier(x*), entier(x*) + 1), clamped below at index 1."""
     low = max(1, math.floor(x_star))
     return low, max(low, math.floor(x_star) + 1)
 

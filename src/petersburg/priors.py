@@ -72,8 +72,6 @@ class PriorSpec:
     @classmethod
     def from_json(cls, doc: dict) -> "PriorSpec":
         kind = doc["kind"]
-        if kind == "luce":
-            return cls.luce()
         if kind == "power":
             return cls.power(float(doc["alpha"]))
         if kind == "log":
@@ -82,7 +80,7 @@ class PriorSpec:
             return cls.logit(
                 float(doc["b"]), float(doc.get("c", 0.0)), float(doc["gamma"])
             )
-        raise DomainError(f"unknown prior kind {kind!r}")
+        return cls(kind)
 
 
 def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:

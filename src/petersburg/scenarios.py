@@ -32,7 +32,7 @@ from .errors import (
     check_positive_index,
 )
 from .lotteries import ExpectedUtilitySeq
-from .posteriors import PosteriorDistribution, TruncationPolicy
+from .posteriors import PosteriorDistribution, TruncationPolicy, integer_bracket
 from .priors import PriorSpec, pair_probabilities
 
 DOUBLE_ZERO_WIN_PROB = 18.0 / 38.0
@@ -271,8 +271,7 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
         u = _run_length_values(float(n))
         return u * math.exp(beta * u)
 
-    low = max(1, math.floor(n_continuous))
-    high = low + 1
+    low, high = integer_bracket(n_continuous)
     n_opt = low if weight(low) >= weight(high) else high
     return RepeatedGameResult(beta, u_opt, n_continuous, n_opt)
 

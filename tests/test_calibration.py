@@ -132,6 +132,14 @@ class TestGeneralCalibration:
         with pytest.raises(DomainError, match="bounds the coin-toss"):
             ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), UtilitySpec.logarithmic())
 
+    def test_grid_route_warns_of_several_roots(self):
+        # one lottery at U = 1 and a hundred at U = 5: b - sigma(-b) changes
+        # sign three times on the grid, and the smallest root is returned
+        u = np.array([1.0] + [5.0] * 100)
+        with pytest.warns(UserWarning, match="multiple calibration roots"):
+            result = calibrate_disbelief_general(ExpectedUtilitySeq.from_values(u), LUCE)
+        assert abs(result.abs_beta / _dense_grid_root(u, np.log(u)) - 1) <= 1e-12
+
     def test_doubled_utilities_against_grid_oracle(self):
         # For U_n = 2n the posterior index distribution matches the coin-toss
         # one at parameter 2b, so sigma(b) = sqrt(2)/sinh(b); grid-search the

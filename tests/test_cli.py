@@ -150,7 +150,7 @@ class TestDistributionCommand:
         )
         assert code == 0
         lines = out.splitlines()
-        assert lines[3] == "# tail_rule: exact-geometric"
+        assert lines[3] == "# tail_rule: majorant"
         assert lines[4] == "n,U_n,prob"
         np.testing.assert_allclose(
             float(lines[5].split(",")[2]), 0.39957640089, rtol=1e-9

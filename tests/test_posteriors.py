@@ -297,7 +297,7 @@ class TestSerialization:
         out = run_cli(capsys, "distribution", "--beta", "-1.0", "--format", "csv")
         lines = out.splitlines()
         assert lines[0].startswith("# beta: -1")
-        assert lines[3] == "# tail_rule: exact-geometric"
+        assert lines[3] == "# tail_rule: majorant"
         assert lines[4] == "n,U_n,prob"
         first = lines[5].split(",")
         assert first[0] == "1" and first[1] == "1"

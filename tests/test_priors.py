@@ -269,6 +269,10 @@ class TestPriorSpecValidation:
         with pytest.raises(DomainError):
             bad()
 
+    def test_json_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown prior kind 'x'"):
+            PriorSpec.from_json({"kind": "x"})
+
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_json_round_trip(self, prior):
         # the document a config file holds: the kind and the set parameters

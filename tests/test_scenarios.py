@@ -271,6 +271,15 @@ class TestRepeatedOptimal:
         dist = repeated_game_posterior(beta, TruncationPolicy(max_index=10 ** 4))
         assert repeated_optimal(beta).n_opt == _argmax(dist)
 
+    @pytest.mark.parametrize("beta", np.linspace(-3.0, -0.05, 60).tolist())
+    def test_is_the_argmax_near_the_continuous_optimum(self, beta):
+        # the weight U_N e^(beta U_N) rises to N* and falls after it, so the
+        # argmax over N <= 2 ceil(N*) + 2 is the integer optimum
+        result = repeated_optimal(beta)
+        n = np.arange(1, 2 * math.ceil(result.n_opt_continuous) + 3)
+        u = 1.0 + np.log2(n)
+        assert result.n_opt == int(np.argmax(np.log(u) + beta * u)) + 1
+
     def test_sign_rule(self):
         with pytest.raises(SignError):
             repeated_optimal(0.1)

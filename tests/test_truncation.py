@@ -63,12 +63,11 @@ def reference_stream(prior, utilities, beta, policy):
 
     It infers the geometric majorant from the evaluated prefix, which is
     only sound on sequences with U_n = n; the comparisons below use it on
-    the built-in sequences, where it agrees with the declared rules.
+    the built-in sequences, where it agrees with the declared rule.
     """
     rel_log = math.log(policy.rel_tol)
     log_weights, values = [], []
     run_max, run_sum = -math.inf, 0.0
-    arithmetic = prior.kind == "luce"
     monotone = incs_nondecreasing = ratios_nonincreasing = True
     prev_u = prev_la = prev_inc = prev_ratio = None
     small_run = 0
@@ -89,7 +88,6 @@ def reference_stream(prior, utilities, beta, policy):
                 run_max = lw
             else:
                 run_sum += math.exp(lw - run_max)
-        arithmetic = arithmetic and u == float(n)
         if prev_u is not None:
             inc = u - prev_u
             monotone = monotone and inc > 0.0
@@ -105,10 +103,7 @@ def reference_stream(prior, utilities, beta, policy):
             continue
         log_sum = run_max + math.log(run_sum)
         log_tail = None
-        if arithmetic and beta < 0.0:
-            r = math.exp(beta)
-            log_tail = (n + 1) * beta + math.log((n + 1) - n * r) - 2.0 * math.log1p(-r)
-        elif (monotone and incs_nondecreasing and ratios_nonincreasing
+        if (monotone and incs_nondecreasing and ratios_nonincreasing
               and prev_inc is not None and prev_inc > 0.0
               and prev_ratio is not None and math.isfinite(prev_ratio)):
             log_q = prev_ratio + beta * prev_inc
@@ -160,13 +155,13 @@ class TestEngineMatchesReferenceLoop:
 
     @pytest.mark.parametrize("prior, beta, n_trunc, rule", [
         # no rule is tested before the fourth term
-        (PriorSpec.luce(), -30.0, 4, "exact-geometric"),
+        (PriorSpec.luce(), -30.0, 4, "majorant"),
         (PriorSpec.power(2.0), -30.0, 4, "majorant"),
         # stops on the first term of the second and third chunks
         (PriorSpec.power(0.5), -2.0, 17, "majorant"),
         (PriorSpec.power(0.5), -0.7, 49, "majorant"),
         # both rules fire at n = 606; the certificate wins the tie
-        (PriorSpec.luce(), -0.0591, 606, "exact-geometric"),
+        (PriorSpec.luce(), -0.0591, 606, "majorant"),
     ])
     def test_edge_stops(self, prior, beta, n_trunc, rule):
         policy = TruncationPolicy()
@@ -247,8 +242,7 @@ class TestEngineMatchesReferenceLoop:
 class TestDeclaredCertificates:
     def test_rules_on_the_coin_toss_family(self):
         seq = bernoulli_utilities()
-        assert posterior(PriorSpec.luce(), seq, -1.0).tail_rule == "exact-geometric"
-        for prior in PRIORS[1:]:
+        for prior in PRIORS:
             assert posterior(prior, seq, -1.0).tail_rule == "majorant"
         # small |beta|: fifty small terms come before the certificate
         assert posterior(PriorSpec.luce(), seq, -0.001).tail_rule == "heuristic"
@@ -312,7 +306,7 @@ class TestArrayLogWeight:
 class TestHighPrecisionOracle:
     """Coin-toss luce posteriors against 40-digit sums."""
 
-    @pytest.mark.parametrize("beta", [-1e-3, -0.1, -1.0])
+    @pytest.mark.parametrize("beta", [-1e-3, -0.1, -1.0, -3.0])
     def test_retained_partition(self, beta):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
@@ -323,13 +317,35 @@ class TestHighPrecisionOracle:
             # sum_{k<=n} k r^k in closed form
             retained = r * (1 - (n + 1) * r ** n + n * r ** (n + 1)) / (1 - r) ** 2
             omitted = float((full - retained) / retained)
-        if dist.tail_rule == "exact-geometric":
-            np.testing.assert_allclose(dist.tail_bound, omitted, rtol=1e-9)
+        if dist.tail_rule == "majorant":
+            # a bound, and a tight one: within 0.8% of the omitted mass here
+            assert omitted <= dist.tail_bound <= 1.1 * omitted
         else:
             # the heuristic's recorded figure is not a bound: at
             # beta = -1e-3 the omitted mass is ~21 times larger (9.9e-12)
             assert dist.tail_rule == "heuristic"
             assert dist.tail_bound < omitted < 1e-10
+
+    def test_certified_stops_bound_the_omitted_mass(self):
+        # 25 betas in [-40, -1e-3]: every stop the majorant makes reports at
+        # least the omitted mass, and at most 1.1 times it (16/15 where the
+        # n = 4 floor binds)
+        mpmath = pytest.importorskip("mpmath")
+        rules = set()
+        for beta in (-np.geomspace(1e-3, 40.0, 25)).tolist():
+            dist = posterior(PriorSpec.luce(), bernoulli_utilities(), beta)
+            rules.add(dist.tail_rule)
+            if dist.tail_rule == "heuristic":
+                continue
+            n = dist.n_trunc
+            with mpmath.workdps(40):
+                r = mpmath.exp(beta)
+                # sum_{k>n} k r^k over sum_{k<=n} k r^k, neither by difference
+                tail = r ** (n + 1) * (n + 1 - n * r) / (1 - r) ** 2
+                retained = mpmath.fsum(k * r ** k for k in range(1, n + 1))
+                omitted = float(tail / retained)
+            assert omitted <= dist.tail_bound <= 1.1 * omitted, beta
+        assert rules == {"majorant", "heuristic"}
 
     @pytest.mark.parametrize("beta", [-1e-3, -0.1, -1.0])
     def test_posterior_variance(self, beta):
@@ -343,5 +359,5 @@ class TestHighPrecisionOracle:
             np.testing.assert_allclose(closed, float(1 / (2 * s * s)), rtol=1e-13)
         # what the truncated support leaves out of the variance: ~6e-12 at
         # the certified stops, ~4e-9 after the heuristic stop at -1e-3
-        rtol = 1e-10 if dist.tail_rule == "exact-geometric" else 1e-8
+        rtol = 1e-10 if dist.tail_rule == "majorant" else 1e-8
         np.testing.assert_allclose(var, closed, rtol=rtol)
