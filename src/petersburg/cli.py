@@ -37,7 +37,7 @@ from collections import namedtuple
 from dataclasses import asdict, astuple, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import repeat
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 
 import numpy as np
 
@@ -310,20 +310,65 @@ def _json_floats(values: Sequence) -> list:
     return rounded
 
 
-def _kind(column) -> str:
-    """``i``, ``f`` or ``U``: whether a column holds integers, floats or text."""
+def _whole(column: np.ndarray) -> bool:
+    """Whether a float column holds only whole numbers below 1e12 in
+    magnitude, and no -0.0: ``%d`` then prints what ``%.12g`` does, and
+    ``%d.0`` the JSON token.  Most columns fail on an end cell, before any
+    pass over the column."""
+    ends = (column[0].item(), column[-1].item())
+    if not all(x.is_integer() and abs(x) < 1e12 for x in ends):
+        return False
+    return bool(
+        (np.abs(column) < 1e12).all()
+        and (np.trunc(column) == column).all()
+        and not np.signbit(column[column == 0.0]).any()
+    )
+
+
+def _tokens(column: np.ndarray) -> bool:
+    """Whether ``%.12g`` writes every value of a float column as the token
+    ``json.dumps(_round_floats(x))`` does.  Its 12 digits are the shortest
+    repr of the rounded value, in repr's notation, unless that value may be
+    whole (the value lies within 1e-11 relative of a whole number; repr
+    adds ``.0``), reach 1e12 (repr stays positional up to 1e16) or be
+    subnormal, or the value is not finite."""
+    size = np.abs(column)  # a nan fails both bounds, and inf the upper
+    if not (2.3e-308 <= size.min() and size.max() < (1.0 - 1e-12) * 1e12):
+        return False
+    return bool((np.abs(column - np.rint(column)) / size).min() > 1e-11)
+
+
+def _kind(column, slots: Container[str] = "") -> str:
+    """``i``, ``f`` or ``U``: whether a column holds integers, floats or
+    text.  A float array that fits is ``d`` (``_whole``) or ``g``
+    (``_tokens``) instead, where the format's ``slots`` have that kind."""
     if isinstance(column, np.ndarray):
-        return "i" if column.dtype.kind in "iu" else column.dtype.kind
+        kind = column.dtype.kind
+        if kind == "f" and len(column):
+            if "d" in slots and _whole(column):
+                return "d"
+            if "g" in slots and _tokens(column):
+                return "g"
+        return "i" if kind in "iu" else kind
     first = column[0] if len(column) else 0
     return "f" if isinstance(first, float) else "i" if isinstance(first, int) else "U"
 
 
-# per column kind: the CSV slot, and the cells of a JSON or table block
-_CSV_SLOT = {"i": "%d", "f": "%.12g", "U": "%s"}
-_JSON_CELLS = {
-    "i": _plain,
-    "f": _json_floats,
-    "U": lambda block: list(map(json.dumps, _plain(block))),
+def _ints(block: np.ndarray) -> list:
+    """A block of a whole-float column as Python ints, which ``%d`` prints
+    faster than floats."""
+    return block.astype(np.int64).tolist()
+
+
+# per column kind: the slot and the cells of a CSV or JSON block, and the
+# cells of a table block, whose 4 digits take no whole-number slot
+_CSV = {"i": ("%d", _plain), "d": ("%d", _ints), "f": ("%.12g", _plain), "U": ("%s", _plain)}
+_JSON = {
+    "i": ("%s", _plain),
+    "d": ("%d.0", _ints),
+    "g": ("%.12g", _plain),
+    "f": ("%s", _json_floats),
+    "U": ("%s", lambda block: list(map(json.dumps, _plain(block)))),
 }
 _TABLE_CELLS = {
     "i": lambda block: list(map(str, _plain(block))),
@@ -367,8 +412,8 @@ def _write_csv(stream, result: Result, timestamp: bool) -> None:
         named = [*result.fields.items(), *result.comments.items()]
         text += [f"# {key}: {_fmt(value)}\n" for key, value in named]
         text.append(",".join(result.header) + "\n")
-        template = ",".join([_CSV_SLOT[_kind(c)] for c in result.columns]) + "\n"
-        text += format_rows(template, result.columns, [_plain] * len(result.columns))
+        slots, cells = zip(*(_CSV[_kind(c, _CSV)] for c in result.columns))
+        text += format_rows(",".join(slots) + "\n", result.columns, cells)
     else:
         values = ("" if v is None else _fmt(v) for v in result.fields.values())
         text += [",".join(result.fields), "\n", ",".join(values), "\n"]
@@ -384,14 +429,11 @@ def _json_rows(keys: Sequence[str], columns: Sequence) -> Iterator[str]:
         yield "[]"
         return
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    slots = ",\n".join(f"      {json.dumps(keys[j])}: %s" for j in order)
+    columns = [columns[j] for j in order]
+    slots, cells = zip(*(_JSON[_kind(c, _JSON)] for c in columns))
+    template = ",\n".join(f"      {json.dumps(keys[j])}: {slot}" for j, slot in zip(order, slots))
     yield "[\n"
-    yield from format_rows(
-        "    {\n" + slots + "\n    }",
-        [columns[j] for j in order],
-        [_JSON_CELLS[_kind(columns[j])] for j in order],
-        ",\n",
-    )
+    yield from format_rows("    {\n" + template + "\n    }", columns, cells, ",\n")
     yield "\n  ]"
 
 

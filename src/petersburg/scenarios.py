@@ -232,13 +232,21 @@ def repeated_game_posterior(
     policy = policy if policy is not None else TruncationPolicy()
 
     t = 1.0 + beta * _Q  # 1 - s, s = |beta|/ln 2; the series diverges for s <= 1
+    # the terms are positive, so the sum at max_index bounds the sum at every
+    # m: a stop is summed only where its tail passes against this cap, with
+    # a margin far above the kernel's few-ulp error
+    cap = _run_length_sum(policy.max_index, beta)
     m = min(1024, policy.max_index)
     while True:
-        total = _run_length_sum(m, beta)
         # the terms decrease past m, so their integral over (m, inf) bounds them
         tail = -math.exp(beta) * _primitive([1.0, _Q], m, t) if t < 0.0 else math.inf
-        if tail <= policy.rel_tol * total or m >= policy.max_index:
+        if m >= policy.max_index:
+            total = cap
             break
+        if tail <= policy.rel_tol * cap * (1.0 + 1e-12):
+            total = _run_length_sum(m, beta)
+            if tail <= policy.rel_tol * total:
+                break
         m = min(2 * m, policy.max_index)
 
     return RunLengthPosterior(

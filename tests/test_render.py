@@ -15,6 +15,7 @@ import subprocess
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -537,6 +538,112 @@ def test_random_rows_match_reference(rows):
     assert emit_rows(u, p) == expected
     assert csv_rows(u, p) == reference_csv_rows(u, p)
     assert emit_rows(u, p, "table") == table_rows(u, p)
+
+
+# -- the column kinds: whole floats print through %d, and a JSON float
+#    column through %.12g where that text is its token ----------------------
+
+# the values each kind's test turns on: ±0, subnormals, the edge of the
+# normal range, non-finite values, values that round to a whole number at
+# 12 digits, and the band from 1e12 - 1 to 1e16 where repr stays positional
+EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 2.3e-308,
+    math.nan, math.inf, -math.inf, 1.0, -7.0, 2.9999999999996, 0.99999999999996,
+    -0.99999999999996, 999999999999.0, 999999999999.4, 999999999999.6, 1e12,
+    1234567890123.0, 1e16, 1.7976931348623157e308, 1e-5, 9.99999999999996e-05,
+]
+whole = st.integers(-10 ** 12 + 1, 10 ** 12 - 1).map(float)
+near_whole = st.tuples(
+    st.integers(-10 ** 6, 10 ** 6), st.floats(-1e-11, 1e-11)
+).map(lambda t: t[0] * (1.0 + t[1]) + t[1])
+band = st.floats(1e12 - 1.0, 1e16) | st.floats(-1e16, -(1e12 - 1.0))
+subnormal = st.floats(-2.3e-308, 2.3e-308)
+fraction = st.floats(1e-300, 1e11, exclude_min=True).filter(lambda x: not x.is_integer())
+cell = st.one_of(
+    st.floats(), st.sampled_from(EDGES), whole, near_whole, band, subnormal, fraction
+)
+# one family per column, so whole and token columns occur, and now and then
+# one cell of any kind in it
+column = st.sampled_from([whole, fraction, near_whole, band, subnormal, cell]).flatmap(
+    lambda family: st.lists(family, min_size=1, max_size=12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(column, column, st.lists(st.tuples(st.integers(0, 11), cell), max_size=2),
+       st.sampled_from([None, 3]))
+def test_float_columns_match_reference(u, p, swaps, block):
+    size = min(len(u), len(p))
+    u, p = u[:size], p[:size]
+    for i, x in swaps:  # a stray cell, in either column
+        (u if i % 2 else p)[i % size] = x
+    expected = reference_json({"meta": {"x": 0.5}, "rows": reference_rows(u, p)})
+    with contextlib.ExitStack() as stack:
+        if block is not None:
+            stack.enter_context(mock.patch.object(cli, "_ROW_BLOCK", block))
+        assert emit_rows(u, p) == expected
+        assert csv_rows(u, p) == reference_csv_rows(u, p)
+
+
+def csv_kind(values) -> str:
+    return cli._kind(np.asarray(values, dtype=float), cli._CSV)
+
+
+def json_kind(values) -> str:
+    return cli._kind(np.asarray(values, dtype=float), cli._JSON)
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("x, kind", [
+    (-0.0, "f"), (1e12 - 1.0, "d"), (1e12, "f"), (math.nan, "f"), (2.5, "f"),
+])
+def test_whole_column_with_one_odd_cell(x, kind, at):
+    # -0.0 prints as -0, 1e12 as 1e+12 and nan as "nan": each falls back to
+    # the per-value path; 1e12 - 1 is the largest whole number %d takes
+    u = [1.0, 2.0, 3.0, 4.0, 5.0]
+    u[at] = x
+    p = [0.5, 0.25, 0.125, 0.0625, 0.0625]
+    assert csv_kind(u) == json_kind(u) == kind
+    assert json_kind(p) == "g"
+    expected = reference_json({"meta": {"x": 0.5}, "rows": reference_rows(u, p)})
+    assert emit_rows(u, p) == expected
+    assert csv_rows(u, p) == reference_csv_rows(u, p)
+    assert emit_rows(u, p, "table") == table_rows(u, p)
+
+
+@pytest.mark.parametrize("x", EDGES)
+def test_token_column_with_one_odd_cell(x):
+    # a column takes %.12g only where that text is the token of every cell
+    p = [0.5, 0.25, x, 1e-9, 0.3]
+    if json_kind(p) == "g":
+        assert format(x, ".12g") == json.dumps(reference_round_floats(x))
+    expected = reference_json({"meta": {"x": 0.5}, "rows": reference_rows(p, p)})
+    assert emit_rows(p, p) == expected
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 7, 9])
+def test_new_slots_across_blocks(monkeypatch, count):
+    monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
+    u = [float(k - 3) for k in range(count)]
+    p = [1.0 / (k + 3) for k in range(count)]
+    assert csv_kind(u) == "d" and json_kind(p) == "g"
+    expected = reference_json({"meta": {"x": 0.5}, "rows": reference_rows(u, p)})
+    assert emit_rows(u, p) == expected
+    assert csv_rows(u, p) == reference_csv_rows(u, p)
+    assert emit_rows(u, p, "table") == table_rows(u, p)
+
+
+def test_printed_columns_take_the_new_slots():
+    # the coin toss's U_n = n prints through %d, and the probabilities
+    # through %.12g in JSON; the run-length values 1 + log2 N, whole at
+    # N = 1, 2, 4, ..., keep the per-value path
+    dist = posterior(PriorSpec.luce(), bernoulli_utilities(), -0.001)
+    _, u, p = dist.columns(dist.n_trunc)
+    assert csv_kind(u) == json_kind(u) == "d" and json_kind(p) == "g"
+    assert csv_kind(p) == "f"  # CSV's slot is %.12g already
+    assert cli._kind(u) == "f"  # the table's 4 digits take no whole-number slot
+    _, u, p = repeated_game_posterior(-1.3).columns(50)
+    assert json_kind(u) == "f" and json_kind(p) == "g"
 
 
 # -- no state kept between calls -----------------------------------------

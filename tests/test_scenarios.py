@@ -24,7 +24,7 @@ from petersburg import (
     simulate_martingale,
 )
 from petersburg.cli import main
-from petersburg.scenarios import _run_length_moments, _run_length_sum
+from petersburg.scenarios import _primitive, _run_length_moments, _run_length_sum
 
 
 def run_cli(capsys, *argv) -> str:
@@ -90,6 +90,22 @@ def reference_repeated_posterior(beta, policy):
             break
         m = min(2 * m, policy.max_index)
     return m, tail / total if math.isfinite(tail) else math.inf, weights / total
+
+
+def doubling_repeated_posterior(beta, policy):
+    """The run-length support by the plain doubling loop, which sums the
+    normalizer at every m = 1024, 2048, ... up to max_index: the reference
+    for (n_trunc, tail_bound, normalizer)."""
+    q = 1.0 / math.log(2.0)
+    t = 1.0 + beta * q
+    m = min(1024, policy.max_index)
+    while True:
+        total = _run_length_sum(m, beta)
+        tail = -math.exp(beta) * _primitive([1.0, q], m, t) if t < 0.0 else math.inf
+        if tail <= policy.rel_tol * total or m >= policy.max_index:
+            break
+        m = min(2 * m, policy.max_index)
+    return m, tail / total, total
 
 
 def _probs(dist):
@@ -219,6 +235,20 @@ class TestRepeatedGamePosterior:
         assert n == range(1, min(50, n_trunc) + 1)
         np.testing.assert_allclose(u, 1.0 + np.log2(np.arange(1.0, len(n) + 1)), rtol=0)
         np.testing.assert_allclose(p, probs[:50], rtol=1e-13)
+
+    @pytest.mark.parametrize("rel_tol", [1e-14, 1e-8, 0.5])
+    @pytest.mark.parametrize("beta", [
+        -744.0, -40.0, -3.0, -2.08673, -1.0, -math.log(2.0) - 1e-9,
+        -math.log(2.0) + 1e-9, -0.5, -0.3,
+    ])
+    def test_capped_sum_matches_doubling_loop(self, beta, rel_tol):
+        # summed only at max_index and at the stop, the support, its bound
+        # and its normalizer keep every bit of the sum at every doubling
+        for max_index in (1, 1000, 1024, 1025, 5000, 10 ** 6):
+            policy = TruncationPolicy(rel_tol=rel_tol, max_index=max_index)
+            dist = repeated_game_posterior(beta, policy)
+            got = (dist.n_trunc, dist.tail_bound, dist.normalizer)
+            assert got == doubling_repeated_posterior(beta, policy), max_index
 
     def test_memory_does_not_grow_with_support(self):
         tracemalloc.start()
