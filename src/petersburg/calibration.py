@@ -2,10 +2,10 @@
 
 The magnitude of the disbelief parameter is matched to the standard
 deviation of the expected utility under the very distribution it induces,
-|beta| = sigma(-|beta|), solved by safeguarded Newton steps on posterior
-moments.  For the coin-toss family (U_n = n, luce prior) the moments are
-closed and the condition reads sqrt(2) |beta| sinh(|beta|/2) = 1, whose
-unique positive root is 1.15686...
+|beta| = sigma(-|beta|), solved by the one root finder's safeguarded
+Newton steps on posterior moments.  For the coin-toss family (U_n = n,
+luce prior) the moments are closed and the condition reads
+sqrt(2) |beta| sinh(|beta|/2) = 1, whose unique positive root is 1.15686...
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .posteriors import TruncationPolicy, has_declared_moments, posterior_moment
 # patches ``posterior`` in every module holding it, this one included
 from .posteriors import posterior  # noqa: F401
 from .priors import PriorSpec
-from .rootfind import rtsafe
+from .rootfind import bisect_root
 
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 50.0
@@ -77,9 +77,9 @@ def calibrate_disbelief_general(
 
     Each evaluation is one ``posterior_moments`` pass, which gives f and
     f'(b) = 1 + kappa3/(2 sigma) together, so the root is refined by
-    ``rtsafe``.  A truncation failure (the distribution too spread out to
-    sum at that b) counts as f = -inf.  The bracket comes from what the
-    sequence declares:
+    ``bisect_root`` (rtsafe: Newton steps safeguarded by bisection).  A
+    truncation failure (the distribution too spread out to sum at that b)
+    counts as f = -inf.  The bracket comes from what the sequence declares:
 
     - U_n = n, or moments declared for this prior: f increases, so the
       bracket is found by stepping x4 or /4 from b = 1;
@@ -115,7 +115,7 @@ def calibrate_disbelief_general(
         grid = np.geomspace(_BRACKET_LO, _BRACKET_HI, 60).tolist()
         lo, hi, start = _grid_bracket([(b, *fdf(b, grid_policy)) for b in grid])
         how = "from a 60-point grid"
-    root, residual = rtsafe(fdf, lo, hi, start)
+    root, residual = bisect_root(fdf, lo, hi, start)
     if not abs(residual) <= 1e-8:
         raise CalibrationError(
             f"b - sigma(-b) is {residual} at the located point {root:.6g}; "

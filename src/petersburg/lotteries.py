@@ -5,7 +5,7 @@ zero-payoff branch; the coin-toss family pays 2^m with probability 2^-m for
 m = 1..n and keeps the leftover 2^-n on the losing branch.
 
 An ``ExpectedUtilitySeq`` holds the expected utilities U_n of a family as an
-array function, read in blocks; whether U_n is bounded is declared with it.
+array function read in blocks, or as the values of a finite family.
 """
 
 from __future__ import annotations
@@ -75,22 +75,6 @@ class UtilitySpec:
             raise DomainError("power utility needs a positive exponent")
         if self.kind == "geometric" and (self.base is None or self.base <= 0.0):
             raise DomainError("geometric utility needs a positive base")
-
-    @classmethod
-    def linear(cls) -> "UtilitySpec":
-        return cls("linear")
-
-    @classmethod
-    def logarithmic(cls) -> "UtilitySpec":
-        return cls("logarithmic")
-
-    @classmethod
-    def power(cls, exponent: float) -> "UtilitySpec":
-        return cls("power", exponent=exponent)
-
-    @classmethod
-    def geometric(cls, base: float) -> "UtilitySpec":
-        return cls("geometric", base=base)
 
     def value(self, payoff: float, index: int = 1) -> float:
         """Utility of one outcome; ``index`` is its 1-based position.
@@ -179,48 +163,43 @@ class ExpectedUtilitySeq:
 
     ``fn`` maps a float array of indices to their values in one call.  The
     sequence ends before its first non-finite value, so a family that cannot
-    go further returns nan or inf there.  A finite sequence (``size`` given)
-    is evaluated and checked once, here, into one read-only array.
+    go further returns nan or inf there.  Such a sequence is infinite, and
+    so ``unbounded``: only beta < 0 can normalize its posterior.  A finite
+    sequence comes from ``from_values``, checked once into one read-only
+    array, and accepts any beta.
 
-    The rest is declared, never inferred from values: ``unbounded`` that U_n
-    grows without bound, so that only beta < 0 can normalize a posterior
-    (always False for a finite sequence), and ``identity`` that U_n = n for
-    every n, which licenses the posterior's certified tail bounds.
-    ``luce_moments``, when given, maps beta to the mean, variance and third
-    central moment of U_n under the luce posterior (weights U_n exp(beta
-    U_n)) over the whole support, so that ``posterior_moments`` need not sum.
+    The rest is declared, never inferred from values: ``identity`` that
+    U_n = n for every n, which licenses the posterior's certified tail
+    bounds.  ``luce_moments``, when given, maps beta to the mean, variance
+    and third central moment of U_n under the luce posterior (weights U_n
+    exp(beta U_n)) over the whole support, so that ``posterior_moments``
+    need not sum.
     """
 
     def __init__(
         self,
-        fn: Callable[[np.ndarray], np.ndarray],
+        fn: Callable[[np.ndarray], np.ndarray] | None,
         *,
-        size: int | None = None,
-        unbounded: bool = True,
         identity: bool = False,
         luce_moments: Callable[[float], tuple[float, float, float]] | None = None,
     ) -> None:
-        self.size = size
-        self.unbounded = unbounded and size is None
         self.identity = identity
         self.luce_moments = luce_moments
         self._fn = fn
         self._array = None
-        if size is not None:
-            check_positive_index(size, "size")
-            self._array = np.array(fn(np.arange(1.0, size + 1.0)), dtype=float)
-            bad = np.flatnonzero(~np.isfinite(self._array))
-            if bad.size:
-                raise DomainError(f"expected utility at index {bad[0] + 1} is not finite")
-            self._array.flags.writeable = False
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "ExpectedUtilitySeq":
         stored = np.array(values, dtype=float)
         if stored.ndim != 1 or not stored.size:
             raise DomainError("utility sequence needs at least one value")
-        # a finite sequence is evaluated once, on indices 1..size
-        return cls(lambda n: stored, size=stored.size)
+        bad = np.flatnonzero(~np.isfinite(stored))
+        if bad.size:
+            raise DomainError(f"expected utility at index {bad[0] + 1} is not finite")
+        stored.flags.writeable = False
+        seq = cls(None)
+        seq._array = stored
+        return seq
 
     @classmethod
     def from_family(cls, family: GameFamily, utility: UtilitySpec) -> "ExpectedUtilitySeq":
@@ -251,7 +230,16 @@ class ExpectedUtilitySeq:
 
     @property
     def finite(self) -> bool:
-        return self.size is not None
+        return self._array is not None
+
+    @property
+    def unbounded(self) -> bool:
+        return self._array is None
+
+    @property
+    def size(self) -> int | None:
+        """The number of values of a finite sequence; None for an infinite one."""
+        return None if self._array is None else len(self._array)
 
     def values(self, lo: int, hi: int) -> np.ndarray:
         """U_n for lo <= n < hi as a float array.

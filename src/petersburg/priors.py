@@ -120,7 +120,8 @@ def continuous_optimum(prior: PriorSpec, beta: float) -> float:
 
     Closed forms: luce -> 1/|beta|; power(alpha) -> alpha/|beta|;
     logit(b, c, gamma) -> (b*gamma/|beta|)**(1/(1-gamma)).  The log family
-    solves y e^y = 1/(|beta|*U0), y = ln(1 + U/U0), by bisection and returns
+    solves y e^y = 1/(|beta|*U0), y = ln(1 + U/U0), by Newton steps on
+    f' = (1 + y) e^y from y = ln(1 + 1/(|beta|*U0)), and returns
     U0*expm1(y).  A nonnegative beta is a SignError, and an optimum that is
     0 or not finite a DomainError.
     """
@@ -139,7 +140,12 @@ def continuous_optimum(prior: PriorSpec, beta: float) -> float:
     else:
         # where |beta| U0 underflows to 0 the target, and so the root, is +inf
         target = 1.0 / (abs_beta * prior.u0) if abs_beta * prior.u0 > 0.0 else math.inf
-        y = bisect_root(lambda y: y * math.exp(y) - target, 0.0, math.log1p(target))
+
+        def fdf(y: float) -> tuple[float, float]:
+            e = math.exp(y)
+            return y * e - target, (1.0 + y) * e
+
+        y, _ = bisect_root(fdf, 0.0, math.log1p(target))
         x_opt = prior.u0 * math.expm1(y)
     if not 0.0 < x_opt < math.inf:
         raise DomainError(f"{prior.kind} optimum is {x_opt} in binary64 at beta = {beta}")

@@ -21,7 +21,7 @@ from petersburg import (
 )
 from petersburg.cli import main
 from petersburg.posteriors import has_declared_moments
-from petersburg.rootfind import rtsafe
+from petersburg.rootfind import bisect_root
 
 LUCE = PriorSpec.luce()
 RUN_LENGTH_ROOT = float("1.56521632767258818830271657205")
@@ -130,7 +130,7 @@ class TestGeneralCalibration:
         from petersburg import GameFamily, UtilitySpec
 
         with pytest.raises(DomainError, match="bounds the coin-toss"):
-            ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), UtilitySpec.logarithmic())
+            ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), UtilitySpec("logarithmic"))
 
     def test_grid_route_warns_of_several_roots(self):
         # one lottery at U = 1 and a hundred at U = 5: b - sigma(-b) changes
@@ -147,7 +147,7 @@ class TestGeneralCalibration:
         grid = np.arange(1e-4, 5.0, 1e-4)
         f = np.abs(grid - math.sqrt(2.0) / np.sinh(grid))
         oracle = float(grid[int(np.argmin(f))])
-        seq = ExpectedUtilitySeq(lambda n: 2.0 * n, unbounded=True)
+        seq = ExpectedUtilitySeq(lambda n: 2.0 * n)
         result = calibrate_disbelief_general(seq, LUCE)
         assert abs(result.abs_beta - oracle) <= 1e-4
 
@@ -314,24 +314,37 @@ class TestPosteriorMoments:
         np.testing.assert_allclose(power, luce, rtol=1e-6)
 
 
-class TestRtsafe:
+class TestBisectRoot:
     def test_newton_converges_to_rounding(self):
         xs = []
         fdf = lambda x: xs.append(x) or (x * x - 2.0, 2.0 * x)
-        root, fx = rtsafe(fdf, 0.0, 2.0, (2.0, 2.0, 4.0))
+        root, fx = bisect_root(fdf, 0.0, 2.0, (2.0, 2.0, 4.0))
         assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
         assert fx == root * root - 2.0
         assert len(xs) <= 7
 
+    def test_starts_at_hi_without_a_start(self):
+        xs = []
+        fdf = lambda x: xs.append(x) or (x * x - 2.0, 2.0 * x)
+        root, _ = bisect_root(fdf, 0.0, 2.0)
+        assert xs[0] == 2.0 and len(xs) <= 8
+        assert abs(root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+
+    def test_a_zero_at_hi_takes_one_evaluation(self):
+        xs = []
+        fdf = lambda x: xs.append(x) or (x - 3.0, 1.0)
+        assert bisect_root(fdf, 0.0, 3.0) == (3.0, 0.0)
+        assert xs == [3.0]
+
     def test_bisects_where_f_cannot_be_evaluated(self):
         # f = -inf below 1, as a truncation failure counts in calibration
         fdf = lambda x: (x - 1.5, 1.0) if x >= 1.0 else (-math.inf, math.nan)
-        assert rtsafe(fdf, 0.0, 4.0, (4.0, 2.5, 1.0)) == (1.5, 0.0)
+        assert bisect_root(fdf, 0.0, 4.0, (4.0, 2.5, 1.0)) == (1.5, 0.0)
 
     def test_stays_in_the_bracket(self):
         # a Newton step from x = -10 on atan lands far past the bracket
         xs = []
         fdf = lambda x: xs.append(x) or (math.atan(x - 1.0), 1.0 / (1.0 + (x - 1.0) ** 2))
-        root, _ = rtsafe(fdf, -10.0, 10.0, (-10.0, math.atan(-11.0), 1.0 / 122.0))
+        root, _ = bisect_root(fdf, -10.0, 10.0, (-10.0, math.atan(-11.0), 1.0 / 122.0))
         assert abs(root - 1.0) <= 1e-15
         assert all(-10.0 <= x <= 10.0 for x in xs) and len(xs) <= 30

@@ -56,43 +56,43 @@ class TestBernoulliLottery:
 class TestExpectedUtility:
     def test_linear_equals_toss_count_exactly(self):
         for n in range(1, 51):
-            value = expected_utility(bernoulli_lottery(n), UtilitySpec.linear())
+            value = expected_utility(bernoulli_lottery(n), UtilitySpec("linear"))
             assert value == float(n)
 
     @pytest.mark.parametrize("n", [1, 3, 10, 40])
     def test_logarithmic_partial_sums(self, n):
         # independent oracle: sum of m*ln(2)/2^m over the winning branches
         oracle = sum(m * math.log(2.0) / 2.0 ** m for m in range(1, n + 1))
-        value = expected_utility(bernoulli_lottery(n), UtilitySpec.logarithmic())
+        value = expected_utility(bernoulli_lottery(n), UtilitySpec("logarithmic"))
         np.testing.assert_allclose(value, oracle, rtol=1e-14)
 
     def test_logarithmic_limit_is_two_log_two(self):
-        value = expected_utility(bernoulli_lottery(60), UtilitySpec.logarithmic())
+        value = expected_utility(bernoulli_lottery(60), UtilitySpec("logarithmic"))
         np.testing.assert_allclose(value, 2.0 * math.log(2.0), atol=1e-12)
 
     def test_empty_lottery(self):
         lot = Lottery(outcomes=(), residual_probability=1.0)
-        assert expected_utility(lot, UtilitySpec.linear()) == 0.0
+        assert expected_utility(lot, UtilitySpec("linear")) == 0.0
 
     def test_logarithmic_rejects_nonpositive_payoff(self):
         lot = Lottery(((0.0, 0.5), (2.0, 0.5)))
         with pytest.raises(DomainError):
-            expected_utility(lot, UtilitySpec.logarithmic())
+            expected_utility(lot, UtilitySpec("logarithmic"))
 
     def test_logarithmic_residual_excluded(self):
         # the residual branch pays 0, where ln is undefined: it adds nothing
         lot = bernoulli_lottery(3)
         assert lot.residual_probability == 0.125
         winning = sum(m * math.log(2.0) * 2.0 ** -m for m in range(1, 4))
-        value = expected_utility(lot, UtilitySpec.logarithmic())
+        value = expected_utility(lot, UtilitySpec("logarithmic"))
         np.testing.assert_allclose(value, winning, rtol=1e-15)
         full = Lottery(((2.0, 1.0),))
-        assert expected_utility(full, UtilitySpec.logarithmic()) == math.log(2.0)
+        assert expected_utility(full, UtilitySpec("logarithmic")) == math.log(2.0)
 
     def test_power_utility(self):
         lot = bernoulli_lottery(2)
         oracle = 2.0 ** 0.5 * 0.5 + 4.0 ** 0.5 * 0.25
-        value = expected_utility(lot, UtilitySpec.power(0.5))
+        value = expected_utility(lot, UtilitySpec("power", exponent=0.5))
         np.testing.assert_allclose(value, oracle, rtol=1e-15)
 
 
@@ -126,7 +126,7 @@ class TestGeometricExpectedUtility:
     def test_matches_expected_utility_with_geometric_spec(self):
         for n in range(1, 15):
             via_lottery = expected_utility(
-                bernoulli_lottery(n), UtilitySpec.geometric(1.5)
+                bernoulli_lottery(n), UtilitySpec("geometric", base=1.5)
             )
             np.testing.assert_allclose(via_lottery, _closed(n, 1.5), rtol=1e-12)
 
@@ -134,7 +134,7 @@ class TestGeometricExpectedUtility:
     def test_nonpositive_base_rejected(self, x):
         # no ratio exists: the spec refuses the base before any closed form
         with pytest.raises(DomainError):
-            UtilitySpec.geometric(x)
+            UtilitySpec("geometric", base=x)
 
 
 class TestLotteryValidation:
@@ -165,18 +165,18 @@ class TestLotteryValidation:
         )
         oracle = sum(x * p for x, p in lot.outcomes)
         np.testing.assert_allclose(
-            expected_utility(lot, UtilitySpec.linear()), oracle, rtol=1e-12
+            expected_utility(lot, UtilitySpec("linear")), oracle, rtol=1e-12
         )
 
 
 class TestUtilitySpecValidation:
     def test_power_needs_positive_exponent(self):
         with pytest.raises(DomainError):
-            UtilitySpec.power(0.0)
+            UtilitySpec("power", exponent=0.0)
 
     def test_geometric_needs_positive_base(self):
         with pytest.raises(DomainError):
-            UtilitySpec.geometric(-1.0)
+            UtilitySpec("geometric", base=-1.0)
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -218,7 +218,7 @@ class TestSerialization:
     def test_custom_family_bounds(self):
         # the family's expected utilities end with its last lottery
         family = GameFamily.custom([bernoulli_lottery(1)])
-        utilities = ExpectedUtilitySeq.from_family(family, UtilitySpec.linear())
+        utilities = ExpectedUtilitySeq.from_family(family, UtilitySpec("linear"))
         assert utilities.values(1, 5).tolist() == [1.0]
         with pytest.raises(DomainError):
             utilities.values(2, 3)
@@ -227,10 +227,10 @@ class TestSerialization:
 
     def test_utility_spec_from_json(self):
         for doc, spec in (
-            ({"kind": "linear"}, UtilitySpec.linear()),
-            ({"kind": "logarithmic"}, UtilitySpec.logarithmic()),
-            ({"kind": "power", "exponent": 1.5}, UtilitySpec.power(1.5)),
-            ({"kind": "geometric", "base": 0.5}, UtilitySpec.geometric(0.5)),
+            ({"kind": "linear"}, UtilitySpec("linear")),
+            ({"kind": "logarithmic"}, UtilitySpec("logarithmic")),
+            ({"kind": "power", "exponent": 1.5}, UtilitySpec("power", exponent=1.5)),
+            ({"kind": "geometric", "base": 0.5}, UtilitySpec("geometric", base=0.5)),
         ):
             assert UtilitySpec.from_json(doc) == spec
 
@@ -241,15 +241,15 @@ class TestSerialization:
 # ("unbounded"), and rises to the limit given where rho < 1 or under log,
 # where no beta normalizes a posterior and the family is refused
 COIN_TOSS_DECLARATIONS = [
-    (UtilitySpec.linear(), "identity"),
-    (UtilitySpec.logarithmic(), 2.0 * math.log(2.0)),  # terms m ln 2 2^-m
-    (UtilitySpec.power(0.5), 1.0 + math.sqrt(2.0)),  # rho = 2^-0.5
-    (UtilitySpec.power(0.99), 1.0 / math.expm1(0.01 * math.log(2.0))),  # rho = 2^-0.01
-    (UtilitySpec.power(1.0), "identity"),
-    (UtilitySpec.power(2.0), "unbounded"),  # rho = 2
-    (UtilitySpec.geometric(1.5), 3.0),  # rho = 0.75
-    (UtilitySpec.geometric(2.0), "identity"),
-    (UtilitySpec.geometric(3.0), "unbounded"),  # rho = 1.5
+    (UtilitySpec("linear"), "identity"),
+    (UtilitySpec("logarithmic"), 2.0 * math.log(2.0)),  # terms m ln 2 2^-m
+    (UtilitySpec("power", exponent=0.5), 1.0 + math.sqrt(2.0)),  # rho = 2^-0.5
+    (UtilitySpec("power", exponent=0.99), 1.0 / math.expm1(0.01 * math.log(2.0))),  # rho = 2^-0.01
+    (UtilitySpec("power", exponent=1.0), "identity"),
+    (UtilitySpec("power", exponent=2.0), "unbounded"),  # rho = 2
+    (UtilitySpec("geometric", base=1.5), 3.0),  # rho = 0.75
+    (UtilitySpec("geometric", base=2.0), "identity"),
+    (UtilitySpec("geometric", base=3.0), "unbounded"),  # rho = 1.5
 ]
 
 
@@ -257,6 +257,8 @@ class TestExpectedUtilitySeq:
     def test_from_values(self):
         seq = ExpectedUtilitySeq.from_values([1.0, 3.0, 2.0])
         assert seq.finite and seq.size == 3 and not seq.unbounded
+        with pytest.raises(AttributeError):
+            seq.unbounded = True
         assert seq.values(1, 4).tolist() == [1.0, 3.0, 2.0]
         # stops short past the end, and the array cannot be written
         tail = seq.values(2, 10)
@@ -267,15 +269,15 @@ class TestExpectedUtilitySeq:
             seq.values(0, 1)
 
     def test_finite_sequence_is_checked_at_construction(self):
-        for bad in ([], [1.0, math.inf], [math.nan]):
+        for bad in ([], [[1.0, 2.0]], [math.nan]):
             with pytest.raises(DomainError):
                 ExpectedUtilitySeq.from_values(bad)
-        calls = []
-        seq = ExpectedUtilitySeq(lambda n: calls.append(n) or n * n, size=4)
-        assert len(calls) == 1 and calls[0].tolist() == [1.0, 2.0, 3.0, 4.0]
-        for _ in range(3):
-            assert seq.values(2, 4).tolist() == [4.0, 9.0]
-        assert len(calls) == 1
+        with pytest.raises(DomainError, match="index 2 is not finite"):
+            ExpectedUtilitySeq.from_values([1.0, math.inf])
+        source = np.array([1.0, 4.0, 9.0, 16.0])
+        seq = ExpectedUtilitySeq.from_values(source)
+        source[1] = -1.0  # the sequence holds its own copy
+        assert seq.values(2, 4).tolist() == [4.0, 9.0]
 
     def test_from_family_matches_direct_evaluation(self):
         lots = [bernoulli_lottery(3), Lottery(((5.0, 0.5), (1.0, 0.5)))]
@@ -286,7 +288,7 @@ class TestExpectedUtilitySeq:
                 expected_utility(lot, utility) for lot in lots
             ]
         linear = ExpectedUtilitySeq.from_family(
-            GameFamily.bernoulli(), UtilitySpec.linear()
+            GameFamily.bernoulli(), UtilitySpec("linear")
         )
         assert linear.values(1, 6).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert not linear.finite and linear.identity

@@ -142,11 +142,9 @@ class TestPosteriorConstruction:
     @pytest.mark.parametrize("at", [1, 40])  # in the first chunk and a later one
     def test_overflowing_weight_rejected_when_streamed(self, at):
         # beta * U_n = 2e308 overflows to inf; it once normalized to nan
-        seq = ExpectedUtilitySeq(
-            lambda n: np.where(n == at, 1e308, 1.0 / n), unbounded=False
-        )
+        seq = ExpectedUtilitySeq(lambda n: np.where(n == at, -1e308, 1.0 / n))
         with pytest.raises(DomainError, match="overflow"):
-            posterior(LUCE, seq, 2.0)
+            posterior(LUCE, seq, -2.0)
 
     @pytest.mark.parametrize(
         "prior",

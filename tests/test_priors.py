@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import petersburg.priors
 from petersburg import DomainError, PriorSpec, continuous_optimum, pair_probabilities
 from petersburg.priors import log_attribute_weights
+from petersburg.rootfind import bisect_root
 
 
 def _weight_curve(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
@@ -191,6 +193,28 @@ class TestContinuousOptimum:
             reference = float(u0 * mpmath.expm1(y))
         got = continuous_optimum(PriorSpec.log_shape(u0), beta)
         assert abs(got - reference) <= 1e-14 * reference
+
+    def test_log_optimum_newton_steps_against_lambert_w(self, monkeypatch):
+        # the root y of y e^y = target against W(target), for 200 targets in
+        # [1e-12, 1e18], with the evaluations counted through fdf
+        mpmath = pytest.importorskip("mpmath")
+        solves = []
+
+        def counted(fdf, lo, hi, *start):
+            evals = []
+            y, fy = bisect_root(lambda y: evals.append(y) or fdf(y), lo, hi, *start)
+            solves.append((-fdf(0.0)[0], y, len(evals)))  # f(0) = -target
+            return y, fy
+
+        monkeypatch.setattr(petersburg.priors, "bisect_root", counted)
+        for abs_beta in np.geomspace(1e-18, 1e12, 200).tolist():
+            continuous_optimum(PriorSpec.log_shape(1.0), -abs_beta)
+        assert len(solves) == 200
+        with mpmath.workdps(40):
+            for target, y, evals in solves:
+                w = float(mpmath.lambertw(mpmath.mpf(target)).real)
+                assert abs(y - w) <= 3 * math.ulp(w), target
+                assert evals <= 15, target
 
     @pytest.mark.parametrize(
         "prior,beta,expected",

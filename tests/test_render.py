@@ -213,7 +213,7 @@ def reference_optimal(fmt: str, beta=None, game=None) -> str:
         bracket = integer_bracket(continuous_optimum(prior, beta))
     else:
         family = GameFamily.from_json(game)
-        utilities = ExpectedUtilitySeq.from_family(family, UtilitySpec.linear())
+        utilities = ExpectedUtilitySeq.from_family(family, UtilitySpec("linear"))
         bracket = (None, None)
     dist = posterior(prior, utilities, beta)
     n = stochastically_optimal(dist)
@@ -380,7 +380,7 @@ def test_geometric_custom_family_past_1e12(capsys, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc))
     seq = ExpectedUtilitySeq.from_family(
-        GameFamily.from_json(doc), UtilitySpec.geometric(1000.0)
+        GameFamily.from_json(doc), UtilitySpec("geometric", base=1000.0)
     )
     dist = posterior(PriorSpec.luce(), seq, -1e-16)
     assert dist.utilities.max() > 1e17
