@@ -20,10 +20,11 @@ in ``PosteriorDistribution.tail_rule``:
   sequence declaring U_n = n every later weight ratio is at most
   q = w_n / w_(n-1) and the tail is at most w_n q/(1-q);
 - ``heuristic``: on every sequence, a stop after 50 consecutive terms each
-  below rel_tol times the accumulated sum, recording 50 times the last term
-  as the bound.  It is not a bound: a sequence that rises again later can
-  hide any mass past the stop.  On a declared sequence it fires when it
-  comes before the certificate, which happens for small |beta|.
+  below rel_tol times the accumulated sum.  On U_n = n it fires before the
+  certificate at small |beta|, and the tail is still the majorant's at the
+  stop (inf if the weights still rise there).  On an undeclared sequence
+  50 times the last term is recorded, which is not a bound: a sequence
+  that rises again later can hide any mass past the stop.
 - ``finite``: a finite family needs no truncation.
 """
 
@@ -58,8 +59,7 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:  # at 1 the tail may outweigh the sum kept
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_index < 1:
-            raise DomainError("max_index must be at least 1")
+        check_positive_index(self.max_index, "max_index")
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,9 @@ class PosteriorDistribution:
     ``tail_bound`` is the probability mass discarded by truncation, as an
     upper bound, relative to the retained (pre-normalization) total; it is 0
     for finite families and may be ``inf`` when the untruncated series
-    diverges.  ``tail_rule`` names the rule behind it, one of TAIL_RULES;
-    under ``heuristic`` the figure is an estimate, not a bound.
+    diverges.  ``tail_rule`` names the rule that stopped the sum, one of
+    TAIL_RULES; only a ``heuristic`` stop on an undeclared sequence records
+    an estimate, not a bound.
     Instances are immutable and safe to share across threads.
     """
 
@@ -218,17 +219,17 @@ def _stream_truncated(
                 small_run = len(tested) - 1 - int(edges[-2])
 
         if rule is not None:
-            if rule == "heuristic":
-                log_tail = math.log(_SMALL_TERM_RUN) + float(tested[stop])
-            else:
+            if utilities.identity:  # the majorant's tail, whichever rule stopped
                 lq = float(tested[stop] - before[stop])
-                log_tail = float(tested[stop]) + lq - math.log1p(-math.exp(lq))
+                log_tail = math.inf  # q >= 1: the weights still rise
+                if lq < 0.0:
+                    log_tail = float(tested[stop]) + lq - math.log1p(-math.exp(lq))
+            else:
+                log_tail = math.log(_SMALL_TERM_RUN) + float(tested[stop])
             tail = math.exp(log_tail - float(log_sums[first + stop]))
-            lw, u = lw[: first + stop + 1], u[: first + stop + 1]
-            if lw_chunks:
-                lw = np.concatenate(lw_chunks + [lw])
-                u = np.concatenate(u_chunks + [u])
-            return lw, u, tail, rule
+            lw_chunks.append(lw[: first + stop + 1])
+            u_chunks.append(u[: first + stop + 1])
+            return np.concatenate(lw_chunks), np.concatenate(u_chunks), tail, rule
         lw_chunks.append(lw)
         u_chunks.append(u)
         log_sum = float(log_sums[-1])
@@ -251,34 +252,34 @@ def _finite_top(log_weights: np.ndarray) -> float:
     return top
 
 
-def _check_sign(utilities: ExpectedUtilitySeq, beta: float) -> None:
+def check_sign(utilities: ExpectedUtilitySeq, beta: float) -> None:
     """SignError unless beta < 0 on a sequence declared unbounded."""
     if utilities.unbounded and beta >= 0.0:
         raise SignError(f"beta must be negative for unbounded utilities, got {beta}")
 
 
-def _log_weights(
+def _weights(
     prior: PriorSpec,
     utilities: ExpectedUtilitySeq,
     beta: float,
     policy: TruncationPolicy,
 ) -> tuple[np.ndarray, np.ndarray, float, str]:
-    """Log weights log(weight(U_n)) + beta U_n over the support, with the
-    utilities, the tail fraction and its rule.  beta * U_n may overflow to
-    inf, which ``_finite_top`` then refuses."""
-    _check_sign(utilities, beta)
+    """Normalized weights weight(U_n) exp(beta U_n) over the support, with
+    the utilities, the tail fraction and its rule.  beta * U_n may overflow
+    to inf, which ``_finite_top`` then refuses."""
+    check_sign(utilities, beta)
     with np.errstate(over="ignore"):
         if utilities.finite:
             values = utilities.values(1, utilities.size + 1)
-            return log_attribute_weights(prior, values) + beta * values, values, 0.0, "finite"
-        return _stream_truncated(prior, utilities, beta, policy)
-
-
-def _nonzero_top(log_weights: np.ndarray) -> float:
-    top = _finite_top(log_weights)
+            lw, tail, rule = log_attribute_weights(prior, values) + beta * values, 0.0, "finite"
+        else:
+            lw, values, tail, rule = _stream_truncated(prior, utilities, beta, policy)
+    top = _finite_top(lw)
     if top == -math.inf:
         raise DomainError("all prior weights are zero; distribution undefined")
-    return top
+    w = np.exp(lw - top)
+    w /= w.sum()
+    return w, values, tail, rule
 
 
 def posterior(
@@ -295,9 +296,7 @@ def posterior(
     raised).  At beta = 0 the result is exactly the normalized prior.
     """
     policy = policy if policy is not None else TruncationPolicy()
-    log_weights, values, tail, rule = _log_weights(prior, utilities, beta, policy)
-    probs = np.exp(log_weights - _nonzero_top(log_weights))
-    probs /= probs.sum()
+    probs, values, tail, rule = _weights(prior, utilities, beta, policy)
     return PosteriorDistribution(
         probs=probs,
         utilities=values,
@@ -339,11 +338,9 @@ def posterior_moments(
     """
     policy = policy if policy is not None else TruncationPolicy()
     if has_declared_moments(prior, utilities):
-        _check_sign(utilities, beta)
+        check_sign(utilities, beta)
         return Moments(*utilities.luce_moments(beta))
-    log_weights, values, _, _ = _log_weights(prior, utilities, beta, policy)
-    w = np.exp(log_weights - _nonzero_top(log_weights))
-    w /= w.sum()
+    w, values, _, _ = _weights(prior, utilities, beta, policy)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(w @ values)
         d = values - mean

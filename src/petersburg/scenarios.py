@@ -24,15 +24,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 import numpy as np
 
-from .errors import (
-    DomainError,
-    SignError,
-    SingularAttributeError,
-    TruncationError,
-    check_positive_index,
-)
+from .errors import DomainError, SingularAttributeError, TruncationError, check_positive_index
 from .lotteries import ExpectedUtilitySeq
-from .posteriors import PosteriorDistribution, TruncationPolicy, integer_bracket
+from .posteriors import PosteriorDistribution, TruncationPolicy, check_sign, integer_bracket
 from .priors import PriorSpec, pair_probabilities
 
 DOUBLE_ZERO_WIN_PROB = 18.0 / 38.0
@@ -225,10 +219,7 @@ def repeated_game_posterior(
     extends to ``max_index`` and ``tail_bound`` records the honest
     remainder, infinite in the divergent regime.
     """
-    if beta >= 0.0:
-        raise SignError(
-            f"run-length values are unbounded; beta must be negative, got {beta}"
-        )
+    check_sign(repeated_game_utilities(), beta)
     policy = policy if policy is not None else TruncationPolicy()
 
     t = 1.0 + beta * _Q  # 1 - s, s = |beta|/ln 2; the series diverges for s <= 1
@@ -264,8 +255,7 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
     larger weight (1 + log2 N) exp(beta (1 + log2 N)); ties break to the
     smaller N and the result is clamped to at least 1.
     """
-    if beta >= 0.0:
-        raise SignError(f"repeated games require beta < 0, got {beta}")
+    check_sign(repeated_game_utilities(), beta)
     u_opt = -1.0 / beta
     try:
         n_continuous = 2.0 ** (u_opt - 1.0)
@@ -284,10 +274,10 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
     return RepeatedGameResult(beta, u_opt, n_continuous, n_opt)
 
 
-def _check_roulette_args(n: int, x0: float, p_win: float, ahead: int = 0) -> float:
-    """r = 2(1 - p_win), once n, x0 and p_win are checked and x0 * r^(n + ahead)
-    is finite; otherwise a DomainError that names the largest n that runs."""
-    check_positive_index(n, "n")
+def _check_roulette_args(n_stages: int, x0: float, p_win: float, ahead: int = 0) -> float:
+    """r = 2(1 - p_win), once the arguments are checked and x0 * r^(n_stages +
+    ahead) is finite; otherwise a DomainError naming the most stages that run."""
+    check_positive_index(n_stages, "n_stages")
     if not 0.0 < x0 < math.inf:
         raise DomainError(f"initial bid must be positive and finite, got {x0}")
     if not 0.0 < p_win < 1.0:
@@ -295,10 +285,10 @@ def _check_roulette_args(n: int, x0: float, p_win: float, ahead: int = 0) -> flo
     r = 2.0 * (1.0 - p_win)
     # r^k and x0 r^k stay below 2^1024 while k < (1024 - max(log2 x0, 0)) / log2 r
     k = math.ceil((1024.0 - max(math.log2(x0), 0.0)) / math.log2(r)) - 1 if r > 1.0 else math.inf
-    if n + ahead > k:
+    if n_stages + ahead > k:
         raise DomainError(
             f"x0 * (2(1-p))^k leaves binary64 past k = {k}; "
-            f"at most {max(k - ahead, 0)} stages run, got {n}"
+            f"at most {max(k - ahead, 0)} stages run, got {n_stages}"
         )
     return r
 
@@ -318,7 +308,6 @@ def roulette_sequence(
     independent of the bid size.  Each stage value is the scalar power
     (1 - r**k) * x0, once (numpy's differs by an ulp, which 1 - r^k magnifies).
     """
-    check_positive_index(n_stages, "n_stages")
     r = _check_roulette_args(n_stages, x0, p_win, ahead=1)
     if r == 1.0:
         raise SingularAttributeError("inverse weight |U|^-1 is singular at the fair wheel's U = 0")

@@ -44,14 +44,12 @@ class SimConfig:
     parallel_shards: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2 ** 64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if self.replications < 1:
-            raise DomainError("replications must be at least 1")
-        if not 1 <= self.max_tosses <= 1023:
+        for name in ("replications", "max_tosses", "parallel_shards"):
+            check_positive_index(getattr(self, name), name)
+        if self.max_tosses > 1023:
             raise DomainError("max_tosses must be in 1..1023")
-        if self.parallel_shards < 1:
-            raise DomainError("parallel_shards must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,6 @@ def simulate_martingale(
     -(2**n - 1) * x0 when all n spins lost.  Means converge to
     [1 - (2(1-p))^n] * x0.
     """
-    check_positive_index(n_stages, "n_stages")
     _check_roulette_args(n_stages, x0, p_win)
 
     # Runs still losing after each spin; the first win is at spin k for

@@ -230,6 +230,17 @@ class TestRepeatedCommand:
         assert err.startswith("error:domain:optimal game count") and "overflows" in err
 
 
+# a value the library refuses exits 2 with the library's one message for it
+@pytest.mark.parametrize("argv, message", [
+    (["repeated", "--beta", "0.5"], "beta must be negative for unbounded utilities, got 0.5"),
+    (["simulate", "--replications", "0"], "replications must be a positive integer, got 0"),
+    (["distribution", "--beta=-1", "--max-index", "0"],
+     "max_index must be a positive integer, got 0"),
+])
+def test_library_check_messages(capsys, argv, message):
+    assert run(capsys, *argv, "--no-timestamp") == (2, "", f"error:domain:{message}\n")
+
+
 class TestNegativeFloatFlags:
     # a separate value that starts with one dash is a value, exponent or not
     def test_beta_in_exponent_form(self, capsys):

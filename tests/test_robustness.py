@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from petersburg import cli
+from petersburg import DomainError, SimConfig, TruncationPolicy, cli
 
 pytest_plugins = ["pytester"]
 
@@ -198,6 +198,26 @@ def test_probe(name):
     assert (code, caught) == (want, [])
     assert err.startswith(prefix) if prefix else err == ""
     assert "nan" not in out and "inf" not in out
+
+
+# every count goes through the one index check: 2.5 once reached numpy as a
+# TypeError, or passed on as a support size, and True counted as 1
+@pytest.mark.parametrize("make, name", [
+    (TruncationPolicy, "max_index"),
+    (SimConfig, "replications"),
+    (SimConfig, "max_tosses"),
+    (SimConfig, "parallel_shards"),
+])
+@pytest.mark.parametrize("value", [2.5, True, 0])
+def test_counts_are_positive_ints(make, name, value):
+    with pytest.raises(DomainError, match=f"^{name} must be a positive integer, got {value!r}$"):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, 2 ** 64])
+def test_seed_is_an_unsigned_64_bit_int(seed):
+    with pytest.raises(DomainError, match="^seed must fit in an unsigned 64-bit integer$"):
+        SimConfig(seed=seed)
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from petersburg import (
     StageChoice,
     TruncationPolicy,
     continuous_optimum,
+    posterior,
     repeated_game_posterior,
     repeated_game_utilities,
     repeated_optimal,
@@ -115,6 +117,14 @@ def _probs(dist):
 
 def _argmax(dist):
     return int(np.argmax(_probs(dist))) + 1
+
+
+def _posterior_sign_message(beta):
+    """``posterior``'s SignError message on the run-length sequence at beta,
+    as an anchored pattern."""
+    with pytest.raises(SignError) as refused:
+        posterior(PriorSpec.luce(), repeated_game_utilities(), beta)
+    return f"^{re.escape(str(refused.value))}$"
 
 
 def _zeta_sums(beta, m):
@@ -263,7 +273,7 @@ class TestRepeatedGamePosterior:
 
     @pytest.mark.parametrize("beta", [0.0, 0.4])
     def test_sign_rule(self, beta):
-        with pytest.raises(SignError):
+        with pytest.raises(SignError, match=_posterior_sign_message(beta)):
             repeated_game_posterior(beta)
 
     def test_utilities_sequence(self):
@@ -311,8 +321,8 @@ class TestRepeatedOptimal:
         assert result.n_opt == int(np.argmax(np.log(u) + beta * u)) + 1
 
     def test_sign_rule(self):
-        with pytest.raises(SignError):
-            repeated_optimal(0.1)
+        with pytest.raises(SignError, match=_posterior_sign_message(0.5)):
+            repeated_optimal(0.5)
 
     @pytest.mark.parametrize("max_index", [5, 10 ** 6])
     def test_beta_whose_weights_underflow_is_refused(self, max_index):

@@ -63,13 +63,15 @@ def reference_stream(prior, utilities, beta, policy):
 
     It infers the geometric majorant from the evaluated prefix, which is
     only sound on sequences with U_n = n; the comparisons below use it on
-    the built-in sequences, where it agrees with the declared rule.
+    the built-in sequences, where it agrees with the declared rule.  Where
+    it inferred the majorant, a heuristic stop reports the majorant's tail,
+    inf while the weights still rise.
     """
     rel_log = math.log(policy.rel_tol)
     log_weights, values = [], []
     run_max, run_sum = -math.inf, 0.0
     monotone = incs_nondecreasing = ratios_nonincreasing = True
-    prev_u = prev_la = prev_inc = prev_ratio = None
+    prev_u = prev_la = prev_lw = prev_inc = prev_ratio = None
     small_run = 0
     for n in range(1, policy.max_index + 1):
         try:
@@ -98,7 +100,11 @@ def reference_stream(prior, utilities, beta, policy):
             if prev_ratio is not None and not ratio <= prev_ratio + 1e-12:
                 ratios_nonincreasing = False
             prev_ratio = ratio
-        prev_u, prev_la = u, la
+            # q = w_n / w_(n-1) from the weights summed: near the stops at
+            # small |beta|, log q ~ -1e-3 and another rounding of it moves
+            # the tail by ~1e-12
+            log_q = lw - prev_lw
+        prev_u, prev_la, prev_lw = u, la, lw
         if run_sum <= 0.0 or n < 4:
             continue
         log_sum = run_max + math.log(run_sum)
@@ -106,7 +112,7 @@ def reference_stream(prior, utilities, beta, policy):
         if (monotone and incs_nondecreasing and ratios_nonincreasing
               and prev_inc is not None and prev_inc > 0.0
               and prev_ratio is not None and math.isfinite(prev_ratio)):
-            log_q = prev_ratio + beta * prev_inc
+            log_tail = math.inf
             if log_q < 0.0:
                 log_tail = lw + log_q - math.log1p(-math.exp(log_q))
         if log_tail is not None and log_tail <= rel_log + log_sum:
@@ -114,7 +120,9 @@ def reference_stream(prior, utilities, beta, policy):
         if lw <= rel_log + log_sum:
             small_run += 1
             if small_run >= 50:
-                return log_weights, values, math.exp(math.log(50) + lw - log_sum)
+                if log_tail is None:
+                    log_tail = math.log(50) + lw
+                return log_weights, values, math.exp(log_tail - log_sum)
         else:
             small_run = 0
     raise TruncationError(f"tail bound not reached within {policy.max_index}")
@@ -173,7 +181,7 @@ class TestEngineMatchesReferenceLoop:
 
     def test_chunk_boundaries_carry_the_small_term_run(self):
         # a stop far past the first chunks: the run of small terms and the
-        # retained sum cross many chunk edges
+        # retained sum cross many chunk edges; the tail is the majorant's
         policy = TruncationPolicy()
         for prior, beta in ((PriorSpec.luce(), -0.02), (PriorSpec.logit(1.0), -0.02)):
             ref_lw, _, ref_tail = reference_stream(prior, bernoulli_utilities(), beta, policy)
@@ -247,6 +255,15 @@ class TestDeclaredCertificates:
         # small |beta|: fifty small terms come before the certificate
         assert posterior(PriorSpec.luce(), seq, -0.001).tail_rule == "heuristic"
 
+    def test_tail_is_inf_while_the_weights_still_rise(self):
+        # a large rel_tol stops the sum at n = 126, far below the mode near
+        # n = 3,000: no ratio below 1 bounds the terms past the stop
+        policy = TruncationPolicy(rel_tol=0.05)
+        dist = posterior(PriorSpec.power(3.0), bernoulli_utilities(), -0.001, policy)
+        assert (dist.n_trunc, dist.tail_rule, dist.tail_bound) == (126, "heuristic", math.inf)
+        ref = reference_stream(PriorSpec.power(3.0), bernoulli_utilities(), -0.001, policy)
+        assert (len(ref[0]), ref[2]) == (126, math.inf)
+
     def test_undeclared_sequences_get_the_heuristic(self):
         doubled = ExpectedUtilitySeq(lambda n: 2.0 * n)
         assert posterior(PriorSpec.luce(), doubled, -1.0).tail_rule == "heuristic"
@@ -317,26 +334,19 @@ class TestHighPrecisionOracle:
             # sum_{k<=n} k r^k in closed form
             retained = r * (1 - (n + 1) * r ** n + n * r ** (n + 1)) / (1 - r) ** 2
             omitted = float((full - retained) / retained)
-        if dist.tail_rule == "majorant":
-            # a bound, and a tight one: within 0.8% of the omitted mass here
-            assert omitted <= dist.tail_bound <= 1.1 * omitted
-        else:
-            # the heuristic's recorded figure is not a bound: at
-            # beta = -1e-3 the omitted mass is ~21 times larger (9.9e-12)
-            assert dist.tail_rule == "heuristic"
-            assert dist.tail_bound < omitted < 1e-10
+        # the majorant's bound at every stop, the heuristic's at beta = -1e-3
+        # included, where the heuristic's own figure was ~21 times too small
+        assert omitted <= dist.tail_bound <= 1.1 * omitted
 
     def test_certified_stops_bound_the_omitted_mass(self):
-        # 25 betas in [-40, -1e-3]: every stop the majorant makes reports at
-        # least the omitted mass, and at most 1.1 times it (16/15 where the
-        # n = 4 floor binds)
+        # 25 betas in [-40, -1e-3]: every stop, whichever rule made it,
+        # reports at least the omitted mass, and at most 1.1 times it (16/15
+        # where the n = 4 floor binds)
         mpmath = pytest.importorskip("mpmath")
         rules = set()
         for beta in (-np.geomspace(1e-3, 40.0, 25)).tolist():
             dist = posterior(PriorSpec.luce(), bernoulli_utilities(), beta)
             rules.add(dist.tail_rule)
-            if dist.tail_rule == "heuristic":
-                continue
             n = dist.n_trunc
             with mpmath.workdps(40):
                 r = mpmath.exp(beta)
@@ -346,6 +356,27 @@ class TestHighPrecisionOracle:
                 omitted = float(tail / retained)
             assert omitted <= dist.tail_bound <= 1.1 * omitted, beta
         assert rules == {"majorant", "heuristic"}
+
+    @pytest.mark.parametrize("prior", PRIORS[1:], ids=lambda p: p.kind)
+    @pytest.mark.parametrize("beta", [-0.01, -0.03])
+    def test_heuristic_stops_report_a_bound_under_every_prior(self, prior, beta):
+        # the small-term run stops these sums, and the majorant's figure at
+        # the stop is within 1.5% above the omitted mass
+        mpmath = pytest.importorskip("mpmath")
+        dist = posterior(prior, bernoulli_utilities(), beta)
+        assert dist.tail_rule == "heuristic"
+        weight = {
+            "power": lambda k: k ** prior.alpha,
+            "log": lambda k: mpmath.log1p(k / prior.u0),
+            "logit": lambda k: mpmath.exp(prior.b * k ** prior.gamma + prior.c),
+        }[prior.kind]
+        n = dist.n_trunc
+        with mpmath.workdps(30):
+            b = mpmath.mpf(beta)
+            retained = mpmath.fsum(weight(k) * mpmath.exp(b * k) for k in range(1, n + 1))
+            tail = mpmath.nsum(lambda k: weight(k) * mpmath.exp(b * k), [n + 1, mpmath.inf])
+            omitted = float(tail / retained)
+        assert omitted <= dist.tail_bound <= 1.02 * omitted
 
     @pytest.mark.parametrize("beta", [-1e-3, -0.1, -1.0])
     def test_posterior_variance(self, beta):
