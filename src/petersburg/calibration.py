@@ -38,7 +38,8 @@ class CalibrationResult:
     ``residual`` is the defining equation's value at ``abs_beta``;
     ``evaluations`` counts its evaluations, the bracket search included;
     ``bracket`` is the sign change the root was refined in; ``method``
-    names the route taken.
+    names the solver and bracket search; ``route`` is ``closed`` where
+    ``has_declared_moments`` holds, ``general`` where moments are summed.
     """
 
     abs_beta: float
@@ -46,6 +47,7 @@ class CalibrationResult:
     evaluations: int
     bracket: tuple[float, float]
     method: str
+    route: str
 
     def __post_init__(self) -> None:
         if self.abs_beta <= 0.0:
@@ -109,7 +111,8 @@ def calibrate_disbelief_general(
             return -math.inf, math.nan
         return _f_df(b, var, kappa3)
 
-    if utilities.identity or has_declared_moments(prior, utilities):
+    closed = has_declared_moments(prior, utilities)
+    if utilities.identity or closed:
         lo, hi, start = _stepped_bracket(fdf)
         how = "stepped x4 from b=1"
     else:
@@ -136,6 +139,7 @@ def calibrate_disbelief_general(
         evaluations=evaluations,
         bracket=(lo, hi),
         method=f"rtsafe on b-sigma(-b) in a bracket {how}",
+        route="closed" if closed else "general",
     )
 
 

@@ -19,9 +19,11 @@ Exit codes: 1 config error, 2 domain or sign error, 3 solver/truncation
 failure, each with one machine-parsable line ``error:<category>:<message>``
 on stderr; any other exception is a bug and surfaces as a traceback.
 
-Each handler returns its output as one ``Result`` and never looks at the
-format; ``_emit`` renders it as a text table, CSV or JSON, whichever was
-asked for.  No other module writes these formats.
+Each handler returns its output as one ``Result``, with the library's
+provenance passed on whole, and never looks at the format.  The writer
+of the format asked for (text table, CSV or JSON) yields the text a row
+block at a time, and ``_emit``, the only code that writes output, writes
+each piece as it comes.  No other module writes these formats.
 
 The environment variable PETERSBURG_OUTDIR redirects relative output paths.
 """
@@ -41,16 +43,10 @@ from typing import Container, Iterator, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationResult, calibrate_disbelief_general
+from .calibration import calibrate_disbelief_general
 from .errors import DomainError, SolverError
 from .lotteries import ExpectedUtilitySeq, GameFamily, UtilitySpec
-from .posteriors import (
-    TruncationPolicy,
-    has_declared_moments,
-    integer_bracket,
-    posterior,
-    stochastically_optimal,
-)
+from .posteriors import TruncationPolicy, integer_bracket, posterior, stochastically_optimal
 from .priors import PriorSpec, continuous_optimum
 from .scenarios import (
     DOUBLE_ZERO_WIN_PROB,
@@ -246,11 +242,12 @@ def _round_floats(obj):
 
 @dataclass
 class Result:
-    """One command's output before it has a format; ``_emit`` renders it as
-    a table, CSV or JSON.
+    """One command's output before it has a format; a writer of ``_WRITERS``
+    yields it as a table, CSV or JSON, and ``_emit`` writes what it yields.
 
     - ``doc`` is the JSON document.
-    - ``comments`` are ``# key: value`` lines that only CSV writes.
+    - ``comments`` are ``# key: value`` lines that only CSV writes, less
+      any key already written as a field.
     - ``fields`` are named values.  The table format lists them as
       field/value rows.  CSV writes them as a header line and one row, or,
       when there is a table, as comment lines before ``comments``.
@@ -387,7 +384,7 @@ def _text_table(header: Sequence[str], cells: Sequence[list]) -> list[str]:
     return lines
 
 
-def _write_table(stream, result: Result, timestamp: bool) -> None:
+def _write_table(result: Result, timestamp: bool) -> Iterator[str]:
     """The table format, which has no timestamp."""
     lines = []
     if result.fields:
@@ -402,24 +399,22 @@ def _write_table(stream, result: Result, timestamp: bool) -> None:
         more = len(result.columns[0]) - len(columns[0])
         if more:
             lines.append(f"... ({more} more rows; see csv/json)")
-    stream.write("\n".join(lines))
-    stream.write("\n")
+    yield "\n".join(lines) + "\n"
 
 
-def _write_csv(stream, result: Result, timestamp: bool) -> None:
-    text = [f"# timestamp: {datetime.now(timezone.utc).isoformat()}\n"] if timestamp else []
+def _write_csv(result: Result, timestamp: bool) -> Iterator[str]:
+    if timestamp:
+        yield f"# timestamp: {datetime.now(timezone.utc).isoformat()}\n"
     if result.header:
-        named = [*result.fields.items(), *result.comments.items()]
-        text += [f"# {key}: {_fmt(value)}\n" for key, value in named]
-        text.append(",".join(result.header) + "\n")
+        comments = {k: v for k, v in result.comments.items() if k not in result.fields}
+        for key, value in [*result.fields.items(), *comments.items()]:
+            yield f"# {key}: {_fmt(value)}\n"
+        yield ",".join(result.header) + "\n"
         slots, cells = zip(*(_CSV[_kind(c, _CSV)] for c in result.columns))
-        text += format_rows(",".join(slots) + "\n", result.columns, cells)
+        yield from format_rows(",".join(slots) + "\n", result.columns, cells)
     else:
         values = ("" if v is None else _fmt(v) for v in result.fields.values())
-        text += [",".join(result.fields), "\n", ",".join(values), "\n"]
-    # one write: an empty StringIO then keeps the string itself; written
-    # block by block, the sweep workload's peak RSS rose by 5-9 MB
-    stream.write("".join(text))
+        yield f"{','.join(result.fields)}\n{','.join(values)}\n"
 
 
 def _json_rows(keys: Sequence[str], columns: Sequence) -> Iterator[str]:
@@ -437,7 +432,7 @@ def _json_rows(keys: Sequence[str], columns: Sequence) -> Iterator[str]:
     yield "\n  ]"
 
 
-def _write_json(stream, result: Result, timestamp: bool) -> None:
+def _write_json(result: Result, timestamp: bool) -> Iterator[str]:
     """``json.dumps(doc, sort_keys=True, indent=2)`` with every float rounded
     by ``_round_floats``.  The table is rendered in bulk by ``_json_rows``
     and spliced in where ``json.dumps`` wrote its key with an empty list; the
@@ -452,10 +447,9 @@ def _write_json(stream, result: Result, timestamp: bool) -> None:
         # only a top-level key sits at indent 2 after a line break
         key = f"\n  {json.dumps(result.rows_key)}: "
         head, text = text.split(key + "[]", 1)
-        stream.write(head + key)
-        stream.writelines(_json_rows(result.keys or result.header, result.columns))
-    stream.write(text)
-    stream.write("\n")
+        yield head + key
+        yield from _json_rows(result.keys or result.header, result.columns)
+    yield text + "\n"
 
 
 _WRITERS = {"table": _write_table, "csv": _write_csv, "json": _write_json}
@@ -474,9 +468,10 @@ def _open_output(path: str | None, what: str):
 
 
 def _emit(cfg: RunConfig, result: Result) -> None:
-    """Write the result in ``cfg.output_format`` to stdout or the output file."""
+    """Write the result in ``cfg.output_format`` to stdout or the output
+    file, each piece as its writer yields it."""
     with _open_output(cfg.output_path, "output") as stream:
-        _WRITERS[cfg.output_format](stream, result, cfg.timestamp)
+        stream.writelines(_WRITERS[cfg.output_format](result, cfg.timestamp))
 
 
 # -- command handlers ----------------------------------------------------
@@ -484,12 +479,13 @@ def _emit(cfg: RunConfig, result: Result) -> None:
 
 def _resolve_beta(
     cfg: RunConfig, prior: PriorSpec, utilities: ExpectedUtilitySeq
-) -> tuple[float, CalibrationResult | None]:
-    """The configured beta, or -|beta| from calibration when absent."""
+) -> tuple[float, dict]:
+    """The configured beta, or -|beta| from calibration when absent, with
+    the provenance to splice in: ``{}`` or ``{"calibration": ...}``."""
     if cfg.beta is not None:
-        return cfg.beta, None
+        return cfg.beta, {}
     result = calibrate_disbelief_general(utilities, prior, cfg.policy())
-    return -result.abs_beta, result
+    return -result.abs_beta, {"calibration": vars(result)}
 
 
 def _cmd_distribution(cfg: RunConfig) -> Result:
@@ -498,7 +494,7 @@ def _cmd_distribution(cfg: RunConfig) -> Result:
     dist = posterior(prior, utilities, beta, cfg.policy())
     meta = dist.meta()
     return Result(
-        doc={"meta": meta if calib is None else {**meta, "calibration": vars(calib)}},
+        doc={"meta": {**meta, **calib}},
         comments=meta,
         header=("n", "U_n", "prob"),
         columns=dist.columns(dist.n_trunc),
@@ -526,15 +522,12 @@ def _cmd_optimal(cfg: RunConfig) -> Result:
         "bracket_low": bracket[0],
         "bracket_high": bracket[1],
     }
-    doc = fields if calib is None else {**fields, "calibration": vars(calib)}
-    return Result(doc=doc, fields=fields)
+    return Result(doc={**fields, "meta": dist.meta(), **calib}, fields=fields)
 
 
 def _cmd_calibrate(cfg: RunConfig) -> Result:
     prior, utilities = cfg.prior_spec(), cfg.utilities()
-    result = calibrate_disbelief_general(utilities, prior, cfg.policy())
-    route = "closed" if has_declared_moments(prior, utilities) else "general"
-    fields = {**vars(result), "route": route}
+    fields = vars(calibrate_disbelief_general(utilities, prior, cfg.policy()))
     return Result(doc=fields, fields=fields)
 
 
@@ -546,12 +539,9 @@ def _cmd_repeated(cfg: RunConfig) -> Result:
     fields = vars(repeated_optimal(beta))
     dist = repeated_game_posterior(beta, cfg.policy())
     meta = dist.meta()
-    doc = {"result": fields, "posterior_meta": meta}
-    if calib is not None:
-        doc["calibration"] = vars(calib)
     return Result(
-        doc=doc,
-        comments={k: meta[k] for k in ("n_trunc", "tail_bound", "tail_rule")},
+        doc={"result": fields, "posterior_meta": meta, **calib},
+        comments=meta,
         fields=fields,
         header=("N", "U_N", "prob"),
         columns=dist.columns(cfg.rows),

@@ -283,8 +283,8 @@ def _weights(
             tail, rule = 0.0, "finite"
         else:  # a stopped stream holds a nonzero weight
             lw, values, tail, rule = _stream_truncated(prior, utilities, beta, policy)
-    w = np.exp(lw - lw.max(-1, keepdims=lw.ndim > 1))
-    w /= w.sum(-1, keepdims=w.ndim > 1)
+    w = np.exp(lw - lw.max(-1, keepdims=True))
+    w /= w.sum(-1, keepdims=True)
     return w, values, tail, rule
 
 
@@ -300,7 +300,10 @@ def posterior(
     Finite families accept any beta; a sequence declared unbounded requires
     beta < 0 (otherwise the normalizing sum diverges and a SignError is
     raised).  At beta = 0 the result is exactly the normalized prior.
+    An array of beta is a DomainError (``posterior_moments`` takes an array).
     """
+    if np.ndim(beta) > 0:
+        raise DomainError("posterior takes one beta; posterior_moments takes an array of beta")
     policy = policy if policy is not None else TruncationPolicy()
     probs, values, tail, rule = _weights(prior, utilities, beta, policy)
     return PosteriorDistribution(
@@ -349,14 +352,13 @@ def posterior_moments(
         check_sign(utilities, beta)
         return Moments(*utilities.luce_moments(beta))
     w, values, _, _ = _weights(prior, utilities, beta, policy)
-    rows = w.ndim > 1
     with np.errstate(over="ignore", invalid="ignore"):
         # vecdot takes each row's dot alone, as the scalar call does
         mean = np.vecdot(w, values)
-        d = values - (mean[:, None] if rows else mean)
+        d = values - mean[..., None]
         wd2 = w * d * d
         moments = mean, wd2.sum(-1), np.vecdot(wd2, d)
-    return Moments(*[m.tolist() if rows else float(m) for m in moments])
+    return Moments(*[m.tolist() for m in moments])
 
 
 def stochastically_optimal(dist: PosteriorDistribution) -> int:

@@ -256,14 +256,13 @@ def repeated_optimal(beta: float) -> RepeatedGameResult:
     smaller N and the result is clamped to at least 1.
     """
     check_sign(repeated_game_utilities(), beta)
-    u_opt = -1.0 / beta
-    try:
-        n_continuous = 2.0 ** (u_opt - 1.0)
-    except OverflowError:
+    u_opt = -1.0 / beta  # inf below |beta| = 1/max_float
+    if not u_opt < 1025.0:
         raise DomainError(
             f"optimal game count N* = 2^(1/|beta| - 1) overflows binary64 at "
             f"beta = {beta}; |beta| must be above 1/1025"
-        ) from None
+        )
+    n_continuous = 2.0 ** (u_opt - 1.0)
 
     def weight(n: int) -> float:
         u = _run_length_values(float(n))

@@ -175,9 +175,9 @@ class TestGeneralCalibration:
         assert main(["calibrate", "--format", "json", "--no-timestamp"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert set(asdict(result)) == {
-            "abs_beta", "residual", "evaluations", "bracket", "method"
+            "abs_beta", "residual", "evaluations", "bracket", "method", "route"
         }
-        assert set(doc) == set(asdict(result)) | {"route"}
+        assert set(doc) == set(asdict(result))
         assert doc["abs_beta"] == float(f"{result.abs_beta:.12g}")
 
 

@@ -222,9 +222,10 @@ class TestRepeatedCommand:
         assert doc["result"]["beta"] == -1.56521632767
         assert [row["n"] for row in doc["rows"]] == [1, 2, 3]
 
-    @pytest.mark.parametrize("beta", ["-0.0001", "-0.000975"])
+    @pytest.mark.parametrize("beta", ["-0.0001", "-0.000975", "-5e-324"])
     def test_optimum_overflow_is_domain_error(self, capsys, beta):
-        # N* = 2^(1/|beta| - 1) leaves binary64 once 1/|beta| reaches 1025
+        # N* = 2^(1/|beta| - 1) leaves binary64 once 1/|beta| reaches 1025;
+        # at -5e-324, 1/|beta| is inf itself
         code, out, err = run(capsys, "repeated", f"--beta={beta}", "--no-timestamp")
         assert (code, out) == (2, "")
         assert err.startswith("error:domain:optimal game count") and "overflows" in err

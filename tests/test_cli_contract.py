@@ -1,0 +1,106 @@
+"""The CLI contract as a property: any argv exits 0-3, and a nonzero exit
+comes with exactly one ``error:(config|domain|solver):<message>`` line on
+stderr, no traceback and nothing on stdout.
+
+The argv are built from ``cli._FLAGS``: each flag draws from the values of
+its option's type, near the edges of its check and past them, given as
+``--flag value``, as ``--flag=value`` or with the value missing, and now
+and then a stray token.  The values keep every command short (no count
+above 1,024).  ``test_robustness.py`` fuzzes well-formed command lines
+and checks their output cells; this test is about malformed ones too.
+"""
+
+import contextlib
+import io
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from petersburg import cli
+
+FLOATS = ["0", "-0", "-1", "-0.5", "-1e-3", "0.3", "1.5", "3", "1e308", "-1e308",
+          "nan", "inf", "5e-324", "-5e-324", "x"]
+INTS = ["-1", "0", "1", "2", "7", "40", "1000", "1e3", "2.5", "x"]
+FAMILY = {"family": "custom", "lotteries": [
+    {"outcomes": [{"payoff": 2.0, "prob": 0.5}, {"payoff": 10.0, "prob": 0.3}], "residual": 0.2},
+    {"outcomes": [{"payoff": 50.0, "prob": 0.4}], "residual": 0.6},
+    {"outcomes": [{"payoff": 4.0, "prob": 0.9}], "residual": 0.1},
+]}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Absolute paths by the name a value pool gives them."""
+    root = tmp_path_factory.mktemp("contract")
+    (root / "family.json").write_text(json.dumps(FAMILY))
+    (root / "config.json").write_text(json.dumps({"beta": -0.5, "prior": {"kind": "luce"}}))
+    (root / "bad.json").write_text("{not json")
+    names = ["family.json", "config.json", "bad.json", "missing.json", "out.txt",
+             "no-dir/out.txt"]
+    return {name: str(root / name) for name in names}
+
+
+def values(opt: cli._Option) -> st.SearchStrategy:
+    """A flag's value strings: a choice, a number or a file name."""
+    if isinstance(opt.type, tuple):
+        return st.sampled_from([*opt.type, "other"])
+    if opt.type is float:
+        return st.sampled_from(FLOATS)
+    if opt.type in (int, cli._COUNT, list):
+        return st.sampled_from(INTS if opt.type is not list else [*INTS[:4], "8", "1024"])
+    if opt.type is dict:
+        return st.sampled_from(["bernoulli", "family.json", "bad.json", "missing.json"])
+    if opt.key == "config":
+        return st.sampled_from(["config.json", "bad.json", "missing.json"])
+    return st.sampled_from(["out.txt", "no-dir/out.txt"])  # never a file read
+
+
+@st.composite
+def flag_args(draw, files) -> list[str]:
+    """One flag of ``cli._FLAGS`` with its value, in one of its forms."""
+    opt = cli._FLAGS[draw(st.sampled_from(sorted(cli._FLAGS)))]
+    if opt.type is bool:
+        return [draw(st.sampled_from([opt.flag] * 4 + [f"{opt.flag}=1"]))]
+    count = draw(st.sampled_from([1, 1, 2])) if opt.type is list else 1
+    strings = [files.get(s, s) for s in (draw(values(opt)) for _ in range(count))]
+    form = draw(st.sampled_from(["separate"] * 4 + ["equals"] * 4 + ["missing"]))
+    if form == "missing":
+        return [opt.flag]
+    if form == "equals":
+        return [f"{opt.flag}={strings[0]}", *strings[1:]]
+    return [opt.flag, *strings]
+
+
+@st.composite
+def argvs(draw, files) -> list[str]:
+    command = draw(st.sampled_from([*cli._HANDLERS] * 4 + ["other", "--beta"]))
+    argv = [command]
+    for _ in range(draw(st.integers(0, 5))):
+        argv += draw(flag_args(files))
+    if draw(st.integers(0, 19)) == 0:  # a stray token
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["-x", "--", "word"])))
+    return argv
+
+
+ERROR_LINE = re.compile(r"error:(config|domain|solver):.+")
+
+
+def test_every_argv_keeps_the_contract(files):
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(argvs(files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2, 3), argv
+        if code:
+            assert ERROR_LINE.fullmatch(err.getvalue().rstrip("\n")), (argv, err.getvalue())
+            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+            assert out.getvalue() == "", argv
+        else:
+            assert err.getvalue() == "", (argv, err.getvalue())
+
+    check()

@@ -394,5 +394,16 @@ class TestVectorBeta:
         betas = np.array([-1.0, -2.0])
         with pytest.raises(DomainError, match="array of beta needs a finite sequence"):
             posterior_moments(prior, bernoulli_utilities(), betas)
-        with pytest.raises(DomainError, match="array of beta needs a finite sequence"):
+        with pytest.raises(DomainError, match="^posterior takes one beta; posterior_moments"):
             posterior(prior, bernoulli_utilities(), betas)
+
+    # unchecked, each shape reaches another error or, with one utility and
+    # one beta, a (1, 1) table whose beta is an array
+    @pytest.mark.parametrize("values, betas", [
+        ([1.0, 2.0], [-1.0, -2.0]), ([1.0, 2.0, 3.0], [-1.0]), ([1.0], [-1.0]), ([1.0], [[-1.0]]),
+    ])
+    def test_posterior_refuses_an_array_of_beta(self, values, betas):
+        seq = ExpectedUtilitySeq.from_values(values)
+        message = "posterior takes one beta; posterior_moments takes an array of beta"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+            posterior(LUCE, seq, np.array(betas))

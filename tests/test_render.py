@@ -108,22 +108,28 @@ def reference_csv_rows(utilities, probs) -> str:
 
 
 def reference_calibration(calib) -> dict:
+    """The coin toss's calibration under luce, whose route is closed."""
     return {
         "abs_beta": calib.abs_beta,
         "residual": calib.residual,
         "evaluations": calib.evaluations,
         "bracket": calib.bracket,
         "method": calib.method,
+        "route": "closed",
     }
 
 
-def reference_distribution_json(dist, calib=None, timestamp=None) -> str:
-    meta = {
+def reference_meta(dist) -> dict:
+    return {
         "beta": dist.beta,
         "n_trunc": dist.n_trunc,
         "tail_bound": dist.tail_bound,
         "tail_rule": dist.tail_rule,
     }
+
+
+def reference_distribution_json(dist, calib=None, timestamp=None) -> str:
+    meta = reference_meta(dist)
     if calib is not None:
         meta["calibration"] = reference_calibration(calib)
     payload = {"meta": meta, "rows": reference_rows(dist.utilities, dist.probs)}
@@ -165,12 +171,7 @@ def reference_repeated(beta: float, rows: int, fmt: str) -> str:
     if fmt == "json":
         return reference_json({
             "result": summary,
-            "posterior_meta": {
-                "beta": dist.beta,
-                "n_trunc": dist.n_trunc,
-                "tail_bound": dist.tail_bound,
-                "tail_rule": dist.tail_rule,
-            },
+            "posterior_meta": reference_meta(dist),
             "rows": reference_rows(utilities[:stop], probs[:stop]),
         })
     if fmt == "table":
@@ -226,13 +227,15 @@ def reference_optimal(fmt: str, beta=None, game=None) -> str:
         "bracket_low": bracket[0],
         "bracket_high": bracket[1],
     }
-    extra = {"calibration": reference_calibration(calib)} if calib else None
+    extra = {"meta": reference_meta(dist)}
+    if calib:
+        extra["calibration"] = reference_calibration(calib)
     return reference_fields(payload, fmt, extra)
 
 
 def reference_calibrate(fmt: str) -> str:
     calib = calibrate_bernoulli_disbelief()
-    return reference_fields({**reference_calibration(calib), "route": "closed"}, fmt)
+    return reference_fields(reference_calibration(calib), fmt)
 
 
 ROULETTE = ("stage", "u_stop", "u_continue", "p_stop", "p_continue")
@@ -449,6 +452,34 @@ def test_long_tables_across_blocks(capsys, monkeypatch, rows):
     argv = ("repeated", "--beta=-1.9574", "--no-timestamp", "--rows", str(rows))
     for fmt in ("table", "csv", "json"):
         assert run(capsys, *argv, "--format", fmt) == reference_repeated(-1.9574, rows, fmt)
+
+
+class RecordingSink(io.TextIOBase):
+    """A stdout that keeps each ``write`` apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_long_tables_stream_in_blocks(fmt):
+    # 28,734 rows span two row blocks; each block is its own write, and
+    # nothing joins the whole table before it is written
+    dist = posterior(PriorSpec.luce(), bernoulli_utilities(), -0.001)
+    assert dist.n_trunc == 28_734
+    sink = RecordingSink()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["distribution", "--beta", "-0.001", "--format", fmt,
+                         "--no-timestamp"]) == 0
+    reference = reference_distribution_csv if fmt == "csv" else reference_distribution_json
+    assert "".join(sink.writes) == reference(dist)
+    blocks = [w for w in sink.writes if w.count("\n") > 1000]
+    assert len(blocks) >= 2
+    assert max(map(len, sink.writes)) < 0.6 * sum(map(len, sink.writes))
 
 
 # -- the formatter itself -------------------------------------------------

@@ -136,6 +136,7 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
     assert not caught, (argv, caught)
     if code:
         assert err.startswith(("error:config:", "error:domain:", "error:solver:")), err
+        assert (err.count("\n"), out) == (1, ""), (argv, err, out[:200])
         return
     fmt = argv[argv.index("--format") + 1] if "--format" in argv else "table"
     if fmt == "table":
