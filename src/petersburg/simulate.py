@@ -1,10 +1,15 @@
 """Monte Carlo oracle for the coin-toss game and the martingale strategy.
 
 Neither simulator draws one variate per game or per run.  A replication of
-the repeated game depends only on its toss-count histogram, drawn exactly as
-one multinomial row (see ``_toss_bins``); each block of replications draws
-from a Philox substream derived only from (seed, block index), so summaries
-are bit-identical for a given seed however many shards run the blocks.  The
+the repeated game depends only on its toss-count histogram.  Of the games
+still running before toss m, each stops there with probability exactly 1/2,
+so a block of replications draws its histograms as one halving chain: at
+each toss every live row draws the games it stops, Binomial(r, 1/2) of its
+r games left, which for r < 64 is the popcount of r fair bits of one raw
+64-bit word (see ``_block_means``).  The draws are exact, and a block costs
+about log2(n_games) + log2(rows) vector steps.  Each block draws from a
+Philox substream derived only from (seed, block index), so summaries are
+bit-identical for a given seed however many shards run the blocks.  The
 martingale's first-win histogram is one survival chain of binomials on a
 single stream, O(n_stages) whatever the replication count.
 """
@@ -13,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +31,11 @@ GENERATOR_NAME = "philox-4x64-10"
 # stream layout: changing it changes sampled values (but never the
 # statistical contract).
 _BLOCK = 4096
+
+# Below this many games a row's draw is a popcount of one raw word, through
+# the mask of its low r bits.
+_WORD_BITS = 64
+_LOW_BITS = np.array([(1 << r) - 1 for r in range(_WORD_BITS)], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,7 @@ class SimSummary:
     stderr_proxy: float
     seed: int
     generator: str = GENERATOR_NAME
-    sampler: str = "multinomial-histogram"
+    sampler: str = "halving-chain"
     capped_tosses: int = 0
 
 
@@ -102,32 +111,67 @@ def _run_blocks(blocks, worker, parallel_shards: int) -> list:
     workers = min(parallel_shards, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(b) for b in blocks]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, blocks))
 
 
-def _toss_bins(max_tosses: int) -> np.ndarray:
-    """Probabilities of the toss-count histogram's bins: 2**-m for games of
-    m = 1..max_tosses tosses, then 2**-max_tosses for the games the cap cut
-    short, which pay 2**max_tosses.  Every bin pays the reciprocal of its
-    probability, and every mass left to numpy's chain of binomials is a
-    power of two, so each conditional probability is exactly 1/2."""
-    p = np.ldexp(1.0, -np.arange(1, max_tosses + 1))
-    return np.append(p, p[-1])
+def _popcounts(rng: np.random.Generator, left: np.ndarray) -> np.ndarray:
+    """One Binomial(r, 1/2) draw for each r < 64 in ``left``: the popcount of
+    one raw 64-bit word masked to its low r bits, r fair bits."""
+    return np.bitwise_count(rng.bit_generator.random_raw(len(left)) & _LOW_BITS[left])
+
+
+def _halve(rng: np.random.Generator, left: np.ndarray) -> np.ndarray:
+    """One Binomial(r, 1/2) draw for each r in ``left``: ``rng.binomial`` where
+    r >= 64, then ``_popcounts`` from the same stream where r < 64."""
+    short = left < _WORD_BITS
+    if not short.any():
+        return rng.binomial(left, 0.5)
+    stopped = np.empty_like(left)
+    stopped[~short] = rng.binomial(left[~short], 0.5)
+    stopped[short] = _popcounts(rng, left[short])
+    return stopped
+
+
+def _block_means(
+    rng: np.random.Generator, rows: int, n_games: int, max_tosses: int
+) -> tuple[np.ndarray, int]:
+    """Per-game mean winnings of ``rows`` replications of ``n_games`` games,
+    and the number of games the cap cut short.
+
+    At toss m = 1..max_tosses each live row stops Binomial(r, 1/2) of its r
+    games left, which pay 2**m; once every row has fewer than 64 games left
+    the draws are ``_popcounts`` alone.  Rows with no games left drop out;
+    the games left after the last toss pay 2**max_tosses and are capped."""
+    total = np.zeros(rows)
+    live = np.arange(rows)
+    left = np.full(rows, n_games, dtype=np.int64)
+    draw = _popcounts if n_games < _WORD_BITS else _halve
+    for m in range(1, max_tosses + 1):
+        stopped = draw(rng, left)
+        total[live] += np.ldexp(stopped, m, dtype=np.float64)
+        left -= stopped
+        running = np.flatnonzero(left)
+        if len(running) < len(left):
+            if not len(running):
+                return total / n_games, 0
+            live, left = live[running], left[running]
+        if draw is _halve and left.max() < _WORD_BITS:
+            draw = _popcounts
+    total[live] += np.ldexp(left, max_tosses, dtype=np.float64)
+    return total / n_games, int(left.sum())
 
 
 def _replication_means(n_games: int, config: SimConfig) -> tuple[np.ndarray, int]:
     """Per-game mean winnings of each replication, in replication order, and
     the number of games the cap cut short."""
-    pvals = _toss_bins(config.max_tosses)
-    payoff = 1.0 / pvals
 
     def worker(block: tuple[int, int, int]) -> tuple[np.ndarray, int]:
         index, start, stop = block
-        counts = _block_rng(config.seed, index).multinomial(
-            n_games, pvals, size=stop - start
-        )
-        return counts @ payoff / n_games, int(counts[:, -1].sum())
+        rng = _block_rng(config.seed, index)
+        return _block_means(rng, stop - start, n_games, config.max_tosses)
 
     blocks = _block_bounds(config.replications)
     results = _run_blocks(blocks, worker, config.parallel_shards)

@@ -1,8 +1,12 @@
 """Monte Carlo simulators: distributions, determinism, and convergence."""
 
+import concurrent.futures
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,42 +21,97 @@ from petersburg import (
 )
 from petersburg import simulate
 from petersburg.cli import main
-from petersburg.simulate import _BLOCK, _block_rng, _replication_means, _toss_bins
+from petersburg.simulate import _BLOCK, _block_rng, _replication_means
 
 
-def _single_game_means():
-    # 10**6 one-game replications: each mean is the payoff 2**m of one game.
-    return _replication_means(1, SimConfig(seed=5, replications=10 ** 6))
+@pytest.fixture(scope="module")
+def single_game_means():
+    # 4 * 10**6 one-game replications: each mean is the payoff 2**m of one game.
+    return _replication_means(1, SimConfig(seed=5, replications=4 * 10 ** 6))
+
+
+def _chi2_sf(stat, df):
+    """P(chi-square with ``df`` degrees of freedom > ``stat``): the regularized
+    upper incomplete gamma function Q(df/2, stat/2), by its power series."""
+    s, x = df / 2.0, stat / 2.0
+    term = series = 1.0 / s
+    k = 0
+    while term > 1e-17 * series:
+        k += 1
+        term *= x / (s + k)
+        series += term
+    return 1.0 - series * math.exp(s * math.log(x) - x - math.lgamma(s))
+
+
+def _binomial_half_p_value(draws, r):
+    """Pearson chi-square p-value of ``draws`` against Binomial(r, 1/2), the
+    tail cells pooled until each expects at least 5 draws."""
+    n = len(draws)
+    expected = np.array([n * math.comb(r, k) / 2.0 ** r for k in range(r + 1)])
+    observed = np.bincount(draws, minlength=r + 1).astype(float)
+    lo = int(np.argmax(expected >= 5.0))
+    cells = lambda a: np.concatenate([[a[: lo + 1].sum()], a[lo + 1 : r - lo], [a[r - lo :].sum()]])
+    e, o = cells(expected), cells(observed)
+    assert e.min() >= 5.0 and o.sum() == n
+    return _chi2_sf(float(((o - e) ** 2 / e).sum()), len(e) - 1)
+
+
+def test_chi2_sf_matches_closed_forms():
+    # two degrees of freedom: exp(-x/2); one: erfc(sqrt(x/2)).  1 - P loses
+    # relative digits far in the tail, so compare absolutely there.
+    for x in (0.1, 1.0, 7.5, 30.0):
+        assert math.isclose(_chi2_sf(x, 2), math.exp(-x / 2.0), rel_tol=1e-9, abs_tol=1e-12)
+        assert math.isclose(_chi2_sf(x, 1), math.erfc(math.sqrt(x / 2.0)),
+                            rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestTossSampling:
-    def test_every_conditional_probability_is_one_half(self):
-        # numpy's multinomial draws bin i as Binomial(n_left, p_i / remaining)
-        # and then subtracts p_i from remaining, in binary64.
-        pvals = _toss_bins(60)
-        remaining = 1.0
-        for p in pvals[:-1]:
-            assert p / remaining == 0.5
-            remaining -= p
-        assert remaining == pvals[-1] == 2.0 ** -60
+    def test_halving_step_law(self):
+        # One array of every r, so each draw mixes both sides of the 64 seam:
+        # binomials where r >= 64, popcounts of masked raw words below it.
+        # Six chi-square tests at 1e-4 each: a family-wise false alarm of 6e-4.
+        sizes, per_size = (1, 2, 63, 64, 65, 1000), 20000
+        left = np.tile(np.array(sizes, dtype=np.int64), per_size)
+        stopped = simulate._halve(_block_rng(3, 0), left).reshape(per_size, len(sizes))
+        assert np.all((0 <= stopped) & (stopped <= np.array(sizes)))
+        for column, r in enumerate(sizes):
+            assert _binomial_half_p_value(stopped[:, column], r) > 1e-4, r
 
-    def test_distribution_matches_halving_law(self):
-        means, capped = _single_game_means()
+    def test_chain_replays_raw_words(self):
+        # The chain written plainly, in exact integers: below 64 games each
+        # toss draws one raw word per row still playing, in row order.
+        rows, n_games, max_tosses = 300, 16, 3
+        means, capped = _replication_means(
+            n_games, SimConfig(seed=7, replications=rows, max_tosses=max_tosses))
+        words = _block_rng(7, 0).bit_generator.random_raw
+        left, total = [n_games] * rows, [0] * rows
+        for m in range(1, max_tosses + 1):
+            live = [i for i in range(rows) if left[i]]
+            for i, word in zip(live, words(len(live)).tolist()):
+                stopped = (word & ((1 << left[i]) - 1)).bit_count()
+                total[i] += stopped << m
+                left[i] -= stopped
+        assert capped == sum(left) > 0
+        assert means.tolist() == [(t + (k << max_tosses)) / n_games for t, k in zip(total, left)]
+
+    def test_distribution_matches_halving_law(self, single_game_means):
+        means, capped = single_game_means
         assert capped == 0
         n = len(means)
         for m in range(1, 11):
             freq = float(np.mean(means == 2.0 ** m))
             p = 2.0 ** -m
             se = math.sqrt(p * (1.0 - p) / n)
-            assert abs(freq - p) < 3.0 * se, (m, freq, p)
+            assert abs(freq - p) < 4.0 * se, (m, freq, p)
 
-    def test_first_toss_frequency(self):
-        means, _ = _single_game_means()
-        assert abs(float(np.mean(means == 2.0)) - 0.5) < 0.002
+    def test_first_toss_frequency(self, single_game_means):
+        means, _ = single_game_means
+        assert abs(float(np.mean(means == 2.0)) - 0.5) < 4.0 * math.sqrt(0.25 / len(means))
 
-    def test_mean_tosses(self):
-        means, _ = _single_game_means()
-        assert abs(float(np.log2(means).mean()) - 2.0) < 0.01
+    def test_mean_tosses(self, single_game_means):
+        # a game's toss count is geometric with mean 2 and variance 2
+        means, _ = single_game_means
+        assert abs(float(np.log2(means).mean()) - 2.0) < 4.0 * math.sqrt(2.0 / len(means))
 
     @pytest.mark.parametrize("n_games", [1, 7, 512, 2 ** 20, 2 ** 40])
     def test_rows_hold_n_games(self, n_games):
@@ -63,18 +122,18 @@ class TestTossSampling:
         assert np.all(means == 2.0)
 
     def test_capping_counts(self):
-        # One block: the same draw as the block-0 substream's multinomial rows.
+        # At max_tosses=2 a game pays 2 when its first toss stops it, else 4
+        # (two tosses, or cut short at two), so a row's mean 4 - a/8 gives its
+        # count a of 2-paying games, Binomial(16, 1/2); a game is cut short
+        # with probability 1/4.
         cfg = SimConfig(seed=6, replications=4000, max_tosses=2)
         means, capped = _replication_means(16, cfg)
+        ones = 8.0 * (4.0 - means)
+        assert np.all(ones == np.round(ones))
+        assert _binomial_half_p_value(ones.astype(np.int64), 16) > 1e-4
         games = 16 * cfg.replications
         assert abs(capped / games - 0.25) < 4.0 * math.sqrt(0.25 * 0.75 / games)
         assert simulate_repeated(16, cfg).capped_tosses == capped
-        pvals = _toss_bins(2)
-        counts = _block_rng(6, 0).multinomial(16, pvals, size=cfg.replications)
-        assert capped == counts[:, -1].sum()
-        np.testing.assert_array_equal(means, counts @ (1.0 / pvals) / 16)
-        # 2 with probability 1/2, else 4 (two tosses, or cut short at two)
-        assert abs(float(means.mean()) - 3.0) < 4.0 * math.sqrt(1.0 / games)
 
 
 class TestSimulateRepeated:
@@ -82,12 +141,13 @@ class TestSimulateRepeated:
         cfg = SimConfig(seed=42, replications=5000)
         assert simulate_repeated(16, cfg) == simulate_repeated(16, cfg)
 
-    def test_shard_invariance(self):
-        base = simulate_repeated(32, SimConfig(seed=9, replications=9000))
-        sharded = simulate_repeated(
-            32, SimConfig(seed=9, replications=9000, parallel_shards=4)
-        )
-        assert base == sharded
+    @pytest.mark.parametrize("n_games", [32, 100])
+    def test_shard_invariance(self, n_games):
+        # popcounts alone below 64 games, binomials first above
+        base = simulate_repeated(n_games, SimConfig(seed=9, replications=9000))
+        for shards in (2, 3, 4):
+            cfg = SimConfig(seed=9, replications=9000, parallel_shards=shards)
+            assert simulate_repeated(n_games, cfg) == base
 
     @pytest.mark.parametrize("cpus,blocks,workers", [(4, 5, [4]), (64, 3, [3]), (None, 3, [])])
     def test_threads_capped_by_blocks_and_cpus(self, monkeypatch, cpus, blocks, workers):
@@ -107,12 +167,20 @@ class TestSimulateRepeated:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
         cfg = SimConfig(seed=5, replications=blocks * _BLOCK)
         capped = simulate_repeated(8, SimConfig(**{**vars(cfg), "parallel_shards": 10 ** 6}))
         assert sizes == workers
         assert capped == simulate_repeated(8, cfg)
+
+    def test_cli_import_leaves_the_thread_pool_out(self):
+        # only a sharded run imports concurrent.futures, not every command
+        src = str(Path(simulate.__file__).resolve().parents[1])
+        code = "import sys, petersburg.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={"PYTHONPATH": src}, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_single_game_median(self):
         # The median is 2 only when more than half the games pay 2, which is a
