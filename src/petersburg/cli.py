@@ -185,7 +185,7 @@ _OPTIONS = (
     _Option("--seed", "sim.seed", int, "simulator seed"),
     _Option("--replications", "sim.replications", int, "replications per run"),
     _Option("--max-tosses", "sim.max_tosses", int, "toss cap of one game"),
-    _Option("--shards", "sim.parallel_shards", int, "simulator threads, at most the CPU count"),
+    _Option("--shards", "sim.parallel_shards", int, "accepted for compatibility; changes nothing"),
     _Option("--stages", "stages", int, "roulette and martingale stages"),
     _Option("--x0", "x0", float, "initial bid"),
     _Option("--p-win", "p_win", float, "roulette win probability"),

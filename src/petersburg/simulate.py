@@ -8,16 +8,15 @@ each toss every live row draws the games it stops, Binomial(r, 1/2) of its
 r games left, which for r < 64 is the popcount of r fair bits of one raw
 64-bit word (see ``_block_means``).  The draws are exact, and a block costs
 about log2(n_games) + log2(rows) vector steps.  Each block draws from a
-Philox substream derived only from (seed, block index), so summaries are
-bit-identical for a given seed however many shards run the blocks.  The
-martingale's first-win histogram is one survival chain of binomials on a
-single stream, O(n_stages) whatever the replication count.
+Philox substream derived only from (seed, block index), and the blocks run
+one after another in the calling thread, so summaries are bit-identical for
+a given seed.  The martingale's first-win histogram is one survival chain of
+binomials on a single stream, O(n_stages) whatever the replication count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,10 @@ class SimConfig:
 
     ``max_tosses`` caps a single game so payoffs stay exact in binary64;
     the cap event has probability 2**-max_tosses and is counted in the
-    summary when it fires.
+    summary when it fires.  ``parallel_shards`` is validated and accepted
+    for compatibility with older configs and command lines; it changes
+    neither the sampled values nor the speed, since every block runs in the
+    calling thread.
     """
 
     seed: int = 0
@@ -105,18 +107,6 @@ def _block_bounds(replications: int) -> list[tuple[int, int, int]]:
     return [(i, lo, min(lo + _BLOCK, replications)) for i, lo in enumerate(starts)]
 
 
-def _run_blocks(blocks, worker, parallel_shards: int) -> list:
-    """``worker(block_triple)`` for every block, in parallel when asked, in
-    block order, on at most one thread per block and per CPU."""
-    workers = min(parallel_shards, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(b) for b in blocks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, blocks))
-
-
 def _popcounts(rng: np.random.Generator, left: np.ndarray) -> np.ndarray:
     """One Binomial(r, 1/2) draw for each r < 64 in ``left``: the popcount of
     one raw 64-bit word masked to its low r bits, r fair bits."""
@@ -167,14 +157,10 @@ def _block_means(
 def _replication_means(n_games: int, config: SimConfig) -> tuple[np.ndarray, int]:
     """Per-game mean winnings of each replication, in replication order, and
     the number of games the cap cut short."""
-
-    def worker(block: tuple[int, int, int]) -> tuple[np.ndarray, int]:
-        index, start, stop = block
-        rng = _block_rng(config.seed, index)
-        return _block_means(rng, stop - start, n_games, config.max_tosses)
-
-    blocks = _block_bounds(config.replications)
-    results = _run_blocks(blocks, worker, config.parallel_shards)
+    results = [
+        _block_means(_block_rng(config.seed, index), stop - start, n_games, config.max_tosses)
+        for index, start, stop in _block_bounds(config.replications)
+    ]
     return np.concatenate([r[0] for r in results]), sum(r[1] for r in results)
 
 

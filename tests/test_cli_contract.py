@@ -1,6 +1,8 @@
-"""The CLI contract as a property: any argv exits 0-3, and a nonzero exit
+"""The CLI contract as properties: any argv exits 0-3, and a nonzero exit
 comes with exactly one ``error:(config|domain|solver):<message>`` line on
-stderr, no traceback and nothing on stdout.
+stderr, no traceback and nothing on stdout; and the config that
+``--emit-config`` writes for an argv that exits 0 replays its stdout byte
+for byte.
 
 The argv are built from ``cli._FLAGS``: each flag draws from the values of
 its option's type, near the edges of its check and past them, given as
@@ -88,19 +90,46 @@ def argvs(draw, files) -> list[str]:
 ERROR_LINE = re.compile(r"error:(config|domain|solver):.+")
 
 
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """``cli.main``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_every_argv_keeps_the_contract(files):
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(argvs(files))
     def check(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+        code, out, err = run(argv)
         assert code in (0, 1, 2, 3), argv
         if code:
-            assert ERROR_LINE.fullmatch(err.getvalue().rstrip("\n")), (argv, err.getvalue())
-            assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
-            assert out.getvalue() == "", argv
+            assert ERROR_LINE.fullmatch(err.rstrip("\n")), (argv, err)
+            assert err.count("\n") == 1, (argv, err)
+            assert out == "", argv
         else:
-            assert err.getvalue() == "", (argv, err.getvalue())
+            assert err == "", (argv, err)
 
     check()
+
+
+def test_emitted_config_replays_stdout(files, tmp_path):
+    # every argv of the pool that exits 0 without a timestamp and writes to
+    # stdout: its emitted config, given alone to its command, prints the
+    # same bytes (--shards is in the pool, so sim.parallel_shards too)
+    emitted = str(tmp_path / "emitted.json")
+    replayed = []
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argvs(files))
+    def check(argv):
+        if any(a.startswith(("--output", "--emit-config")) for a in argv):
+            return
+        code, out, err = run([*argv, "--no-timestamp", "--emit-config", emitted])
+        if code == 0:
+            assert run([argv[0], "--config", emitted]) == (0, out, err), argv
+            replayed.append(argv)
+
+    check()
+    assert len(replayed) >= 50  # the property is not vacuous

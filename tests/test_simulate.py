@@ -1,6 +1,5 @@
 """Monte Carlo simulators: distributions, determinism, and convergence."""
 
-import concurrent.futures
 import json
 import math
 import subprocess
@@ -21,7 +20,9 @@ from petersburg import (
 )
 from petersburg import simulate
 from petersburg.cli import main
-from petersburg.simulate import _BLOCK, _block_rng, _replication_means
+from petersburg.simulate import (
+    _BLOCK, _block_bounds, _block_means, _block_rng, _replication_means,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,44 +144,45 @@ class TestSimulateRepeated:
 
     @pytest.mark.parametrize("n_games", [32, 100])
     def test_shard_invariance(self, n_games):
-        # popcounts alone below 64 games, binomials first above
+        # parallel_shards is accepted and changes nothing; popcounts alone
+        # below 64 games, binomials first above
         base = simulate_repeated(n_games, SimConfig(seed=9, replications=9000))
-        for shards in (2, 3, 4):
+        for shards in (2, 3, 4, 10 ** 6):
             cfg = SimConfig(seed=9, replications=9000, parallel_shards=shards)
             assert simulate_repeated(n_games, cfg) == base
 
-    @pytest.mark.parametrize("cpus,blocks,workers", [(4, 5, [4]), (64, 3, [3]), (None, 3, [])])
-    def test_threads_capped_by_blocks_and_cpus(self, monkeypatch, cpus, blocks, workers):
-        # a pool that records its size and maps serially, so no thread starts
-        sizes = []
+    @pytest.mark.parametrize("replications", [1, _BLOCK + 1, 3 * _BLOCK - 7])
+    def test_blocks_run_in_order_on_their_own_substreams(self, replications):
+        # each block of at most _BLOCK rows draws from its own (seed, index)
+        # stream, and the blocks' means concatenate in replication order
+        cfg = SimConfig(seed=13, replications=replications)
+        means, capped = _replication_means(8, cfg)
+        bounds = _block_bounds(replications)
+        assert [lo for _, lo, _ in bounds] == [0, *(hi for _, _, hi in bounds[:-1])]
+        assert bounds[-1][2] == replications == len(means)
+        assert all(0 < hi - lo <= _BLOCK for _, lo, hi in bounds)
+        expected_capped = 0
+        for index, lo, hi in bounds:
+            block, block_capped = _block_means(_block_rng(13, index), hi - lo, 8, cfg.max_tosses)
+            np.testing.assert_array_equal(means[lo:hi], block)
+            expected_capped += block_capped
+        assert capped == expected_capped
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
-        cfg = SimConfig(seed=5, replications=blocks * _BLOCK)
-        capped = simulate_repeated(8, SimConfig(**{**vars(cfg), "parallel_shards": 10 ** 6}))
-        assert sizes == workers
-        assert capped == simulate_repeated(8, cfg)
-
-    def test_cli_import_leaves_the_thread_pool_out(self):
-        # only a sharded run imports concurrent.futures, not every command
+    def test_sharded_cli_run_starts_no_thread(self):
+        # 3 blocks at 9000 replications, popcounts alone at 8 games and
+        # binomials first at 100; --shards is accepted and starts nothing
         src = str(Path(simulate.__file__).resolve().parents[1])
-        code = "import sys, petersburg.cli; print('concurrent.futures' in sys.modules)"
+        code = (
+            "import sys, threading\n"
+            "from petersburg.cli import main\n"
+            "code = main(['simulate', '--target', 'repeated', '--n-games', '8', '100',\n"
+            "             '--replications', '9000', '--shards', '2'])\n"
+            "print(code, 'concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={"PYTHONPATH": src}, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "0 False 1"
 
     def test_single_game_median(self):
         # The median is 2 only when more than half the games pay 2, which is a
@@ -255,6 +257,7 @@ class TestSimulateMartingale:
         )
 
     def test_shard_invariance(self):
+        # parallel_shards is accepted and changes nothing
         base = simulate_martingale(8, 1.0, 0.45, SimConfig(seed=3, replications=20000))
         sharded = simulate_martingale(
             8, 1.0, 0.45, SimConfig(seed=3, replications=20000, parallel_shards=3)
@@ -323,7 +326,7 @@ class TestLimitLaw:
         ks = np.arange(6, 31)
         quartiles, errors = [], []
         for k in ks:
-            cfg = SimConfig(seed=int(k), replications=reps, parallel_shards=2)
+            cfg = SimConfig(seed=int(k), replications=reps)
             x = np.sort(_replication_means(2 ** int(k), cfg)[0] - k)
             quartiles.append(np.quantile(x, probs))
             errors.append([(x[int(reps * p + h)] - x[int(reps * p - h)]) / 2.0
