@@ -1,6 +1,7 @@
 """Command-line surface: outputs, config handling, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import asdict
@@ -615,8 +616,8 @@ def test_subnormal_geometric_base_exits_two_as_a_module():
     src = str(Path(cli.__file__).resolve().parents[1])
     argv = [sys.executable, "-m", "petersburg.cli", "distribution", "--utility", "geometric",
             "--base", "5e-324", "--beta", "-1"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env={"PYTHONPATH": src},
-                          timeout=120)
+    proc = subprocess.run(argv, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:domain:geometric utility bounds")
     assert proc.stderr.count("\n") == 1, proc.stderr
@@ -745,7 +746,8 @@ def test_help_without_a_command_lists_the_commands(capsys):
 def test_help_as_a_module():
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-m", "petersburg.cli", "optimal", "-h"],
-                          capture_output=True, text=True, env={"PYTHONPATH": src}, timeout=120)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "--beta          beta" in proc.stdout
 

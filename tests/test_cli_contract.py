@@ -1,8 +1,9 @@
 """The CLI contract as properties: any argv exits 0-3, and a nonzero exit
 comes with exactly one ``error:(config|domain|solver):<message>`` line on
-stderr, no traceback and nothing on stdout; and the config that
+stderr, no traceback and nothing on stdout; the config that
 ``--emit-config`` writes for an argv that exits 0 replays its stdout byte
-for byte.
+for byte; and the CSV and JSON of such an argv hold the same numbers, cell
+for cell.
 
 The argv are built from ``cli._FLAGS``: each flag draws from the values of
 its option's type, near the edges of its check and past them, given as
@@ -133,3 +134,76 @@ def test_emitted_config_replays_stdout(files, tmp_path):
 
     check()
     assert len(replayed) >= 50  # the property is not vacuous
+
+
+# CSV column names whose JSON row key differs; the martingale's JSON holds
+# its columns as lists, by these keys, and no rows
+ROW_KEYS = {"U_n": "u", "U_N": "u", "N": "n"}
+LIST_KEYS = {"mean": "stage_means", "stderr": "stage_stderrs"}
+
+
+def same(cell: str, value) -> bool:
+    """Whether a CSV cell holds the JSON value: the same number, the same
+    text (a non-finite float is the text both formats write), a pair
+    ``[lo hi]`` item for item, or nothing for null."""
+    if isinstance(value, list):
+        items = cell[1:-1].split(" ")
+        return cell[0] + cell[-1] == "[]" and len(items) == len(value) and all(
+            map(same, items, value))
+    if value is None:
+        return cell in ("", "None")
+    if isinstance(value, float):
+        return float(cell) == value
+    return cell == str(value)
+
+
+def json_values(doc: dict, key: str) -> list:
+    """Every value of ``key`` at the top of a JSON document or one level down."""
+    found = [doc[key]] if key in doc else []
+    return found + [d[key] for d in doc.values() if isinstance(d, dict) and key in d]
+
+
+def assert_same_cells(text: str, doc: dict, argv: list[str]) -> None:
+    """Each ``# key: value`` comment, field and table cell of a CSV output
+    holds the value the JSON document gives it."""
+    lines = text.splitlines()
+    comments = [line[2:].split(": ", 1) for line in lines if line.startswith("# ")]
+    header, *rows = [line.split(",") for line in lines if not line.startswith("# ")]
+    for key, cell in comments:
+        values = json_values(doc, key)
+        assert values and all(same(cell, v) for v in values), (argv, key, cell, values)
+    # rows as objects (none at ``repeated --rows 0``)
+    tables = [v for v in doc.values()
+              if isinstance(v, list) and (not v or isinstance(v[0], dict))]
+    if tables:
+        (objects,) = tables
+        json_rows = [[o[ROW_KEYS.get(h, h)] for h in header] for o in objects]
+    elif comments:
+        lists = [doc[LIST_KEYS[h]] for h in header[1:]]
+        json_rows = [[stage, *values] for stage, values in enumerate(zip(*lists), 1)]
+    else:  # a command's fields: a header and one row
+        json_rows = [[doc[key] for key in header]]
+    assert len(json_rows) == len(rows), argv
+    for row, values in zip(rows, json_rows):
+        assert len(row) == len(values) and all(map(same, row, values)), (argv, row, values)
+
+
+def test_csv_and_json_hold_the_same_numbers(files):
+    # every argv of the pool that exits 0 writing CSV to stdout, simulate
+    # included: its JSON holds each CSV cell, comment and field
+    compared = []
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argvs(files))
+    def check(argv):
+        if any(a.startswith(("--output", "--emit-config")) for a in argv):
+            return
+        code, text, _ = run([*argv, "--no-timestamp", "--format", "csv"])
+        if code == 0:
+            code, doc, err = run([*argv, "--no-timestamp", "--format", "json"])
+            assert (code, err) == (0, ""), argv
+            assert_same_cells(text, json.loads(doc), argv)
+            compared.append(argv[0])
+
+    check()
+    assert len(compared) >= 50 and "simulate" in compared  # the property is not vacuous

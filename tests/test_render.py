@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from datetime import datetime, timezone
@@ -686,7 +687,7 @@ def fresh_process(argv: list[str]) -> tuple[int, str, str]:
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from petersburg.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
-        capture_output=True, text=True, env={"PYTHONPATH": SRC}, timeout=120,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

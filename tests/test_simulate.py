@@ -1,11 +1,14 @@
 """Monte Carlo simulators: distributions, determinism, and convergence."""
 
+import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,32 +71,82 @@ def test_chi2_sf_matches_closed_forms():
 
 class TestTossSampling:
     def test_halving_step_law(self):
-        # One array of every r, so each draw mixes both sides of the 64 seam:
-        # binomials where r >= 64, popcounts of masked raw words below it.
-        # Six chi-square tests at 1e-4 each: a family-wise false alarm of 6e-4.
-        sizes, per_size = (1, 2, 63, 64, 65, 1000), 20000
+        # One array of every r, so each draw mixes both sides of the 640 seam:
+        # binomials where r >= 640, then popcounts of ceil(r/64) raw words, the
+        # last masked to its low bits (kept whole at 128), below it.  Twelve
+        # chi-square tests at 1e-4 each: a family-wise false alarm of 1.2e-3.
+        sizes, per_size = (1, 2, 63, 64, 65, 127, 128, 129, 639, 640, 641, 1000), 20000
         left = np.tile(np.array(sizes, dtype=np.int64), per_size)
-        stopped = simulate._halve(_block_rng(3, 0), left).reshape(per_size, len(sizes))
+        stopped = simulate._halve(_block_rng(3, 0), left, max(sizes)).reshape(per_size, len(sizes))
         assert np.all((0 <= stopped) & (stopped <= np.array(sizes)))
         for column, r in enumerate(sizes):
             assert _binomial_half_p_value(stopped[:, column], r) > 1e-4, r
 
-    def test_chain_replays_raw_words(self):
-        # The chain written plainly, in exact integers: below 64 games each
-        # toss draws one raw word per row still playing, in row order.
-        rows, n_games, max_tosses = 300, 16, 3
+    @pytest.mark.parametrize("rows, n_games, max_tosses, paths", [
+        (300, 192, 12, {"multi-word", "whole word", "finished row", "finish"}),
+        (300, 3, 66, {"finished row", "dropped", "finish"}),
+        (300, 16, 3, {"finished row", "cap"}),
+    ], ids=["multi-word", "dropped", "cap"])
+    def test_chain_replays_raw_words(self, rows, n_games, max_tosses, paths):
+        # The block written plainly, in exact integers, for n_games < 640:
+        # each toss draws max(ceil(r/64), 1) raw words per row, in row order,
+        # finished rows included until at most half the rows still play; once
+        # every row has fewer than 64 games left, the games left number at
+        # most the rows and fewer than 64 tosses remain, one word per game
+        # gives its tosses to come, ctz(word) + 1 (64 for a zero word).
         means, capped = _replication_means(
             n_games, SimConfig(seed=7, replications=rows, max_tosses=max_tosses))
-        words = _block_rng(7, 0).bit_generator.random_raw
-        left, total = [n_games] * rows, [0] * rows
-        for m in range(1, max_tosses + 1):
-            live = [i for i in range(rows) if left[i]]
-            for i, word in zip(live, words(len(live)).tolist()):
-                stopped = (word & ((1 << left[i]) - 1)).bit_count()
-                total[i] += stopped << m
+        raw = _block_rng(7, 0).bit_generator.random_raw
+        left, total, live, seen = [n_games] * rows, [0] * rows, list(range(rows)), set()
+        for m in range(max_tosses):
+            if (max(left[i] for i in live) < 64 and max_tosses - m < 64
+                    and sum(left[i] for i in live) <= len(live)):
+                seen.add("finish")
+                expected_capped = 0
+                for i in live:
+                    for _ in range(left[i]):
+                        word = raw()
+                        tosses = m + ((word & -word).bit_length() if word else 64)
+                        expected_capped += tosses > max_tosses
+                        total[i] += 1 << min(tosses, max_tosses)
+                break
+            for i in live:
+                r, stopped = left[i], 0
+                words = max(-(-r // 64), 1)
+                for k in range(words):
+                    stopped += (raw() & ((1 << min(r - 64 * k, 64)) - 1)).bit_count()
+                seen |= {"multi-word"} if words > 1 else set()
+                seen |= {"whole word"} if words > 1 and r % 64 == 0 else set()
+                seen |= {"finished row"} if r == 0 else set()
+                total[i] += stopped << (m + 1)
                 left[i] -= stopped
-        assert capped == sum(left) > 0
-        assert means.tolist() == [(t + (k << max_tosses)) / n_games for t, k in zip(total, left)]
+            running = [i for i in live if left[i]]
+            if 2 * len(running) <= len(live):
+                seen.add("dropped")
+                live = running
+        else:
+            seen.add("cap")
+            expected_capped = sum(left)
+            total = [t + (k << max_tosses) for t, k in zip(total, left)]
+        assert seen == paths
+        assert capped == expected_capped
+        assert means.tolist() == [t / n_games for t in total]
+
+    @pytest.mark.parametrize("max_tosses", [5, 60, 100])
+    @pytest.mark.parametrize("n_games", [1, 16, 100, 700])
+    def test_zero_words_cap_every_game(self, n_games, max_tosses):
+        # With every raw word 0 no toss stops a game, so each runs into the
+        # cap and pays 2**max_tosses.  At one game per row the finish draws
+        # the words: a zero word gives 64 more tosses, so a finish drawn with
+        # 64 or more tosses to go would pay 2**(m + 64) uncapped, and one that
+        # took 63 would not count the game as capped at m = max_tosses - 63.
+        rng = SimpleNamespace(
+            bit_generator=SimpleNamespace(random_raw=lambda size: np.zeros(size, dtype=np.uint64)),
+            binomial=lambda n, p: np.zeros_like(n),
+        )
+        means, capped = _block_means(rng, 50, n_games, max_tosses)
+        assert np.all(means == 2.0 ** max_tosses)
+        assert capped == 50 * n_games
 
     def test_distribution_matches_halving_law(self, single_game_means):
         means, capped = single_game_means
@@ -122,19 +175,44 @@ class TestTossSampling:
                                                         max_tosses=1))
         assert np.all(means == 2.0)
 
-    def test_capping_counts(self):
+    @pytest.mark.parametrize("n_games", [16, 100, 700])
+    def test_capping_counts(self, n_games):
         # At max_tosses=2 a game pays 2 when its first toss stops it, else 4
-        # (two tosses, or cut short at two), so a row's mean 4 - a/8 gives its
-        # count a of 2-paying games, Binomial(16, 1/2); a game is cut short
-        # with probability 1/4.
+        # (two tosses, or cut short at two), so a row's mean 4 - 2a/n gives
+        # its count a of 2-paying games, Binomial(n, 1/2); a game is cut
+        # short with probability 1/4.  One-word popcounts at 16 games,
+        # multi-word at 100, a binomial first at 700.
         cfg = SimConfig(seed=6, replications=4000, max_tosses=2)
-        means, capped = _replication_means(16, cfg)
-        ones = 8.0 * (4.0 - means)
-        assert np.all(ones == np.round(ones))
-        assert _binomial_half_p_value(ones.astype(np.int64), 16) > 1e-4
-        games = 16 * cfg.replications
+        means, capped = _replication_means(n_games, cfg)
+        ones = n_games * (4.0 - means) / 2.0
+        assert np.allclose(ones, np.round(ones), rtol=0.0, atol=1e-9)
+        assert _binomial_half_p_value(np.round(ones).astype(np.int64), n_games) > 1e-4
+        games = n_games * cfg.replications
         assert abs(capped / games - 0.25) < 4.0 * math.sqrt(0.25 * 0.75 / games)
-        assert simulate_repeated(16, cfg).capped_tosses == capped
+        assert simulate_repeated(n_games, cfg).capped_tosses == capped
+
+    def test_per_game_mean_law(self):
+        # Three games of at most four tosses: a game pays 2, 4 or 8 with
+        # probability 1/2, 1/4, 1/8, and 16 otherwise (a fourth toss, or cut
+        # short at four, each 1/16), so a row's sum has the law of three such
+        # payoffs added.  The rows go through the chain, the finish and the
+        # cap; every sum expects over 30 rows.
+        pay = {2: Fraction(1, 2), 4: Fraction(1, 4), 8: Fraction(1, 8), 16: Fraction(1, 8)}
+        law = {}
+        for a, b, c in itertools.product(pay, repeat=3):
+            law[a + b + c] = law.get(a + b + c, 0) + pay[a] * pay[b] * pay[c]
+        reps = 20000
+        means, capped = _replication_means(3, SimConfig(seed=12, replications=reps, max_tosses=4))
+        sums = np.round(3.0 * means).astype(np.int64)
+        assert np.allclose(3.0 * means, sums, rtol=1e-15, atol=0.0)
+        values = sorted(law)
+        observed = np.array([np.count_nonzero(sums == v) for v in values], dtype=float)
+        expected = np.array([reps * float(law[v]) for v in values])
+        assert observed.sum() == reps and expected.min() > 30.0
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert _chi2_sf(stat, len(values) - 1) > 1e-4
+        games = 3 * reps
+        assert abs(capped / games - 1 / 16) < 4.0 * math.sqrt(1 / 16 * 15 / 16 / games)
 
 
 class TestSimulateRepeated:
@@ -142,10 +220,10 @@ class TestSimulateRepeated:
         cfg = SimConfig(seed=42, replications=5000)
         assert simulate_repeated(16, cfg) == simulate_repeated(16, cfg)
 
-    @pytest.mark.parametrize("n_games", [32, 100])
+    @pytest.mark.parametrize("n_games", [32, 100, 700])
     def test_shard_invariance(self, n_games):
-        # parallel_shards is accepted and changes nothing; popcounts alone
-        # below 64 games, binomials first above
+        # parallel_shards is accepted and changes nothing; one-word popcounts
+        # at 32 games, multi-word at 100, binomials first at 700
         base = simulate_repeated(n_games, SimConfig(seed=9, replications=9000))
         for shards in (2, 3, 4, 10 ** 6):
             cfg = SimConfig(seed=9, replications=9000, parallel_shards=shards)
@@ -169,8 +247,8 @@ class TestSimulateRepeated:
         assert capped == expected_capped
 
     def test_sharded_cli_run_starts_no_thread(self):
-        # 3 blocks at 9000 replications, popcounts alone at 8 games and
-        # binomials first at 100; --shards is accepted and starts nothing
+        # 3 blocks at 9000 replications, one-word popcounts at 8 games and
+        # multi-word at 100; --shards is accepted and starts nothing
         src = str(Path(simulate.__file__).resolve().parents[1])
         code = (
             "import sys, threading\n"
@@ -180,7 +258,7 @@ class TestSimulateRepeated:
             "print(code, 'concurrent.futures' in sys.modules, threading.active_count())\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={"PYTHONPATH": src}, timeout=120)
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.splitlines()[-1] == "0 False 1"
 
