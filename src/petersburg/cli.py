@@ -45,9 +45,9 @@ import numpy as np
 
 from .calibration import calibrate_disbelief_general
 from .errors import DomainError, SolverError
-from .lotteries import ExpectedUtilitySeq, GameFamily, UtilitySpec
+from .lotteries import UTILITY_KINDS, ExpectedUtilitySeq, GameFamily, UtilitySpec
 from .posteriors import TruncationPolicy, integer_bracket, posterior, stochastically_optimal
-from .priors import PriorSpec, continuous_optimum
+from .priors import PRIOR_KINDS, PriorSpec, continuous_optimum
 from .scenarios import (
     DOUBLE_ZERO_WIN_PROB,
     repeated_game_posterior,
@@ -129,18 +129,19 @@ class RunConfig:
             raise
         except KeyError as exc:
             raise _ConfigError(f"{name} lacks the key {exc}") from None
-        except (TypeError, ValueError) as exc:  # a malformed family document
+        except (TypeError, ValueError) as exc:  # a malformed document, or no kind
             raise _ConfigError(f"{name}: {exc}") from None
 
     def prior_spec(self) -> PriorSpec:
-        return self._read("prior", PriorSpec.from_json)
+        return self._read("prior", lambda doc: PriorSpec(**doc))
 
     def policy(self) -> TruncationPolicy:
         return TruncationPolicy(**self.truncation)
 
     def utilities(self) -> ExpectedUtilitySeq:
         family = self._read("game", GameFamily.from_json)
-        return ExpectedUtilitySeq.from_family(family, self._read("utility", UtilitySpec.from_json))
+        utility = self._read("utility", lambda doc: UtilitySpec(**doc))
+        return ExpectedUtilitySeq.from_family(family, utility)
 
 
 def _read_json(path: str, what: str):
@@ -170,13 +171,13 @@ _OPTIONS = (
     _Option("--no-timestamp", "timestamp", bool, "omit the timestamp field from csv/json output"),
     _Option("--rows", "rows", _COUNT, "max table rows to print"),
     _Option("--game", "game", dict, '"bernoulli" or a JSON family file'),
-    _Option("--prior", "prior.kind", ("luce", "power", "log", "logit")),
+    _Option("--prior", "prior.kind", PRIOR_KINDS),
     _Option("--alpha", "prior.alpha", float, "power prior exponent"),
     _Option("--u0", "prior.u0", float, "log prior scale"),
     _Option("--b", "prior.b", float, "logit prior coefficient"),
     _Option("--c", "prior.c", float, "logit prior offset"),
     _Option("--gamma", "prior.gamma", float, "logit prior curvature"),
-    _Option("--utility", "utility.kind", ("linear", "logarithmic", "power", "geometric")),
+    _Option("--utility", "utility.kind", UTILITY_KINDS),
     _Option("--exponent", "utility.exponent", float, "power utility exponent"),
     _Option("--base", "utility.base", float, "geometric utility base"),
     _Option("--beta", "beta", float, "disbelief parameter; calibrated when absent"),
@@ -472,6 +473,7 @@ def _emit(cfg: RunConfig, result: Result) -> None:
     file, each piece as its writer yields it."""
     with _open_output(cfg.output_path, "output") as stream:
         stream.writelines(_WRITERS[cfg.output_format](result, cfg.timestamp))
+        stream.flush()  # a closed pipe fails here, not at exit
 
 
 # -- command handlers ----------------------------------------------------
@@ -674,7 +676,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             with _open_output(emit_path, "emitted config") as fh:
                 json.dump(asdict(cfg), fh, sort_keys=True, indent=2)
                 fh.write("\n")
-        _emit(cfg, _HANDLERS[cfg.command](cfg))
+        result = _HANDLERS[cfg.command](cfg)
+        try:
+            _emit(cfg, result)
+        except BrokenPipeError as exc:
+            # the exit flushes stdout once more: let what is left go nowhere
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            raise _ConfigError(f"cannot write output: {exc}") from None
         return 0
     except _ConfigError as exc:
         print(f"error:config:{exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, check_positive_index
 
 PROB_TOL = 1e-12
+UTILITY_KINDS = ("linear", "logarithmic", "power", "geometric")
 _LN2 = math.log(2.0)
 
 
@@ -57,7 +58,7 @@ class Lottery:
 class UtilitySpec:
     """Descriptor of a utility function applied to lottery payoffs.
 
-    Kinds:
+    Kinds (UTILITY_KINDS):
       linear       u(x) = x
       logarithmic  u(x) = ln x            (payoffs must be positive)
       power        u(x) = x**exponent     (exponent > 0)
@@ -69,7 +70,7 @@ class UtilitySpec:
     base: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("linear", "logarithmic", "power", "geometric"):
+        if self.kind not in UTILITY_KINDS:
             raise DomainError(f"unknown utility kind {self.kind!r}")
         if self.kind == "power" and (self.exponent is None or self.exponent <= 0.0):
             raise DomainError("power utility needs a positive exponent")
@@ -97,10 +98,6 @@ class UtilitySpec:
                 f"{self.kind} utility of payoff {payoff} (outcome {index}) "
                 "overflows binary64"
             ) from None
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "UtilitySpec":
-        return cls(doc["kind"], exponent=doc.get("exponent"), base=doc.get("base"))
 
 
 def expected_utility(lottery: Lottery, utility: UtilitySpec) -> float:
@@ -163,10 +160,10 @@ class ExpectedUtilitySeq:
 
     ``fn`` maps a float array of indices to their values in one call.  The
     sequence ends before its first non-finite value, so a family that cannot
-    go further returns nan or inf there.  Such a sequence is infinite, and
-    so ``unbounded``: only beta < 0 can normalize its posterior.  A finite
-    sequence comes from ``from_values``, checked once into one read-only
-    array, and accepts any beta.
+    go further returns nan or inf there.  Such a sequence is not ``finite``,
+    and only beta < 0 can normalize its posterior.  A finite sequence comes
+    from ``from_values``, checked once into one read-only array, and accepts
+    any beta.
 
     The rest is declared, never inferred from values: ``identity`` that
     U_n = n for every n, which licenses the posterior's certified tail
@@ -235,10 +232,6 @@ class ExpectedUtilitySeq:
     @property
     def finite(self) -> bool:
         return self._array is not None
-
-    @property
-    def unbounded(self) -> bool:
-        return self._array is None
 
     @property
     def size(self) -> int | None:

@@ -11,10 +11,10 @@ times the accumulated sum.
 
 Which certified bound applies is declared by the utility sequence, never
 inferred from the terms already evaluated, and so is whether a nonnegative
-beta is refused (``ExpectedUtilitySeq.unbounded``).  ``bernoulli_utilities()``
-is the only built-in sequence that declares U_n = n
-(``ExpectedUtilitySeq.identity``).  The rule that stopped the sum is recorded
-in ``PosteriorDistribution.tail_rule``:
+beta is refused (on a sequence that is not ``ExpectedUtilitySeq.finite``).
+``bernoulli_utilities()`` is the only built-in sequence that declares
+U_n = n (``ExpectedUtilitySeq.identity``).  The rule that stopped the sum is
+recorded in ``PosteriorDistribution.tail_rule``, one of TAIL_RULES:
 
 - ``majorant``: every prior has a log weight concave in u > 0, so on a
   sequence declaring U_n = n every later weight ratio is at most
@@ -25,7 +25,9 @@ in ``PosteriorDistribution.tail_rule``:
   stop (inf if the weights still rise there).  On an undeclared sequence
   50 times the last term is recorded, which is not a bound: a sequence
   that rises again later can hide any mass past the stop.
-- ``finite``: a finite family needs no truncation.
+- ``finite``: a finite family needs no truncation;
+- ``integral``: ``scenarios.repeated_game_posterior`` bounds the tail of
+  its run lengths by an integral.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .priors import PriorSpec, log_attribute_weights
 
 _SMALL_TERM_RUN = 50
 
-TAIL_RULES = ("finite", "majorant", "heuristic")
+TAIL_RULES = ("finite", "majorant", "heuristic", "integral")
 
 
 @dataclass(frozen=True)
@@ -252,9 +254,9 @@ def _finite_top(top: float) -> float:
 
 
 def check_sign(utilities: ExpectedUtilitySeq, beta: float) -> None:
-    """SignError unless beta < 0 on a sequence declared unbounded, where
-    an array of beta is a DomainError: each beta has its own support."""
-    if utilities.unbounded:
+    """SignError unless beta < 0 on an infinite sequence, where an array
+    of beta is a DomainError: each beta has its own support."""
+    if not utilities.finite:
         if isinstance(beta, np.ndarray):
             raise DomainError("an array of beta needs a finite sequence")
         if beta >= 0.0:
@@ -297,7 +299,7 @@ def posterior(
     """Distribution with probs[n] proportional to w(U_n) * exp(beta * U_n),
     w the prior weight.
 
-    Finite families accept any beta; a sequence declared unbounded requires
+    Finite families accept any beta; an infinite sequence requires
     beta < 0 (otherwise the normalizing sum diverges and a SignError is
     raised).  At beta = 0 the result is exactly the normalized prior.
     An array of beta is a DomainError (``posterior_moments`` takes an array).

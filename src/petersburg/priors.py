@@ -27,9 +27,15 @@ from .errors import DomainError, SignError
 from .rootfind import bisect_root
 
 
+PRIOR_KINDS = ("luce", "power", "log", "logit")
+_DEFAULTS = {"log": {"u0": 1.0}, "logit": {"c": 0.0, "gamma": 0.5}}
+
+
 @dataclass(frozen=True)
 class PriorSpec:
-    """Descriptor of a prior-weight family.  Build via the classmethods."""
+    """Descriptor of a prior-weight family of one of PRIOR_KINDS.  Power needs
+    ``alpha`` and logit ``b``; a parameter left None takes its default,
+    ``u0`` = 1 for log, and ``c`` = 0 and ``gamma`` = 0.5 for logit."""
 
     kind: str
     alpha: float | None = None
@@ -39,19 +45,20 @@ class PriorSpec:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("luce", "power", "log", "logit"):
+        if self.kind not in PRIOR_KINDS:
             raise DomainError(f"unknown prior kind {self.kind!r}")
+        for name, value in _DEFAULTS.get(self.kind, {}).items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
         if self.kind == "power" and (self.alpha is None or self.alpha <= 0.0):
             raise DomainError("power prior needs alpha > 0")
-        if self.kind == "log" and (self.u0 is None or self.u0 <= 0.0):
+        if self.kind == "log" and self.u0 <= 0.0:
             raise DomainError("log prior needs u0 > 0")
         if self.kind == "logit":
             if self.b is None or self.b <= 0.0:
                 raise DomainError("logit prior needs b > 0")
-            if self.gamma is None or not 0.0 < self.gamma < 1.0:
+            if not 0.0 < self.gamma < 1.0:
                 raise DomainError("logit prior needs gamma in (0, 1)")
-            if self.c is None:
-                object.__setattr__(self, "c", 0.0)
 
     @classmethod
     def luce(cls) -> "PriorSpec":
@@ -62,25 +69,12 @@ class PriorSpec:
         return cls("power", alpha=alpha)
 
     @classmethod
-    def log_shape(cls, u0: float = 1.0) -> "PriorSpec":
+    def log_shape(cls, u0: float | None = None) -> "PriorSpec":
         return cls("log", u0=u0)
 
     @classmethod
-    def logit(cls, b: float, c: float = 0.0, gamma: float = 0.5) -> "PriorSpec":
+    def logit(cls, b: float, c: float | None = None, gamma: float | None = None) -> "PriorSpec":
         return cls("logit", b=b, c=c, gamma=gamma)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PriorSpec":
-        kind = doc["kind"]
-        if kind == "power":
-            return cls.power(float(doc["alpha"]))
-        if kind == "log":
-            return cls.log_shape(float(doc.get("u0", 1.0)))
-        if kind == "logit":
-            return cls.logit(
-                float(doc["b"]), float(doc.get("c", 0.0)), float(doc["gamma"])
-            )
-        return cls(kind)
 
 
 def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:

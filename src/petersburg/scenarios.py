@@ -70,7 +70,7 @@ def _run_length_values(n: float | np.ndarray) -> float | np.ndarray:
 
 
 def repeated_game_utilities() -> ExpectedUtilitySeq:
-    """U_N = 1 + log2(N) for N = 1, 2, ..., declared unbounded, with its
+    """U_N = 1 + log2(N) for N = 1, 2, ..., an infinite sequence, with its
     luce moments in closed form."""
     return ExpectedUtilitySeq(_run_length_values, luce_moments=_run_length_moments)
 

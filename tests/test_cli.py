@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from petersburg import DomainError, cli, roulette_sequence
+from petersburg import DomainError, PriorSpec, UtilitySpec, cli, roulette_sequence
 from petersburg.cli import _COUNT, _OPTIONS, RunConfig, main
 
 
@@ -379,6 +379,19 @@ def _config_doc(key, value):
     return {section: {leaf: value}} if section else {key: value}
 
 
+def _section_flags(section, doc):
+    """The flags that give a prior or utility section ``doc``."""
+    return [f"--{section if key == 'kind' else key}={value}" for key, value in doc.items()]
+
+
+def _init_error(spec_class):
+    """What Python says of a spec built without its kind."""
+    try:
+        spec_class()
+    except TypeError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("opt", _OPTIONS, ids=lambda opt: opt.key)
 def test_every_option_checks_file_and_flag(capsys, tmp_path, opt):
     bad, flag_value = ("weird", "weird") if isinstance(opt.type, tuple) else BAD_VALUES[opt.type]
@@ -416,7 +429,8 @@ def test_every_option_checks_file_and_flag(capsys, tmp_path, opt):
     ({"x0": 10 ** 400}, "x0"),
     ({"sim": 5}, "sim"),
     ([1], "a config file holds one JSON object"),
-    ({"prior": {"alpha": 2.0}}, "prior lacks the key 'kind'"),
+    ({"prior": {"alpha": 2.0}}, f"prior: {_init_error(PriorSpec)}"),
+    ({"utility": {"base": 2.0}}, f"utility: {_init_error(UtilitySpec)}"),
     ({"game": {"family": "custom", "lotteries": [{"outcomes": [{"payoff": "x", "prob": 1}]}]}},
      "game: could not convert string to float: 'x'"),
     ({"game": {"family": "custom", "lotteries": [{"outcomes": [{"payoff": 2.0}]}]}},
@@ -437,12 +451,45 @@ def test_config_probes_exit_one(capsys, tmp_path, doc, key):
     (["optimal", "--beta=-inf"], "beta"),
     (["repeated", "--beta", "nan"], "beta"),
     (["calibrate", "--prior", "power", "--alpha", "inf"], "prior.alpha"),
-    (["calibrate", "--prior", "power"], "prior lacks the key 'alpha'"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_flag_probes_exit_one(capsys, argv, key):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, ""), err
     assert err.startswith("error:config:") and key in err, err
+
+
+# a parameter left out, by flag or by config key, is its default
+@pytest.mark.parametrize("doc, key, default", [
+    ({"kind": "log"}, "u0", 1.0),
+    ({"kind": "logit", "b": 1.0, "gamma": 0.3}, "c", 0.0),
+    ({"kind": "logit", "b": 1.0}, "gamma", 0.5),
+], ids=["u0", "c", "gamma"])
+def test_left_out_prior_parameter_is_its_default(capsys, tmp_path, doc, key, default):
+    path = tmp_path / "run.json"
+    outs = []
+    for prior in (doc, {**doc, key: default}):
+        path.write_text(json.dumps({"prior": prior}))
+        for route in (_section_flags("prior", prior), ["--config", str(path)]):
+            outs.append(run(capsys, "optimal", "--beta=-1", "--format", "json",
+                            "--no-timestamp", *route))
+    assert outs[0][0] == 0 and all(out == outs[0] for out in outs), outs
+    # the logit offset cancels from every output, so compare the specs too
+    assert RunConfig(prior=doc).prior_spec() == RunConfig(prior={**doc, key: default}).prior_spec()
+
+
+# a required parameter left out, by flag or by config key, is the spec's
+# one domain error
+@pytest.mark.parametrize("section, doc, message", [
+    ("prior", {"kind": "power"}, "power prior needs alpha > 0"),
+    ("prior", {"kind": "logit", "gamma": 0.5}, "logit prior needs b > 0"),
+    ("utility", {"kind": "power"}, "power utility needs a positive exponent"),
+    ("utility", {"kind": "geometric"}, "geometric utility needs a positive base"),
+], ids=["alpha", "b", "exponent", "base"])
+def test_missing_required_parameter_exits_two(capsys, tmp_path, section, doc, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({section: doc}))
+    for route in (_section_flags(section, doc), ["--config", str(path)]):
+        assert run(capsys, "calibrate", *route) == (2, "", f"error:domain:{message}\n"), route
 
 
 def test_file_values_act_as_flags(capsys, tmp_path):
@@ -571,7 +618,7 @@ def test_positive_beta_exits_two_iff_declared_unbounded(capsys, tmp_path, family
     path.write_text(json.dumps({"game": game, "utility": utility}))
     # the declarations themselves are tabled in test_lotteries
     try:
-        unbounded = RunConfig(game=game, utility=utility).utilities().unbounded
+        unbounded = not RunConfig(game=game, utility=utility).utilities().finite
     except DomainError:  # a bounded coin-toss family: no beta normalizes it
         unbounded = None
     code, _, err = run(capsys, "distribution", "--config", str(path), "--beta", "0.5")
@@ -621,6 +668,22 @@ def test_subnormal_geometric_base_exits_two_as_a_module():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error:domain:geometric utility bounds")
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_closed_pipe_exits_one_as_a_module():
+    # a reader that closes after the first line, as `| head -1` does; the
+    # 28,734-row table is far larger than a pipe's buffer
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "petersburg.cli", "distribution", "--beta", "-0.001",
+            "--format", "csv", "--no-timestamp"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        assert proc.stdout.readline() == "# beta: -0.001\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1, err
+    assert err.startswith("error:config:cannot write output: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_unbounded_geometric_table(capsys):

@@ -21,6 +21,7 @@ from petersburg import (
     expected_utility,
     geometric_expected_utility,
 )
+from petersburg.cli import RunConfig
 
 
 def bernoulli_lottery(n: int) -> Lottery:
@@ -225,14 +226,22 @@ class TestSerialization:
         with pytest.raises(DomainError):
             GameFamily.custom([])
 
-    def test_utility_spec_from_json(self):
+    def test_utility_from_config(self):
+        # the CLI builds each utility kind from its config document
+        game = {"family": "custom", "lotteries": [
+            {"outcomes": [{"payoff": 2.0, "prob": 0.5}, {"payoff": 4.0, "prob": 0.25}],
+             "residual": 0.25},
+            {"outcomes": [{"payoff": 5.0, "prob": 0.5}, {"payoff": 1.0, "prob": 0.5}]},
+        ]}
+        family = GameFamily.from_json(game)
         for doc, spec in (
             ({"kind": "linear"}, UtilitySpec("linear")),
             ({"kind": "logarithmic"}, UtilitySpec("logarithmic")),
             ({"kind": "power", "exponent": 1.5}, UtilitySpec("power", exponent=1.5)),
             ({"kind": "geometric", "base": 0.5}, UtilitySpec("geometric", base=0.5)),
         ):
-            assert UtilitySpec.from_json(doc) == spec
+            got = RunConfig(game=game, utility=doc).utilities().values(1, 3).tolist()
+            assert got == ExpectedUtilitySeq.from_family(family, spec).values(1, 3).tolist()
 
 
 # every utility kind the CLI can name, and what the coin-toss family declares
@@ -259,9 +268,9 @@ COIN_TOSS_DECLARATIONS = [
 class TestExpectedUtilitySeq:
     def test_from_values(self):
         seq = ExpectedUtilitySeq.from_values([1.0, 3.0, 2.0])
-        assert seq.finite and seq.size == 3 and not seq.unbounded
+        assert seq.finite and seq.size == 3
         with pytest.raises(AttributeError):
-            seq.unbounded = True
+            seq.finite = False
         assert seq.values(1, 4).tolist() == [1.0, 3.0, 2.0]
         # stops short past the end, and the array cannot be written
         tail = seq.values(2, 10)
@@ -299,7 +308,7 @@ class TestExpectedUtilitySeq:
     def test_bernoulli_utilities_closed_form(self):
         seq = bernoulli_utilities()
         assert seq.values(10 ** 6, 10 ** 6 + 2).tolist() == [1e6, 1e6 + 1]
-        assert seq.unbounded and seq.identity
+        assert not seq.finite and seq.identity
 
     @pytest.mark.parametrize("beta", (-np.geomspace(1e-4, 50.0, 16)).tolist())
     def test_declared_luce_moments_against_mpmath(self, beta):
@@ -365,7 +374,7 @@ class TestExpectedUtilitySeq:
                     ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
                 continue
             seq = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
-            assert seq.unbounded and not seq.finite, utility
+            assert not seq.finite, utility
             assert seq.identity is (declared == "identity"), utility
 
     def test_values_stop_short_at_a_non_finite_value(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import petersburg.priors
 from petersburg import DomainError, PriorSpec, continuous_optimum, pair_probabilities
+from petersburg.cli import RunConfig
 from petersburg.priors import log_attribute_weights
 from petersburg.rootfind import bisect_root
 
@@ -295,10 +296,15 @@ class TestPriorSpecValidation:
 
     def test_json_unknown_kind(self):
         with pytest.raises(DomainError, match="unknown prior kind 'x'"):
-            PriorSpec.from_json({"kind": "x"})
+            RunConfig(prior={"kind": "x"}).prior_spec()
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
     def test_json_round_trip(self, prior):
         # the document a config file holds: the kind and the set parameters
         doc = {k: v for k, v in vars(prior).items() if v is not None}
-        assert PriorSpec.from_json(json.loads(json.dumps(doc))) == prior
+        assert RunConfig(prior=json.loads(json.dumps(doc))).prior_spec() == prior
+
+    def test_defaults(self):
+        assert PriorSpec.log_shape() == PriorSpec("log") == PriorSpec("log", u0=1.0)
+        logit = PriorSpec("logit", b=2.0, c=0.0, gamma=0.5)
+        assert PriorSpec.logit(2.0) == PriorSpec("logit", b=2.0) == logit

@@ -326,7 +326,7 @@ PRIORS = {
 @pytest.mark.parametrize("kind", sorted(PRIORS))
 def test_distribution_matches_reference(capsys, kind, beta):
     flags, doc = PRIORS[kind]
-    dist = posterior(PriorSpec.from_json(doc), bernoulli_utilities(), beta)
+    dist = posterior(PriorSpec(**doc), bernoulli_utilities(), beta)
     argv = ("distribution", "--prior", kind, *flags, f"--beta={beta!r}", "--no-timestamp")
     assert run(capsys, *argv, "--format", "json") == reference_distribution_json(dist)
     assert run(capsys, *argv, "--format", "csv") == reference_distribution_csv(dist)

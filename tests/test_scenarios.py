@@ -10,6 +10,7 @@ import pytest
 
 from petersburg import (
     DomainError,
+    ExpectedUtilitySeq,
     PriorSpec,
     RunLengthPosterior,
     SimConfig,
@@ -17,6 +18,7 @@ from petersburg import (
     SingularAttributeError,
     StageChoice,
     TruncationPolicy,
+    bernoulli_utilities,
     continuous_optimum,
     posterior,
     repeated_game_posterior,
@@ -26,6 +28,7 @@ from petersburg import (
     simulate_martingale,
 )
 from petersburg.cli import main
+from petersburg.posteriors import TAIL_RULES
 from petersburg.scenarios import _primitive, _run_length_moments, _run_length_sum
 
 
@@ -195,6 +198,15 @@ class TestRepeatedGamePosterior:
         assert dist.meta()["tail_rule"] == "integral"
         with pytest.raises(TypeError):
             RunLengthPosterior(-1.0, 10, 0.0, 1.0, "anything")
+        # one tuple names every rule a posterior reports
+        reported = {dist.tail_rule} | {
+            posterior(PriorSpec.luce(), seq, beta).tail_rule for seq, beta in (
+                (ExpectedUtilitySeq.from_values([1.0, 2.0]), 0.5),
+                (bernoulli_utilities(), -0.5),
+                (bernoulli_utilities(), -1e-3),
+            )
+        }
+        assert reported == set(TAIL_RULES) == {"finite", "majorant", "heuristic", "integral"}
 
     @pytest.mark.parametrize("beta", [-0.3, -0.5, -math.log(2.0)])
     def test_divergent_series_has_no_bound(self, beta):
@@ -279,7 +291,7 @@ class TestRepeatedGamePosterior:
     def test_utilities_sequence(self):
         seq = repeated_game_utilities()
         assert seq.values(1, 5).tolist() == [1.0, 2.0, 1.0 + math.log2(3), 3.0]
-        assert seq.unbounded and not seq.identity
+        assert not seq.finite and not seq.identity
 
 
 class TestRepeatedOptimal:
