@@ -19,7 +19,9 @@ import numpy as np
 from .errors import DomainError, check_positive_index
 
 PROB_TOL = 1e-12
-UTILITY_KINDS = ("linear", "logarithmic", "power", "geometric")
+# the parameter each kind reads; it takes no other
+_PARAMETERS = {"linear": (), "logarithmic": (), "power": ("exponent",), "geometric": ("base",)}
+UTILITY_KINDS = tuple(_PARAMETERS)
 _LN2 = math.log(2.0)
 
 
@@ -63,6 +65,8 @@ class UtilitySpec:
       logarithmic  u(x) = ln x            (payoffs must be positive)
       power        u(x) = x**exponent     (exponent > 0)
       geometric    u(x_m) = base**m       (applied by 1-based outcome index)
+
+    A parameter the kind does not read must be left None.
     """
 
     kind: str
@@ -72,6 +76,9 @@ class UtilitySpec:
     def __post_init__(self) -> None:
         if self.kind not in UTILITY_KINDS:
             raise DomainError(f"unknown utility kind {self.kind!r}")
+        for name in ("exponent", "base"):
+            if getattr(self, name) is not None and name not in _PARAMETERS[self.kind]:
+                raise DomainError(f"{self.kind} utility takes no {name}")
         if self.kind == "power" and (self.exponent is None or self.exponent <= 0.0):
             raise DomainError("power utility needs a positive exponent")
         if self.kind == "geometric" and (self.base is None or self.base <= 0.0):

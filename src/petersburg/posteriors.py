@@ -5,9 +5,10 @@ w(U_n) * exp(beta * U_n), normalized over the support, where w is the prior
 weight whose log ``priors.log_attribute_weights`` gives.
 For unbounded utility families the normalizing series converges only for
 beta < 0, and a finite implementation must truncate it: construction
-evaluates log-domain weights in chunks of growing size and stops at the first
-index n >= 4 where a bound on the omitted tail mass drops below ``rel_tol``
-times the accumulated sum.
+evaluates the log-domain weights of a prefix 1..m, doubling m until a rule
+fires inside it, and stops at the first index n >= 4 where a bound on the
+omitted tail mass drops below ``rel_tol`` times the accumulated sum.  The
+first m is sized from the prior's optimum, which changes the cost only.
 
 Which certified bound applies is declared by the utility sequence, never
 inferred from the terms already evaluated, and so is whether a nonnegative
@@ -40,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, SignError, TruncationError, check_positive_index
 from .lotteries import ExpectedUtilitySeq
-from .priors import PriorSpec, log_attribute_weights
+from .priors import PriorSpec, continuous_optimum, log_attribute_weights
 
 _SMALL_TERM_RUN = 50
 
@@ -131,9 +132,27 @@ class PosteriorDistribution:
         return range(1, stop + 1), self.utilities[:stop], self.probs[:stop]
 
 
-_FIRST_CHUNK = 16
-_MAX_CHUNK = 1 << 16
 _TINY = 1e-290  # below this a shifted partial sum may have lost precision
+
+
+def _first_size(
+    prior: PriorSpec,
+    utilities: ExpectedUtilitySeq,
+    beta: float,
+    policy: TruncationPolicy,
+) -> int:
+    """The first prefix length of ``_stream_truncated``, at least 16 and at
+    most ``policy.max_index``: on U_n = n twice the prior's optimum plus 1.2
+    decay lengths ln(1/rel_tol)/|beta|, where most sums stop; ``max_index``
+    where the optimum leaves binary64; 16 on any other sequence.  It sets
+    the cost of the sum, never its stop."""
+    guess = 16.0
+    if utilities.identity:
+        try:
+            guess = 2.0 * continuous_optimum(prior, beta) + 1.2 * math.log(policy.rel_tol) / beta
+        except DomainError:
+            guess = math.inf
+    return int(min(max(guess, 16.0), policy.max_index))
 
 
 def _stream_truncated(
@@ -142,83 +161,60 @@ def _stream_truncated(
     beta: float,
     policy: TruncationPolicy,
 ) -> tuple[np.ndarray, np.ndarray, float, str]:
-    """Stream log-weights in chunks until a tail rule stops the sum.
+    """Evaluate log-weights over prefixes 1..m of doubling length until a
+    tail rule stops the sum inside one.
 
     Returns (log_weights, utility_values, tail_fraction, tail_rule) with the
     tail expressed relative to the retained sum.  The stop is the first
     index n >= 4 where the majorant (on a sequence declaring U_n = n) or the
-    small-term heuristic fires, the majorant winning a tie.  Raises
-    TruncationError when no rule fires by ``policy.max_index`` or the family
-    cannot be evaluated that far.
+    small-term heuristic fires, the majorant winning a tie.  Each round
+    evaluates its prefix afresh, so the first length, ``_first_size``, moves
+    no stop.  Raises TruncationError when no rule fires by
+    ``policy.max_index`` or before the family ends.
     """
     rel_log = math.log(policy.rel_tol)
-    lw_chunks: list[np.ndarray] = []
-    u_chunks: list[np.ndarray] = []
-    log_sum = -math.inf  # log of the retained sum before this chunk
-    prev_lw = math.nan  # log weight of the last retained term
-    small_run = 0  # trailing run of small terms before this chunk
-    lo, size = 1, _FIRST_CHUNK
-
-    while lo <= policy.max_index:
-        try:
-            u = utilities.values(lo, min(lo + size, policy.max_index + 1))
-        except DomainError as exc:
-            if lo == 1:
-                raise
-            raise TruncationError(
-                f"family evaluation ended at index {lo - 1} before the "
-                f"tail bound was met ({exc})"
-            ) from exc
-        m = len(u)
+    m = _first_size(prior, utilities, beta, policy)
+    while True:
+        u = utilities.values(1, m + 1)
         lw = log_attribute_weights(prior, u)
         lw += beta * u
         top = _finite_top(float(lw.max()))
 
-        # log_sums[i]: log of the retained sum through this chunk's term i
-        if log_sum == -math.inf:  # first chunk, or only zero weights so far
+        # log_sums[i]: log of the sum of the weights through term i
+        partial = np.exp(lw - top) if top > -math.inf else np.zeros_like(lw)
+        if partial[0] >= _TINY:
+            log_sums = np.log(np.cumsum(partial, out=partial))
+            log_sums += top
+        else:  # every weight is zero, or the shifted sums underflow at first
             log_sums = np.logaddexp.accumulate(lw)
-        else:
-            shift = max(log_sum, top)
-            partial = np.exp(lw - shift)
-            partial[0] += math.exp(log_sum - shift)
-            np.cumsum(partial, out=partial)
-            if partial[0] >= _TINY:
-                log_sums = np.log(partial)
-                log_sums += shift
-            else:  # the shifted sums underflowed
-                log_sums = np.logaddexp(log_sum, np.logaddexp.accumulate(lw))
-        first = max(4 - lo, 0)  # no rule is tested before n = 4
-        if log_sums[0] == -math.inf:  # nor before any weight is nonzero
-            first = max(first, int(np.searchsorted(log_sums, -math.inf, "right")))
+        # no rule is tested before n = 4, nor before any weight is nonzero
+        first = max(3, int(np.searchsorted(log_sums, -math.inf, "right")))
         # the rules below work on the tested terms lw[first:]
         tested = lw[first:]
         thresholds = log_sums[first:] + rel_log
 
-        stop, rule = m, None
+        stop, rule = len(tested), None
         if utilities.identity:
             # each prior's log weight is concave on u > 0, so with unit steps
             # every later weight ratio is at most q = w_n / w_(n-1); the tail
             # is at most w_n q/(1-q), which is below the threshold t exactly
             # when q (w_n + t) <= t
-            before = lw[first - 1 : -1] if first else np.append(prev_lw, lw[:-1])
+            before = lw[first - 1 : -1]
             fires = tested - before + np.logaddexp(tested, thresholds) <= thresholds
             hits = fires.nonzero()[0]
             if hits.size:
                 stop, rule = int(hits[0]), "majorant"
 
         # heuristic: 50 consecutive terms each below rel_tol times the
-        # retained sum; edges are the terms that break a run
-        if rule is None or _SMALL_TERM_RUN - 1 - small_run < stop:
+        # retained sum, tested only where such a run can end before the
+        # stop; edges are the terms that break a run
+        if stop >= _SMALL_TERM_RUN:
             breaks = (tested > thresholds).nonzero()[0]
-            if breaks.size == len(tested):  # no small term in this chunk
-                small_run = 0
-            else:
-                edges = np.concatenate(([-1 - small_run], breaks, [len(tested)]))
-                runs = (np.diff(edges) > _SMALL_TERM_RUN).nonzero()[0]
-                if runs.size and edges[runs[0]] + _SMALL_TERM_RUN < stop:
-                    stop = int(edges[runs[0]]) + _SMALL_TERM_RUN
-                    rule = "heuristic"
-                small_run = len(tested) - 1 - int(edges[-2])
+            edges = np.concatenate(([-1], breaks, [len(tested)]))
+            runs = (np.diff(edges) > _SMALL_TERM_RUN).nonzero()[0]
+            if runs.size and edges[runs[0]] + _SMALL_TERM_RUN < stop:
+                stop = int(edges[runs[0]]) + _SMALL_TERM_RUN
+                rule = "heuristic"
 
         if rule is not None:
             if utilities.identity:  # the majorant's tail, whichever rule stopped
@@ -229,20 +225,18 @@ def _stream_truncated(
             else:
                 log_tail = math.log(_SMALL_TERM_RUN) + float(tested[stop])
             tail = math.exp(log_tail - float(log_sums[first + stop]))
-            lw_chunks.append(lw[: first + stop + 1])
-            u_chunks.append(u[: first + stop + 1])
-            return np.concatenate(lw_chunks), np.concatenate(u_chunks), tail, rule
-        lw_chunks.append(lw)
-        u_chunks.append(u)
-        log_sum = float(log_sums[-1])
-        prev_lw = float(lw[-1])
-        lo += m
-        size = min(2 * size, _MAX_CHUNK)
-
-    raise TruncationError(
-        f"tail bound not reached within max_index={policy.max_index} "
-        f"(rel_tol={policy.rel_tol}, beta={beta})"
-    )
+            return lw[: first + stop + 1], u[: first + stop + 1], tail, rule
+        if len(u) < m:
+            raise TruncationError(
+                f"family evaluation ended at index {len(u)} before the "
+                "tail bound was met"
+            )
+        if m == policy.max_index:
+            raise TruncationError(
+                f"tail bound not reached within max_index={policy.max_index} "
+                f"(rel_tol={policy.rel_tol}, beta={beta})"
+            )
+        m = min(2 * m, policy.max_index)
 
 
 def _finite_top(top: float) -> float:
@@ -272,8 +266,9 @@ def _weights(
     """Normalized weights weight(U_n) exp(beta U_n) over the support, with
     the utilities, the tail fraction and its rule; one row per beta of a
     1-D array on a finite sequence.  An overflow (inf or, past an infinite
-    log weight, nan) is refused by ``_finite_top``: in the stream chunk by
-    chunk, and on a finite sequence row by row, the first row first."""
+    log weight, nan) is refused by ``_finite_top``: anywhere in a prefix the
+    stream evaluates, and on a finite sequence row by row, the first row
+    first."""
     check_sign(utilities, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         if utilities.finite:

@@ -27,15 +27,23 @@ from .errors import DomainError, SignError
 from .rootfind import bisect_root
 
 
-PRIOR_KINDS = ("luce", "power", "log", "logit")
-_DEFAULTS = {"log": {"u0": 1.0}, "logit": {"c": 0.0, "gamma": 0.5}}
+# the parameters each kind reads, with their defaults (None: required); it
+# takes no other
+_PARAMETERS = {
+    "luce": {},
+    "power": {"alpha": None},
+    "log": {"u0": 1.0},
+    "logit": {"b": None, "c": 0.0, "gamma": 0.5},
+}
+PRIOR_KINDS = tuple(_PARAMETERS)
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     """Descriptor of a prior-weight family of one of PRIOR_KINDS.  Power needs
     ``alpha`` and logit ``b``; a parameter left None takes its default,
-    ``u0`` = 1 for log, and ``c`` = 0 and ``gamma`` = 0.5 for logit."""
+    ``u0`` = 1 for log, and ``c`` = 0 and ``gamma`` = 0.5 for logit.  A
+    parameter the kind does not read must be left None."""
 
     kind: str
     alpha: float | None = None
@@ -47,9 +55,12 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if self.kind not in PRIOR_KINDS:
             raise DomainError(f"unknown prior kind {self.kind!r}")
-        for name, value in _DEFAULTS.get(self.kind, {}).items():
+        reads = _PARAMETERS[self.kind]
+        for name in ("alpha", "u0", "b", "c", "gamma"):
             if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, reads.get(name))
+            elif name not in reads:
+                raise DomainError(f"{self.kind} prior takes no {name}")
         if self.kind == "power" and (self.alpha is None or self.alpha <= 0.0):
             raise DomainError("power prior needs alpha > 0")
         if self.kind == "log" and self.u0 <= 0.0:

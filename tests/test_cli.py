@@ -492,6 +492,27 @@ def test_missing_required_parameter_exits_two(capsys, tmp_path, section, doc, me
         assert run(capsys, "calibrate", *route) == (2, "", f"error:domain:{message}\n"), route
 
 
+# a parameter the kind does not read, by flag or by config key, is refused,
+# not kept unchecked
+@pytest.mark.parametrize("section, doc, message", [
+    ("prior", {"kind": "luce", "alpha": 2.0}, "luce prior takes no alpha"),
+    ("prior", {"kind": "power", "alpha": 2.0, "gamma": 7.0}, "power prior takes no gamma"),
+    ("prior", {"kind": "log", "b": 1.0}, "log prior takes no b"),
+    ("prior", {"kind": "logit", "b": 1.0, "u0": -3.0}, "logit prior takes no u0"),
+    ("utility", {"kind": "linear", "exponent": 2.0}, "linear utility takes no exponent"),
+    ("utility", {"kind": "logarithmic", "base": 3.0}, "logarithmic utility takes no base"),
+    ("utility", {"kind": "power", "exponent": 2.0, "base": 3.0}, "power utility takes no base"),
+    ("utility", {"kind": "geometric", "base": 3.0, "exponent": 2.0},
+     "geometric utility takes no exponent"),
+], ids=["luce", "power", "log", "logit", "linear", "logarithmic", "power-utility", "geometric"])
+def test_parameter_the_kind_does_not_read_exits_two(capsys, tmp_path, section, doc, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({section: doc}))
+    for route in (_section_flags(section, doc), ["--config", str(path)]):
+        assert run(capsys, "optimal", "--beta", "-1", *route) == (
+            2, "", f"error:domain:{message}\n"), route
+
+
 def test_file_values_act_as_flags(capsys, tmp_path):
     # a JSON integer for a float option is that float, and null is the
     # default of beta

@@ -141,7 +141,7 @@ class TestPosteriorConstruction:
         with pytest.raises(DomainError):
             posterior(LUCE, seq, 0.0)
 
-    @pytest.mark.parametrize("at", [1, 40])  # in the first chunk and a later one
+    @pytest.mark.parametrize("at", [1, 40])  # in the first round and the third (1..64)
     def test_overflowing_weight_rejected_when_streamed(self, at):
         # beta * U_n = 2e308 overflows to inf; it once normalized to nan
         seq = ExpectedUtilitySeq(lambda n: np.where(n == at, -1e308, 1.0 / n))

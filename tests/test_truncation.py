@@ -1,6 +1,7 @@
-"""The chunked truncation engine against the per-term loop it replaced,
-the array prior log weight against the scalar one, declared tail
-certificates, and high-precision oracles for the coin-toss family."""
+"""The truncation engine, which evaluates whole prefixes in rounds of
+doubling length, against the per-term loop it replaced and at every first
+prefix length; the array prior log weight against the scalar one, declared
+tail certificates, and high-precision oracles for the coin-toss family."""
 
 import json
 import math
@@ -19,6 +20,7 @@ from petersburg import (
     posterior,
     repeated_game_utilities,
 )
+from petersburg import posteriors
 from petersburg.cli import main
 from petersburg.posteriors import _stream_truncated
 from petersburg.priors import log_attribute_weights
@@ -165,7 +167,8 @@ class TestEngineMatchesReferenceLoop:
         # no rule is tested before the fourth term
         (PriorSpec.luce(), -30.0, 4, "majorant"),
         (PriorSpec.power(2.0), -30.0, 4, "majorant"),
-        # stops on the first term of the second and third chunks
+        # stops just inside the first prefix, sized from the optimum: 17 of
+        # 19 terms at beta = -2, 49 of 56 at -0.7
         (PriorSpec.power(0.5), -2.0, 17, "majorant"),
         (PriorSpec.power(0.5), -0.7, 49, "majorant"),
         # both rules fire at n = 606; the certificate wins the tie
@@ -179,9 +182,10 @@ class TestEngineMatchesReferenceLoop:
         assert got_rule == rule
         np.testing.assert_allclose(tail, ref_tail, rtol=1e-12)
 
-    def test_chunk_boundaries_carry_the_small_term_run(self):
-        # a stop far past the first chunks: the run of small terms and the
-        # retained sum cross many chunk edges; the tail is the majorant's
+    def test_stop_after_a_long_run_of_small_terms(self):
+        # a stop far past the first 16 terms, after a second round for
+        # logit (3,760 terms past a first prefix of 3,184); the tail is the
+        # majorant's
         policy = TruncationPolicy()
         for prior, beta in ((PriorSpec.luce(), -0.02), (PriorSpec.logit(1.0), -0.02)):
             ref_lw, _, ref_tail = reference_stream(prior, bernoulli_utilities(), beta, policy)
@@ -190,10 +194,13 @@ class TestEngineMatchesReferenceLoop:
             assert rule == "heuristic"
             np.testing.assert_allclose(tail, ref_tail, rtol=1e-12)
 
-    def test_stop_before_a_steep_rise_in_the_same_chunk(self):
-        # 50 small terms end at n = 53, inside the chunk 49..112, whose term
-        # at n = 100 outweighs everything before it by ~737 nats: shifted
-        # partial sums of that chunk underflow at its start
+    def test_stop_before_a_steep_rise_in_the_same_prefix(self, monkeypatch):
+        # 50 small terms end at n = 53, inside a first prefix of 128 terms,
+        # whose term at n = 100 outweighs everything before it by ~737 nats:
+        # the partial sums shifted by it underflow at the prefix's start, and
+        # the log-domain sums take over
+        monkeypatch.setattr(posteriors, "_first_size", lambda *args: 128)
+
         def fn(n):
             return np.where(n <= 3, 1.0, np.where(n != 100, 40.0, -1e-320))
 
@@ -229,9 +236,11 @@ class TestEngineMatchesReferenceLoop:
         with pytest.raises(DomainError):
             posterior(PriorSpec.luce(), seq, -0.5)
 
-    def test_rule_fires_before_a_later_evaluation_error(self):
-        # the family ends at index 80, inside the third chunk (49..112); the
-        # heuristic stop comes first, as in the per-term loop
+    def test_rule_fires_before_a_later_evaluation_error(self, monkeypatch):
+        # the family ends at index 80, inside a first prefix of 128 terms;
+        # the heuristic stop comes first, as in the per-term loop
+        monkeypatch.setattr(posteriors, "_first_size", lambda *args: 128)
+
         def fn(n):
             return np.where(n < 80, 1.0 + np.log2(n), math.nan)
 
@@ -245,6 +254,51 @@ class TestEngineMatchesReferenceLoop:
         assert 49 <= len(lw) == len(ref_lw) < 80
         assert rule == "heuristic"
         np.testing.assert_allclose(tail, ref_tail, rtol=1e-12)
+
+
+class TestFirstPrefixSize:
+    """The first prefix length sets the cost of a sum, never its stop."""
+
+    # (sequence, max_index): max_index bounds the run-length rounds, which
+    # mostly run out of it
+    SEQUENCES = {
+        "identity": (bernoulli_utilities, 10 ** 6),
+        "doubled": (lambda: ExpectedUtilitySeq(lambda n: 2.0 * n), 10 ** 6),
+        "run-length": (repeated_game_utilities, 5_000),
+    }
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    @pytest.mark.parametrize("prior", PRIORS, ids=lambda p: p.kind)
+    def test_stops_do_not_depend_on_the_first_prefix(self, monkeypatch, name, prior):
+        make_seq, max_index = self.SEQUENCES[name]
+        policy = TruncationPolicy(max_index=max_index)
+        sized = posteriors._first_size
+        for beta in BETAS:
+            outcomes = []
+            for first in (sized, lambda *args: 1, lambda *args: 16, lambda *args: 256):
+                monkeypatch.setattr(posteriors, "_first_size", first)
+                outcomes.append(_outcome(_stream_truncated, prior, make_seq(), beta, policy))
+            ref = outcomes[0]
+            for got in outcomes[1:]:
+                assert (got is None) == (ref is None), beta
+                if ref is None:
+                    continue
+                lw, u, tail, rule = got
+                assert (len(lw), rule) == (len(ref[0]), ref[3]), beta
+                assert np.array_equal(lw, ref[0]) and np.array_equal(u, ref[1]), beta
+                np.testing.assert_allclose(tail, ref[2], rtol=1e-14)
+
+    @pytest.mark.parametrize("prior, rounds", zip(PRIORS, (1, 1, 1, 2)),
+                             ids=[p.kind for p in PRIORS])
+    def test_the_sized_prefix_holds_the_common_stop(self, prior, rounds):
+        # on U_n = n the first prefix, sized from the optimum, holds the stop
+        # at every beta of the grid; logit's slower decay may take a second
+        for beta in BETAS:
+            seq, his = bernoulli_utilities(), []
+            values = seq.values
+            seq.values = lambda lo, hi: his.append(hi) or values(lo, hi)
+            posterior(prior, seq, beta)
+            assert len(his) <= rounds, (beta, his)
 
 
 class TestDeclaredCertificates:
