@@ -8,13 +8,13 @@ Subcommands
     roulette      stop/continue stage table for the martingale sequence
     simulate      Monte Carlo summaries (repeated games or martingale)
 
-Every option is a row of ``_OPTIONS``, which gives its type: int, int >= 0
-(rows), finite float, string, bool, a choice, a list of ints, or a family
-document (game).  A ``--config`` file holds config keys, those of prior,
+Every option is a row of ``_OPTIONS``: its type (int, int >= 0, finite
+float, string, bool, a choice, a list of ints or a family document) and
+the commands, or simulate targets, that read it; argv gives no other.  A
+``--config`` file may hold any key (and set the target): those of prior,
 utility, truncation and sim in an object of that name; a prior or utility
 section replaces the default, the others merge, flags win, and each value
-gets its flag's check.  ``--emit-config`` writes a configuration that
-replays the run exactly.  ``petersburg COMMAND -h`` lists the flags.
+gets its flag's check.  ``--emit-config`` writes all, to replay the run.
 Exit codes: 1 config error, 2 domain or sign error, 3 solver/truncation
 failure, each with one machine-parsable line ``error:<category>:<message>``
 on stderr; any other exception is a bug and surfaces as a traceback.
@@ -159,39 +159,43 @@ def _read_game(value: str) -> dict:
     return {"family": "bernoulli"} if value == "bernoulli" else _read_json(value, "game file")
 
 
-# One row per option: its flag, its config key (``section.key`` inside a
-# section), its type or tuple of choices, its help, and the one subcommand
-# that takes it, when only one does.
-_Option = namedtuple("_Option", "flag key type help command", defaults=(None, None))
+# One row per option: flag, config key (``section.key`` in a section), type
+# or choices, help, and readers: commands, "simulate <target>", None for all.
+_Option = namedtuple("_Option", "flag key type help readers", defaults=(None, None))
 _COUNT = "nonnegative int"  # the type of an int option that must be >= 0
+_FAMILY = ("distribution", "optimal", "calibrate")  # read a game, prior and utility
+_SUMS = (*_FAMILY, "repeated")  # sum a posterior, truncated by a policy
+_STAGES, _GAMES = ("roulette", "simulate martingale"), ("simulate repeated",)
 _OPTIONS = (
     _Option("", "command", str),  # no flag: the subcommand sets it
     _Option("--format", "output_format", ("table", "csv", "json")),
     _Option("--output", "output_path", str, "output file (default stdout)"),
     _Option("--no-timestamp", "timestamp", bool, "omit the timestamp field from csv/json output"),
-    _Option("--rows", "rows", _COUNT, "max table rows to print"),
-    _Option("--game", "game", dict, '"bernoulli" or a JSON family file'),
-    _Option("--prior", "prior.kind", PRIOR_KINDS),
-    _Option("--alpha", "prior.alpha", float, "power prior exponent"),
-    _Option("--u0", "prior.u0", float, "log prior scale"),
-    _Option("--b", "prior.b", float, "logit prior coefficient"),
-    _Option("--c", "prior.c", float, "logit prior offset"),
-    _Option("--gamma", "prior.gamma", float, "logit prior curvature"),
-    _Option("--utility", "utility.kind", UTILITY_KINDS),
-    _Option("--exponent", "utility.exponent", float, "power utility exponent"),
-    _Option("--base", "utility.base", float, "geometric utility base"),
-    _Option("--beta", "beta", float, "disbelief parameter; calibrated when absent"),
-    _Option("--rel-tol", "truncation.rel_tol", float, "omitted tail mass, relative"),
-    _Option("--max-index", "truncation.max_index", int, "largest support size"),
-    _Option("--seed", "sim.seed", int, "simulator seed"),
-    _Option("--replications", "sim.replications", int, "replications per run"),
-    _Option("--max-tosses", "sim.max_tosses", int, "toss cap of one game"),
-    _Option("--shards", "sim.parallel_shards", int, "accepted for compatibility; changes nothing"),
-    _Option("--stages", "stages", int, "roulette and martingale stages"),
-    _Option("--x0", "x0", float, "initial bid"),
-    _Option("--p-win", "p_win", float, "roulette win probability"),
-    _Option("--target", "target", ("repeated", "martingale"), command="simulate"),
-    _Option("--n-games", "n_games", list, "games per run", command="simulate"),
+    _Option("--rows", "rows", _COUNT, "max rows in the table format (repeated: in every format)",
+            ("distribution", "repeated")),
+    _Option("--game", "game", dict, '"bernoulli" or a JSON family file', _FAMILY),
+    _Option("--prior", "prior.kind", PRIOR_KINDS, None, _SUMS),
+    _Option("--alpha", "prior.alpha", float, "power prior exponent", _FAMILY),
+    _Option("--u0", "prior.u0", float, "log prior scale", _FAMILY),
+    _Option("--b", "prior.b", float, "logit prior coefficient", _FAMILY),
+    _Option("--c", "prior.c", float, "logit prior offset", _FAMILY),
+    _Option("--gamma", "prior.gamma", float, "logit prior curvature", _FAMILY),
+    _Option("--utility", "utility.kind", UTILITY_KINDS, None, _FAMILY),
+    _Option("--exponent", "utility.exponent", float, "power utility exponent", _FAMILY),
+    _Option("--base", "utility.base", float, "geometric utility base", _FAMILY),
+    _Option("--beta", "beta", float, "disbelief parameter; calibrated when absent (roulette: 0)",
+            ("distribution", "optimal", "repeated", "roulette")),
+    _Option("--rel-tol", "truncation.rel_tol", float, "omitted tail mass, relative", _SUMS),
+    _Option("--max-index", "truncation.max_index", int, "largest support size", _SUMS),
+    _Option("--seed", "sim.seed", int, "simulator seed", ("simulate",)),
+    _Option("--replications", "sim.replications", int, "replications per run", ("simulate",)),
+    _Option("--max-tosses", "sim.max_tosses", int, "toss cap of a game (repeated target)", _GAMES),
+    _Option("--shards", "sim.parallel_shards", int, "unread; kept for the benchmark deck", _GAMES),
+    _Option("--stages", "stages", int, "roulette and martingale stages", _STAGES),
+    _Option("--x0", "x0", float, "initial bid", _STAGES),
+    _Option("--p-win", "p_win", float, "win probability of one spin", _STAGES),
+    _Option("--target", "target", ("repeated", "martingale"), None, ("simulate",)),
+    _Option("--n-games", "n_games", list, "games per run (repeated target)", _GAMES),
 )
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
 _SECTIONS = ("prior", "utility", "truncation", "sim")
@@ -608,6 +612,9 @@ _FLAGS = {opt.flag: opt for opt in (
     _Option("--emit-config", "emit_config", str, "write the resolved RunConfig here"),
     *_OPTIONS,
 ) if opt.flag}
+_ACCEPTED = {(c, t): {opt.key for opt in (*_FLAGS.values(), _OPTIONS[0])
+                      if not opt.readers or {c, f"{c} {t}"} & {*opt.readers}}
+             for c in _HANDLERS for t in _BY_KEY["target"].type}
 # what reads a flag's string (each item's, for a list); a choice stays a string
 _READERS = {int: int, _COUNT: int, float: float, dict: _read_game, list: int}
 
@@ -616,7 +623,8 @@ def _help(command: str) -> str:
     """What -h prints: a command's flags and config keys, or the commands."""
     if command not in _HANDLERS:
         return __doc__.split("\n\n")[1]
-    opts = [opt for opt in _FLAGS.values() if opt.command in (None, command)]
+    accepted = _ACCEPTED[command, "repeated"] | _ACCEPTED[command, "martingale"]
+    opts = [opt for opt in _FLAGS.values() if opt.key in accepted]
     keys = [opt.key if opt.key in _BY_KEY else "" for opt in opts]
     helps = [opt.help or f"one of {', '.join(opt.type)}" for opt in opts]
     table = _text_table(("flag", "config key", "help"), ([opt.flag for opt in opts], keys, helps))
@@ -644,7 +652,7 @@ def _parse(argv: Sequence[str]) -> dict:
     while rest:
         flag, eq, value = rest.pop(0).partition("=")
         opt = _FLAGS.get(flag) if flag.startswith("--") else None
-        if opt is None or opt.command not in (None, argv[0]) or opt.type is bool and eq:
+        if opt is None or opt.type is bool and eq:
             raise _ConfigError(f"unrecognized arguments: {flag}{eq}{value}")
         if opt.type is bool:  # --no-timestamp takes no value
             given[opt.key] = False
@@ -666,11 +674,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     try:
         given = _parse(argv)
-        emit_path = given.pop("emit_config", None)
-        path = given.pop("config", None)
+        emit_path, path = given.pop("emit_config", None), given.pop("config", None)
         cfg = RunConfig.from_json(_read_json(path, "config")) if path else RunConfig()
         # the flags given win; a --prior or --utility flag starts a fresh section
         cfg.apply(given, fresh=[s for s in ("prior", "utility") if f"{s}.kind" in given])
+        refused = [key for key in given if key not in _ACCEPTED[cfg.command, cfg.target]]
+        if refused:
+            raise _ConfigError(f"unrecognized arguments: {_BY_KEY[refused[0]].flag}")
         if emit_path:
             # unrounded: float repr round-trips, so the file replays the run
             with _open_output(emit_path, "emitted config") as fh:

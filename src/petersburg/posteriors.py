@@ -169,8 +169,9 @@ def _stream_truncated(
     index n >= 4 where the majorant (on a sequence declaring U_n = n) or the
     small-term heuristic fires, the majorant winning a tie.  Each round
     evaluates its prefix afresh, so the first length, ``_first_size``, moves
-    no stop.  Raises TruncationError when no rule fires by
-    ``policy.max_index`` or before the family ends.
+    no stop: a prefix ends before its first overflowing weight, which is a
+    DomainError only when no rule fires before it.  Raises TruncationError
+    when no rule fires by ``policy.max_index`` or before the family ends.
     """
     rel_log = math.log(policy.rel_tol)
     m = _first_size(prior, utilities, beta, policy)
@@ -178,7 +179,13 @@ def _stream_truncated(
         u = utilities.values(1, m + 1)
         lw = log_attribute_weights(prior, u)
         lw += beta * u
-        top = _finite_top(float(lw.max()))
+        top = overflow = float(lw.max())  # an overflow is +inf or nan
+        if not top < math.inf:  # the prefix ends before its first overflow
+            end = int(np.argmin(lw < math.inf))
+            overflow, u, lw = float(lw[end]), u[:end], lw[:end]
+            if end < 4:  # no rule tests a term before n = 4
+                _finite_top(overflow)
+            top = float(lw.max())
 
         # log_sums[i]: log of the sum of the weights through term i
         partial = np.exp(lw - top) if top > -math.inf else np.zeros_like(lw)
@@ -226,6 +233,7 @@ def _stream_truncated(
                 log_tail = math.log(_SMALL_TERM_RUN) + float(tested[stop])
             tail = math.exp(log_tail - float(log_sums[first + stop]))
             return lw[: first + stop + 1], u[: first + stop + 1], tail, rule
+        _finite_top(overflow)  # no rule fired before it
         if len(u) < m:
             raise TruncationError(
                 f"family evaluation ended at index {len(u)} before the "
@@ -266,9 +274,8 @@ def _weights(
     """Normalized weights weight(U_n) exp(beta U_n) over the support, with
     the utilities, the tail fraction and its rule; one row per beta of a
     1-D array on a finite sequence.  An overflow (inf or, past an infinite
-    log weight, nan) is refused by ``_finite_top``: anywhere in a prefix the
-    stream evaluates, and on a finite sequence row by row, the first row
-    first."""
+    log weight, nan) is refused by ``_finite_top``: before the stream's stop,
+    and on a finite sequence anywhere, row by row, the first row first."""
     check_sign(utilities, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         if utilities.finite:

@@ -57,14 +57,15 @@ _LOW_BITS = np.array([(1 << k) - 1 for k in range(_WORD_BITS + 1)], dtype=np.uin
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Reproducibility knobs shared by the simulators.
+    """Reproducibility knobs shared by the simulators; the martingale reads
+    only ``seed`` and ``replications``.
 
     ``max_tosses`` caps a single game so payoffs stay exact in binary64;
     the cap event has probability 2**-max_tosses and is counted in the
-    summary when it fires.  ``parallel_shards`` is validated and accepted
-    for compatibility with older configs and command lines; it changes
-    neither the sampled values nor the speed, since every block runs in the
-    calling thread.
+    summary when it fires.  ``parallel_shards`` is read by nothing: it is
+    validated and kept because the benchmark's montecarlo deck passes
+    ``--shards``, and it changes neither the sampled values nor the speed,
+    since every block runs in the calling thread.
     """
 
     seed: int = 0

@@ -316,7 +316,7 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("error:config:")
 
-    @pytest.mark.parametrize("command", ["distribution", "repeated", "roulette"])
+    @pytest.mark.parametrize("command", ["distribution", "repeated"])  # the commands with rows
     def test_negative_rows_exits_one(self, capsys, tmp_path, command):
         # a negative --rows once sliced the table from its end
         code, out, err = run(capsys, command, "--beta", "-2", "--rows", "-3")
@@ -331,9 +331,7 @@ class TestConfigHandling:
 
     def test_repeated_rejects_other_priors(self, capsys, tmp_path):
         # the run-length table has the luce weights whatever the prior
-        code, out, err = run(
-            capsys, "repeated", "--prior", "power", "--alpha", "3", "--beta", "-1"
-        )
+        code, out, err = run(capsys, "repeated", "--prior", "log", "--beta", "-1")
         assert (code, out) == (1, "")
         assert err.startswith("error:config:repeated takes only the luce prior")
         path = tmp_path / "prior.json"
@@ -392,6 +390,13 @@ def _init_error(spec_class):
         return str(exc)
 
 
+def _reader(opt):
+    """The first command that reads option ``opt``, as the head of an argv:
+    with its simulate target where only one target reads it."""
+    command, _, target = (opt.readers or ("simulate",))[0].partition(" ")
+    return [command, "--target", target] if target else [command]
+
+
 @pytest.mark.parametrize("opt", _OPTIONS, ids=lambda opt: opt.key)
 def test_every_option_checks_file_and_flag(capsys, tmp_path, opt):
     bad, flag_value = ("weird", "weird") if isinstance(opt.type, tuple) else BAD_VALUES[opt.type]
@@ -404,9 +409,10 @@ def test_every_option_checks_file_and_flag(capsys, tmp_path, opt):
         if opt.type is dict:  # --game reads a file
             (tmp_path / "game.json").write_text(flag_value)
             flag_value = str(tmp_path / "game.json")
-        code, out, err = run(capsys, "simulate", f"{opt.flag}={flag_value}")
+        code, out, err = run(capsys, *_reader(opt), f"{opt.flag}={flag_value}")
         assert (code, out) == (1, "")
         assert err.startswith("error:config:") and (opt.flag in err or opt.key in err), err
+        assert "unrecognized" not in err, err
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -652,12 +658,13 @@ def test_positive_beta_exits_two_iff_declared_unbounded(capsys, tmp_path, family
 
 
 # U_n = n is known to the sequence alone: these utilities give the coin toss
-# under linear utility in every command, to the byte
-@pytest.mark.parametrize("command", ["distribution", "optimal", "calibrate"])
-@pytest.mark.parametrize("beta", [["--beta=-1e-3"], ["--beta=-0.5"], []],
-                         ids=["-1e-3", "-0.5", "calibrated"])
-def test_identity_utilities_print_the_linear_coin_toss(capsys, command, beta):
-    argv = [command, *beta, "--format", "json", "--no-timestamp"]
+# under linear utility in every command, to the byte (calibrate takes no beta)
+@pytest.mark.parametrize("head", [
+    [command, *beta] for command in ("distribution", "optimal")
+    for beta in (["--beta=-1e-3"], ["--beta=-0.5"], [])
+] + [["calibrate"]], ids=" ".join)
+def test_identity_utilities_print_the_linear_coin_toss(capsys, head):
+    argv = [*head, "--format", "json", "--no-timestamp"]
     code, linear, err = run(capsys, *argv, "--utility", "linear")
     assert (code, err) == (0, "")
     for utility in (["power", "--exponent", "1"], ["geometric", "--base", "2"]):
@@ -671,12 +678,11 @@ def test_identity_utilities_print_the_linear_coin_toss(capsys, command, beta):
 ], ids=lambda u: "-".join(u))
 @pytest.mark.parametrize("command", ["distribution", "optimal", "calibrate"])
 def test_bounded_coin_toss_exits_two(capsys, command, utility):
-    code, out, err = run(capsys, command, "--beta=-1", "--utility", *utility)
-    assert (code, out) == (2, "") and err.startswith("error:domain:"), err
-    assert err.count("\n") == 1, err
-    code, out, err = run(capsys, command, "--utility", *utility)  # calibrated
-    assert (code, out) == (2, "") and err.startswith("error:domain:"), err
-    assert err.count("\n") == 1, err
+    # with a beta, and calibrated; calibrate takes no beta
+    for beta in [[]] if command == "calibrate" else [["--beta=-1"], []]:
+        code, out, err = run(capsys, command, *beta, "--utility", *utility)
+        assert (code, out) == (2, "") and err.startswith("error:domain:"), err
+        assert err.count("\n") == 1, err
 
 
 def test_subnormal_geometric_base_exits_two_as_a_module():
@@ -751,9 +757,11 @@ def _flag_and_json(opt, default, tmp_path):
 
 @pytest.mark.parametrize("opt", [opt for opt in _OPTIONS if opt.flag], ids=lambda opt: opt.flag)
 def test_flag_and_file_give_one_config(capsys, tmp_path, monkeypatch, opt):
-    # --flag value, --flag=value and a config file resolve to one config
-    monkeypatch.setitem(cli._HANDLERS, "simulate", lambda cfg: cli.Result(doc={}))
-    default = asdict(RunConfig(command="simulate"))
+    # --flag value, --flag=value and a config file resolve to one config,
+    # under the first command (and simulate target) that reads the flag
+    head = _reader(opt)
+    monkeypatch.setitem(cli._HANDLERS, head[0], lambda cfg: cli.Result(doc={}))
+    default = asdict(RunConfig(command=head[0]))
     section, _, leaf = opt.key.rpartition(".")
     strings, value = _flag_and_json(opt, (default[section] if section else default).get(leaf),
                                     tmp_path)
@@ -765,7 +773,7 @@ def test_flag_and_file_give_one_config(capsys, tmp_path, monkeypatch, opt):
         routes.append([f"{opt.flag}={strings[0]}", *strings[1:]])
     docs = []
     for route in routes:
-        code, _, err = run(capsys, "simulate", *route, "--emit-config", str(emitted))
+        code, _, err = run(capsys, *head, *route, "--emit-config", str(emitted))
         assert (code, err) == (0, ""), route
         docs.append(json.loads(emitted.read_text()))
     assert docs[0] != default
@@ -775,14 +783,14 @@ def test_flag_and_file_give_one_config(capsys, tmp_path, monkeypatch, opt):
 def test_list_flag_stops_at_the_next_flag(capsys, tmp_path, monkeypatch):
     monkeypatch.setitem(cli._HANDLERS, "simulate", lambda cfg: cli.Result(doc={}))
     emitted = tmp_path / "resolved.json"
-    code, _, err = run(capsys, "simulate", "--n-games", "8", "16", "--format", "json",
-                       "--seed", "-3", "--beta=-1", "--beta", "-2e-1",
-                       "--emit-config", str(emitted))
+    code, _, err = run(capsys, "simulate", "--target", "repeated", "--n-games", "8", "16",
+                       "--format", "json", "--seed", "-3", "--max-tosses=-1", "--max-tosses",
+                       "-20", "--emit-config", str(emitted))
     assert (code, err) == (0, "")
     doc = json.loads(emitted.read_text())
     # a separate negative number is a value, and the last of a flag wins
     assert (doc["n_games"], doc["output_format"]) == ([8, 16], "json")
-    assert (doc["sim"]["seed"], doc["beta"]) == (-3, -0.2)
+    assert (doc["sim"]["seed"], doc["sim"]["max_tosses"]) == (-3, -20)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -806,19 +814,61 @@ def test_argv_errors_exit_one(capsys, argv, message):
     assert run(capsys, *argv) == (1, "", f"error:config:{message}\n")
 
 
+# the flags each command, and each simulate target, reads, besides the five
+# that every command takes; written out here, not read from the CLI
+EVERY = {"--format", "--output", "--no-timestamp", "--config", "--emit-config"}
+FAMILY = {"--game", "--utility", "--exponent", "--base", "--prior", "--alpha", "--u0", "--b",
+          "--c", "--gamma", "--rel-tol", "--max-index"}
+READS = {
+    "distribution": FAMILY | {"--beta", "--rows"},
+    "optimal": FAMILY | {"--beta"},
+    "calibrate": FAMILY,
+    "repeated": {"--prior", "--beta", "--rel-tol", "--max-index", "--rows"},
+    "roulette": {"--beta", "--stages", "--x0", "--p-win"},
+    "simulate --target repeated": {"--target", "--seed", "--replications", "--n-games",
+                                   "--max-tosses", "--shards"},
+    "simulate --target martingale": {"--target", "--seed", "--replications", "--stages",
+                                     "--x0", "--p-win"},
+}
+READS["simulate"] = READS["simulate --target martingale"]  # the default target
+# a value each flag's check passes: "3" where none is named, and --config
+# an empty file
+VALID = {"--game": "bernoulli", "--prior": "luce", "--utility": "linear", "--format": "csv",
+         "--target": "repeated", "--output": os.devnull, "--emit-config": os.devnull}
+
+
 @pytest.mark.parametrize("command", list(cli._HANDLERS))
 def test_help_lists_each_flag_with_its_key(capsys, command):
     code, out, err = run(capsys, command, "-h")
     assert (code, err) == (0, "")
-    # under a usage line, a blank line, the header and its rule
+    # under a usage line, a blank line, the header and its rule: the flags
+    # the command reads, under either simulate target
     listed = {line.split()[0]: line.split()[1:] for line in out.splitlines()[4:]}
-    for opt in [opt for opt in _OPTIONS if opt.flag]:
-        if opt.command in (None, command):
-            assert listed.pop(opt.flag)[0] == opt.key, opt.flag
-        else:
-            assert opt.flag not in listed
-    assert sorted(listed) == ["--config", "--emit-config"]
+    reads = set().union(*(flags for name, flags in READS.items() if name.split()[0] == command))
+    assert listed.keys() == EVERY | reads
+    for flag in listed.keys() - {"--config", "--emit-config"}:
+        assert listed[flag][0] == cli._FLAGS[flag].key, flag
     assert run(capsys, command, "--beta=-1", "--help") == (0, out, "")
+
+
+@pytest.mark.parametrize("head", READS)
+def test_each_command_takes_only_the_flags_it_reads(capsys, tmp_path, monkeypatch, head):
+    # a flag the command reads is taken; any other exits 1 with one line,
+    # whichever way it is given
+    (tmp_path / "run.json").write_text("{}")
+    monkeypatch.setitem(cli._HANDLERS, head.split()[0], lambda cfg: cli.Result(doc={}))
+    for flag, opt in cli._FLAGS.items():
+        if opt.type is bool:
+            forms = [[flag]]
+        else:
+            value = VALID.get(flag, str(tmp_path / "run.json") if flag == "--config" else "3")
+            forms = [[flag, value], [f"{flag}={value}"]]
+        for form in forms:
+            code, out, err = run(capsys, *head.split(), *form)
+            if flag in EVERY | READS[head]:
+                assert (code, err) == (0, ""), form
+            else:
+                assert (code, out, err) == (1, "", f"error:config:unrecognized arguments: {flag}\n")
 
 
 def test_help_without_a_command_lists_the_commands(capsys):

@@ -5,7 +5,8 @@ stderr, no traceback and nothing on stdout; the config that
 for byte; and the CSV and JSON of such an argv hold the same numbers, cell
 for cell.
 
-The argv are built from ``cli._FLAGS``: each flag draws from the values of
+The argv are built from ``cli._FLAGS``, three flags in four from those the
+command reads under some target: each flag draws from the values of
 its option's type, near the edges of its check and past them, given as
 ``--flag value``, as ``--flag=value`` or with the value missing, and now
 and then a stray token.  The values keep every command short (no count
@@ -62,9 +63,9 @@ def values(opt: cli._Option) -> st.SearchStrategy:
 
 
 @st.composite
-def flag_args(draw, files) -> list[str]:
-    """One flag of ``cli._FLAGS`` with its value, in one of its forms."""
-    opt = cli._FLAGS[draw(st.sampled_from(sorted(cli._FLAGS)))]
+def flag_args(draw, files, flags) -> list[str]:
+    """One flag of ``flags`` with its value, in one of its forms."""
+    opt = cli._FLAGS[draw(st.sampled_from(flags))]
     if opt.type is bool:
         return [draw(st.sampled_from([opt.flag] * 4 + [f"{opt.flag}=1"]))]
     count = draw(st.sampled_from([1, 1, 2])) if opt.type is list else 1
@@ -80,9 +81,13 @@ def flag_args(draw, files) -> list[str]:
 @st.composite
 def argvs(draw, files) -> list[str]:
     command = draw(st.sampled_from([*cli._HANDLERS] * 4 + ["other", "--beta"]))
+    # three flags in four from those the command reads under some target,
+    # so that enough argv exit 0; the rest from all of cli._FLAGS
+    reads = sorted(flag for flag, opt in cli._FLAGS.items()
+                   if not opt.readers or command in {r.split()[0] for r in opt.readers})
     argv = [command]
     for _ in range(draw(st.integers(0, 5))):
-        argv += draw(flag_args(files))
+        argv += draw(flag_args(files, draw(st.sampled_from([reads] * 3 + [sorted(cli._FLAGS)]))))
     if draw(st.integers(0, 19)) == 0:  # a stray token
         argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["-x", "--", "word"])))
     return argv

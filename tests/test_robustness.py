@@ -24,8 +24,8 @@ EDGE_FLOATS = (
     -1e300, -700.0, -3.0, -1.0, -0.5, -1e-3, -1e-300, 0.0,
     1e-300, 1e-3, 0.1, 0.5, 0.9, 1.0, 2.0, 700.0, 1e300,
 )
-# per int option, a pool with its edges; max_index, stages and shards stay
-# small enough that no draw runs long or starts many threads
+# per int option, a pool with its edges; max_index and stages stay small
+# enough that no draw runs long, and shards is read by nothing
 EDGE_INTS = {
     "rows": (-1, 0, 3, 50),
     "truncation.max_index": (0, 1, 4, 64, 2000),
@@ -108,18 +108,21 @@ def _values(opt):
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(list(cli._HANDLERS)))
-    # no --output: the fuzz writes no files
+    target = draw(st.sampled_from(cli._BY_KEY["target"].type))
+    # the flags of the options that the command, or its simulate target,
+    # reads; no --output: the fuzz writes no files
     usable = [
         opt for opt in cli._OPTIONS
-        if opt.flag and opt.command in (None, command) and opt.key != "output_path"
+        if opt.flag and opt.key not in ("output_path", "target")
+        and (not opt.readers or {command, f"{command} {target}"} & {*opt.readers})
     ]
     chosen = draw(st.lists(st.sampled_from(usable), unique=True, max_size=6))
-    # always a format, so that most outputs are parsed, and a max_index: the
-    # default 10**6 terms would make draws slow
-    for key in ("output_format", "truncation.max_index"):
-        if cli._BY_KEY[key] not in chosen:
-            chosen.append(cli._BY_KEY[key])
-    argv = [command]
+    # always a format, so that most outputs are parsed, and a max_index where
+    # one is read: the default 10**6 terms would make draws slow
+    for opt in (cli._BY_KEY["output_format"], cli._BY_KEY["truncation.max_index"]):
+        if opt not in chosen and opt in usable:
+            chosen.append(opt)
+    argv = [command, "--target", target] if command == "simulate" else [command]
     for opt in chosen:
         argv += _flag_args(opt, draw(_values(opt)))
     return argv

@@ -300,6 +300,28 @@ class TestFirstPrefixSize:
             posterior(prior, seq, beta)
             assert len(his) <= rounds, (beta, his)
 
+    @staticmethod
+    def _overflow_at(at):
+        """U = 1 for n <= 3, then 40, but -1e308 at n = ``at``, where beta = -2
+        overflows the weight; the heuristic stops at n = 53."""
+        return ExpectedUtilitySeq(
+            lambda n: np.where(n <= 3, 1.0, np.where(n != at, 40.0, -1e308))
+        )
+
+    @pytest.mark.parametrize("first", [1, 16, 64, 128])
+    def test_an_overflow_past_the_stop_is_never_reached(self, monkeypatch, first):
+        # whatever the first prefix, a prefix that holds n = 60 ends before
+        # it, and the rule fires in what is left
+        monkeypatch.setattr(posteriors, "_first_size", lambda *args: first)
+        dist = posterior(PriorSpec.luce(), self._overflow_at(60), -2.0)
+        assert (dist.n_trunc, dist.tail_rule) == (53, "heuristic")
+
+    @pytest.mark.parametrize("first", [1, 16, 64, 128])
+    def test_an_overflow_before_the_stop_is_a_domain_error(self, monkeypatch, first):
+        monkeypatch.setattr(posteriors, "_first_size", lambda *args: first)
+        with pytest.raises(DomainError, match="a posterior log weight is inf; the weights overflow"):
+            posterior(PriorSpec.luce(), self._overflow_at(40), -2.0)
+
 
 class TestDeclaredCertificates:
     def test_rules_on_the_coin_toss_family(self):
