@@ -59,7 +59,7 @@ class CalibrationResult:
 def calibrate_bernoulli_disbelief() -> CalibrationResult:
     """The calibration of the coin-toss family under the luce prior, on its
     declared closed moments."""
-    return calibrate_disbelief_general(bernoulli_utilities(), PriorSpec.luce())
+    return calibrate_disbelief_general(bernoulli_utilities(), PriorSpec("luce"))
 
 
 def _f_df(b: float, var: float, kappa3: float) -> tuple[float, float]:

@@ -538,9 +538,9 @@ def _cmd_calibrate(cfg: RunConfig) -> Result:
 
 
 def _cmd_repeated(cfg: RunConfig) -> Result:
-    prior = cfg.prior_spec()
-    if prior.kind != "luce":
+    if cfg.prior.get("kind", "luce") != "luce":  # before the spec checks parameters
         raise _ConfigError("repeated takes only the luce prior")
+    prior = cfg.prior_spec()
     beta, calib = _resolve_beta(cfg, prior, repeated_game_utilities())
     fields = vars(repeated_optimal(beta))
     dist = repeated_game_posterior(beta, cfg.policy())
@@ -619,11 +619,18 @@ _ACCEPTED = {(c, t): {opt.key for opt in (*_FLAGS.values(), _OPTIONS[0])
 _READERS = {int: int, _COUNT: int, float: float, dict: _read_game, list: int}
 
 
-def _help(command: str) -> str:
-    """What -h prints: a command's flags and config keys, or the commands."""
+def _help(argv: Sequence[str]) -> str:
+    """What -h prints: the commands, or a command's flags and config keys
+    under the ``--target`` that ``_parse`` reads from the line, else all."""
+    command = argv[0]
     if command not in _HANDLERS:
         return __doc__.split("\n\n")[1]
-    accepted = _ACCEPTED[command, "repeated"] | _ACCEPTED[command, "martingale"]
+    try:
+        target = _parse([arg for arg in argv if arg not in ("-h", "--help")]).get("target")
+    except _ConfigError:  # a line that does not parse names no target
+        target = None
+    targets = [target] if target in _BY_KEY["target"].type else _BY_KEY["target"].type
+    accepted = set().union(*(_ACCEPTED[command, t] for t in targets))
     opts = [opt for opt in _FLAGS.values() if opt.key in accepted]
     keys = [opt.key if opt.key in _BY_KEY else "" for opt in opts]
     helps = [opt.help or f"one of {', '.join(opt.type)}" for opt in opts]
@@ -670,7 +677,7 @@ def _parse(argv: Sequence[str]) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if "-h" in argv or "--help" in argv:  # a command's flags, or the commands
-        print(_help(argv[0]))
+        print(_help(argv))
         return 0
     try:
         given = _parse(argv)

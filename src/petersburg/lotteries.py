@@ -5,7 +5,7 @@ zero-payoff branch; the coin-toss family pays 2^m with probability 2^-m for
 m = 1..n and keeps the leftover 2^-n on the losing branch.
 
 An ``ExpectedUtilitySeq`` holds the expected utilities U_n of a family as an
-array function read in blocks, or as the values of a finite family.
+array function read by prefixes U_1..U_m, or as the values of a finite family.
 """
 
 from __future__ import annotations
@@ -139,31 +139,25 @@ def geometric_expected_utility(n: float | np.ndarray, *, log_ratio: float) -> fl
 @dataclass(frozen=True)
 class GameFamily:
     """An indexed set of lotteries: the coin-toss family when ``lotteries``
-    is None, otherwise the finite list of a custom family."""
+    is None, otherwise the nonempty list of a custom family."""
 
     lotteries: tuple[Lottery, ...] | None = None
 
-    @classmethod
-    def bernoulli(cls) -> "GameFamily":
-        return cls()
-
-    @classmethod
-    def custom(cls, lotteries: Sequence[Lottery]) -> "GameFamily":
-        if not lotteries:
+    def __post_init__(self) -> None:
+        if self.lotteries is not None and not self.lotteries:
             raise DomainError("custom family needs at least one lottery")
-        return cls(tuple(lotteries))
 
     @classmethod
     def from_json(cls, doc: dict) -> "GameFamily":
         if doc.get("family") == "bernoulli":
-            return cls.bernoulli()
+            return cls()
         if doc.get("family") == "custom":
-            return cls.custom([Lottery.from_json(d) for d in doc["lotteries"]])
+            return cls(tuple(Lottery.from_json(d) for d in doc["lotteries"]))
         raise DomainError(f"unknown family document {doc!r}")
 
 
 class ExpectedUtilitySeq:
-    """Expected utilities U_n, indexed from 1, read in blocks by ``values``.
+    """Expected utilities U_n, indexed from 1, read as prefixes by ``values``.
 
     ``fn`` maps a float array of indices to their values in one call.  The
     sequence ends before its first non-finite value, so a family that cannot
@@ -245,25 +239,25 @@ class ExpectedUtilitySeq:
         """The number of values of a finite sequence; None for an infinite one."""
         return None if self._array is None else len(self._array)
 
-    def values(self, lo: int, hi: int) -> np.ndarray:
-        """U_n for lo <= n < hi as a float array.
+    def values(self, m: int) -> np.ndarray:
+        """The prefix U_1..U_m as a float array.
 
         The result stops short where the sequence ends: past a finite
         sequence's size, or before the first non-finite value.  Raises
-        DomainError when U_lo itself is missing.
+        DomainError when U_1 itself is missing.
         """
-        check_positive_index(lo, "lo")
+        check_positive_index(m, "m")
         if self._array is None:
-            u = self._fn(np.arange(lo, hi, dtype=float))
-            # one count per block; the first bad index only on failure
+            u = self._fn(np.arange(1, m + 1, dtype=float))
+            # one count per prefix; the first bad index only on failure
             finite = np.isfinite(u)
             if np.count_nonzero(finite) < len(u):
                 u = u[: finite.argmin()]
         else:
-            u = self._array[lo - 1 : hi - 1]
-        if len(u) or hi <= lo:
+            u = self._array[:m]
+        if len(u):
             return u
-        raise DomainError(f"the sequence ends before index {lo}")
+        raise DomainError("the sequence ends before index 1")
 
 
 def _bernoulli_luce_moments(beta: float) -> tuple[float, float, float]:

@@ -176,7 +176,7 @@ def _stream_truncated(
     rel_log = math.log(policy.rel_tol)
     m = _first_size(prior, utilities, beta, policy)
     while True:
-        u = utilities.values(1, m + 1)
+        u = utilities.values(m)
         lw = log_attribute_weights(prior, u)
         lw += beta * u
         top = overflow = float(lw.max())  # an overflow is +inf or nan
@@ -279,7 +279,7 @@ def _weights(
     check_sign(utilities, beta)
     with np.errstate(over="ignore", invalid="ignore"):
         if utilities.finite:
-            values = utilities.values(1, utilities.size + 1)
+            values = utilities.values(utilities.size)
             lw = log_attribute_weights(prior, values) + np.multiply.outer(beta, values)
             for top in np.ravel(lw.max(-1)).tolist():
                 if _finite_top(top) == -math.inf:

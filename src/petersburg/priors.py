@@ -71,22 +71,6 @@ class PriorSpec:
             if not 0.0 < self.gamma < 1.0:
                 raise DomainError("logit prior needs gamma in (0, 1)")
 
-    @classmethod
-    def luce(cls) -> "PriorSpec":
-        return cls("luce")
-
-    @classmethod
-    def power(cls, alpha: float) -> "PriorSpec":
-        return cls("power", alpha=alpha)
-
-    @classmethod
-    def log_shape(cls, u0: float | None = None) -> "PriorSpec":
-        return cls("log", u0=u0)
-
-    @classmethod
-    def logit(cls, b: float, c: float | None = None, gamma: float | None = None) -> "PriorSpec":
-        return cls("logit", b=b, c=c, gamma=gamma)
-
 
 def log_attribute_weights(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
     """ln of the unnormalized prior weight of each utility in ``u``, by the

@@ -313,5 +313,5 @@ def roulette_sequence(
     if r < 1.0:
         raise DomainError(f"stage values are positive unless p_win < 1/2, got {p_win}")
     values = [(1.0 - r ** k) * x0 for k in range(1, n_stages + 2)]
-    p_stop, p_continue = pair_probabilities(PriorSpec.luce(), values[:-1], values[1:], beta)
+    p_stop, p_continue = pair_probabilities(PriorSpec("luce"), values[:-1], values[1:], beta)
     return StageChoice(range(1, n_stages + 1), values[:-1], values[1:], p_stop, p_continue)

@@ -28,7 +28,7 @@ from petersburg import (
     stochastically_optimal,
 )
 
-LUCE = PriorSpec.luce()
+LUCE = PriorSpec("luce")
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -161,10 +161,10 @@ def test_criterion_05_discrete_optimum_containment():
 
 
 def test_criterion_06_prior_family_optima():
-    cases = [PriorSpec.luce()]
-    cases += [PriorSpec.power(a) for a in (0.5, 1.0, 3.0)]
-    cases += [PriorSpec.log_shape(u) for u in (0.5, 1.0, 2.0)]
-    cases += [PriorSpec.logit(1.0, 0.0, g) for g in (0.3, 0.5, 0.8)]
+    cases = [PriorSpec("luce")]
+    cases += [PriorSpec("power", alpha=a) for a in (0.5, 1.0, 3.0)]
+    cases += [PriorSpec("log", u0=u) for u in (0.5, 1.0, 2.0)]
+    cases += [PriorSpec("logit", b=1.0, c=0.0, gamma=g) for g in (0.3, 0.5, 0.8)]
     beta = -1.0
     step = 1e-4
     ok = True
@@ -214,8 +214,8 @@ def test_criterion_07_reduction_and_limits():
         "logit": np.exp(np.sqrt(values)),
     }
     worst = 0.0
-    for prior in (LUCE, PriorSpec.power(2.0), PriorSpec.log_shape(1.0),
-                  PriorSpec.logit(1.0, 0.0, 0.5)):
+    for prior in (LUCE, PriorSpec("power", alpha=2.0), PriorSpec("log", u0=1.0),
+                  PriorSpec("logit", b=1.0, c=0.0, gamma=0.5)):
         dist = posterior(prior, seq, 0.0)
         want = prior_weights[prior.kind]
         want = want / want.sum()

@@ -24,7 +24,7 @@ from petersburg.cli import main
 from petersburg.posteriors import Moments, has_declared_moments
 from petersburg.rootfind import bisect_root
 
-LUCE = PriorSpec.luce()
+LUCE = PriorSpec("luce")
 RUN_LENGTH_ROOT = float("1.56521632767258818830271657205")
 
 
@@ -131,7 +131,7 @@ class TestGeneralCalibration:
         from petersburg import GameFamily, UtilitySpec
 
         with pytest.raises(DomainError, match="bounds the coin-toss"):
-            ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), UtilitySpec("logarithmic"))
+            ExpectedUtilitySeq.from_family(GameFamily(), UtilitySpec("logarithmic"))
 
     def test_grid_route_warns_of_several_roots(self):
         # one lottery at U = 1 and a hundred at U = 5: b - sigma(-b) changes
@@ -187,15 +187,15 @@ class TestGeneralCalibration:
 # [0.5, 2], logit b in [0.8, 1.2] and c in [-0.3, 0.3] at gamma = 0.5
 SWEEP_PRIORS = [
     LUCE,
-    PriorSpec.power(1.0),
-    PriorSpec.power(2.0),
-    PriorSpec.power(3.0),
-    PriorSpec.log_shape(0.5),
-    PriorSpec.log_shape(1.0),
-    PriorSpec.log_shape(2.0),
-    PriorSpec.logit(0.8, -0.3, 0.5),
-    PriorSpec.logit(1.0, 0.0, 0.5),
-    PriorSpec.logit(1.2, 0.3, 0.5),
+    PriorSpec("power", alpha=1.0),
+    PriorSpec("power", alpha=2.0),
+    PriorSpec("power", alpha=3.0),
+    PriorSpec("log", u0=0.5),
+    PriorSpec("log", u0=1.0),
+    PriorSpec("log", u0=2.0),
+    PriorSpec("logit", b=0.8, c=-0.3, gamma=0.5),
+    PriorSpec("logit", b=1.0, c=0.0, gamma=0.5),
+    PriorSpec("logit", b=1.2, c=0.3, gamma=0.5),
 ]
 
 
@@ -285,7 +285,7 @@ def _dense_grid_root(u: np.ndarray, log_prior: np.ndarray) -> float:
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("prior", [LUCE, PriorSpec.power(2.0)], ids=repr)
+@pytest.mark.parametrize("prior", [LUCE, PriorSpec("power", alpha=2.0)], ids=repr)
 def test_custom_family_against_dense_grid(seed, prior):
     rng = np.random.default_rng(seed)
     u = rng.lognormal(0.0, 1.0, int(rng.integers(20, 61)))
@@ -328,8 +328,8 @@ class TestGridInOnePass:
         assert f"{result.abs_beta:.12g}" == "0.264260025952"
 
     @pytest.mark.parametrize("values", [CI_FAMILY, FIVE_VALUES], ids=["ci", "five"])
-    @pytest.mark.parametrize("prior", [LUCE, PriorSpec.power(2.0), PriorSpec.log_shape(1.0),
-                                       PriorSpec.logit(1.0, 0.0, 0.5)], ids=repr)
+    @pytest.mark.parametrize("prior", [LUCE, PriorSpec("power", alpha=2.0), PriorSpec("log"),
+                                       PriorSpec("logit", b=1.0)], ids=repr)
     def test_same_result_as_one_beta_at_a_time(self, monkeypatch, values, prior):
         # root, residual, evaluations and bracket, to the bit
         seq = ExpectedUtilitySeq.from_values(values)
@@ -347,7 +347,7 @@ class TestGridInOnePass:
 class TestPosteriorMoments:
     @pytest.mark.parametrize("beta", [-0.05, -0.5, -2.0])
     def test_match_the_posterior(self, beta):
-        prior = PriorSpec.power(2.0)
+        prior = PriorSpec("power", alpha=2.0)
         dist = posterior(prior, bernoulli_utilities(), beta)
         mean = float(np.dot(dist.probs, dist.utilities))
         d = dist.utilities - mean
@@ -359,7 +359,7 @@ class TestPosteriorMoments:
     def test_run_length_declares_luce_moments_only(self):
         # power(1) weighs like luce, but its moments are summed by the engine,
         # whose heuristic stop leaves out a tail the closed moments include
-        power = posterior_moments(PriorSpec.power(1.0), repeated_game_utilities(), -3.0)
+        power = posterior_moments(PriorSpec("power", alpha=1.0), repeated_game_utilities(), -3.0)
         luce = posterior_moments(LUCE, repeated_game_utilities(), -3.0)
         np.testing.assert_allclose(power, luce, rtol=1e-6)
 

@@ -330,14 +330,25 @@ class TestConfigHandling:
         assert code == 0
 
     def test_repeated_rejects_other_priors(self, capsys, tmp_path):
-        # the run-length table has the luce weights whatever the prior
-        code, out, err = run(capsys, "repeated", "--prior", "log", "--beta", "-1")
-        assert (code, out) == (1, "")
-        assert err.startswith("error:config:repeated takes only the luce prior")
+        # the run-length table has the luce weights whatever the prior; the
+        # kind is refused before its parameters are checked, so power and
+        # logit give no hint toward --alpha or --b, which repeated refuses
+        for kind in ("power", "log", "logit"):
+            code, out, err = run(capsys, "repeated", "--prior", kind, "--beta", "-1")
+            assert (code, out, err) == (1, "", "error:config:repeated takes only the luce prior\n")
         path = tmp_path / "prior.json"
         path.write_text(json.dumps({"prior": {"kind": "log", "u0": 1.0}}))
         code, _, err = run(capsys, "repeated", "--beta", "-1", "--config", str(path))
         assert code == 1 and err.startswith("error:config:repeated")
+        # a luce prior is still built and checked, and a prior without a
+        # kind is still the config error that names the missing kind
+        path.write_text(json.dumps({"prior": {"kind": "luce", "alpha": 2.0}}))
+        code, out, err = run(capsys, "repeated", "--beta", "-1", "--config", str(path))
+        assert (code, out, err) == (2, "", "error:domain:luce prior takes no alpha\n")
+        path.write_text(json.dumps({"prior": {"alpha": 2.0}}))
+        code, out, err = run(capsys, "repeated", "--beta", "-1", "--config", str(path))
+        assert (code, out) == (1, "") and err.startswith("error:config:prior: ")
+        assert "'kind'" in err
         code, _, _ = run(capsys, "repeated", "--prior", "luce", "--beta", "-1", "--rows", "2")
         assert code == 0
 
@@ -837,18 +848,23 @@ VALID = {"--game": "bernoulli", "--prior": "luce", "--utility": "linear", "--for
          "--target": "repeated", "--output": os.devnull, "--emit-config": os.devnull}
 
 
-@pytest.mark.parametrize("command", list(cli._HANDLERS))
-def test_help_lists_each_flag_with_its_key(capsys, command):
-    code, out, err = run(capsys, command, "-h")
+@pytest.mark.parametrize("head", [*cli._HANDLERS, "simulate --target repeated",
+                                  "simulate --target=martingale"])
+def test_help_lists_each_flag_with_its_key(capsys, head):
+    command, *target = head.split()
+    code, out, err = run(capsys, command, *target, "-h")
     assert (code, err) == (0, "")
     # under a usage line, a blank line, the header and its rule: the flags
-    # the command reads, under either simulate target
+    # the command reads, under the target given or else either target
     listed = {line.split()[0]: line.split()[1:] for line in out.splitlines()[4:]}
-    reads = set().union(*(flags for name, flags in READS.items() if name.split()[0] == command))
+    if target:
+        reads = READS[head.replace("=", " ")]
+    else:
+        reads = set().union(*(flags for name, flags in READS.items() if name.split()[0] == command))
     assert listed.keys() == EVERY | reads
     for flag in listed.keys() - {"--config", "--emit-config"}:
         assert listed[flag][0] == cli._FLAGS[flag].key, flag
-    assert run(capsys, command, "--beta=-1", "--help") == (0, out, "")
+    assert run(capsys, command, "--beta=-1", "--help", *target) == (0, out, "")
 
 
 @pytest.mark.parametrize("head", READS)

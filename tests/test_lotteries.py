@@ -20,6 +20,7 @@ from petersburg import (
     bernoulli_utilities,
     expected_utility,
     geometric_expected_utility,
+    repeated_game_utilities,
 )
 from petersburg.cli import RunConfig
 
@@ -200,7 +201,7 @@ class TestSerialization:
 
     def test_bernoulli_family_from_json(self):
         family = GameFamily.from_json({"family": "bernoulli"})
-        assert family == GameFamily.bernoulli() and family.lotteries is None
+        assert family == GameFamily() and family.lotteries is None
         with pytest.raises(DomainError):
             GameFamily.from_json({"family": "dice"})
 
@@ -218,13 +219,15 @@ class TestSerialization:
 
     def test_custom_family_bounds(self):
         # the family's expected utilities end with its last lottery
-        family = GameFamily.custom([bernoulli_lottery(1)])
+        family = GameFamily((bernoulli_lottery(1),))
         utilities = ExpectedUtilitySeq.from_family(family, UtilitySpec("linear"))
-        assert utilities.values(1, 5).tolist() == [1.0]
-        with pytest.raises(DomainError):
-            utilities.values(2, 3)
-        with pytest.raises(DomainError):
-            GameFamily.custom([])
+        assert utilities.values(4).tolist() == [1.0]
+
+    def test_empty_custom_family_rejected(self):
+        with pytest.raises(DomainError, match="^custom family needs at least one lottery$"):
+            GameFamily(())
+        with pytest.raises(DomainError, match="^custom family needs at least one lottery$"):
+            GameFamily.from_json({"family": "custom", "lotteries": []})
 
     def test_utility_from_config(self):
         # the CLI builds each utility kind from its config document
@@ -240,8 +243,8 @@ class TestSerialization:
             ({"kind": "power", "exponent": 1.5}, UtilitySpec("power", exponent=1.5)),
             ({"kind": "geometric", "base": 0.5}, UtilitySpec("geometric", base=0.5)),
         ):
-            got = RunConfig(game=game, utility=doc).utilities().values(1, 3).tolist()
-            assert got == ExpectedUtilitySeq.from_family(family, spec).values(1, 3).tolist()
+            got = RunConfig(game=game, utility=doc).utilities().values(2).tolist()
+            assert got == ExpectedUtilitySeq.from_family(family, spec).values(2).tolist()
 
 
 # every utility kind the CLI can name, and what the coin-toss family declares
@@ -271,14 +274,14 @@ class TestExpectedUtilitySeq:
         assert seq.finite and seq.size == 3
         with pytest.raises(AttributeError):
             seq.finite = False
-        assert seq.values(1, 4).tolist() == [1.0, 3.0, 2.0]
+        assert seq.values(3).tolist() == [1.0, 3.0, 2.0]
+        assert seq.values(2).tolist() == [1.0, 3.0]
         # stops short past the end, and the array cannot be written
-        tail = seq.values(2, 10)
-        assert tail.tolist() == [3.0, 2.0] and not tail.flags.writeable
-        with pytest.raises(DomainError):
-            seq.values(4, 5)
-        with pytest.raises(DomainError):
-            seq.values(0, 1)
+        prefix = seq.values(9)
+        assert prefix.tolist() == [1.0, 3.0, 2.0] and not prefix.flags.writeable
+        for m in (0, -1, 2.0, True):
+            with pytest.raises(DomainError, match="^m must be"):
+                seq.values(m)
 
     def test_finite_sequence_is_checked_at_construction(self):
         for bad in ([], [[1.0, 2.0]], [math.nan]):
@@ -289,25 +292,23 @@ class TestExpectedUtilitySeq:
         source = np.array([1.0, 4.0, 9.0, 16.0])
         seq = ExpectedUtilitySeq.from_values(source)
         source[1] = -1.0  # the sequence holds its own copy
-        assert seq.values(2, 4).tolist() == [4.0, 9.0]
+        assert seq.values(3).tolist() == [1.0, 4.0, 9.0]
 
     def test_from_family_matches_direct_evaluation(self):
         lots = [bernoulli_lottery(3), Lottery(((5.0, 0.5), (1.0, 0.5)))]
         for utility, _ in COIN_TOSS_DECLARATIONS:
-            seq = ExpectedUtilitySeq.from_family(GameFamily.custom(lots), utility)
+            seq = ExpectedUtilitySeq.from_family(GameFamily(tuple(lots)), utility)
             assert seq.size == 2
-            assert seq.values(1, 3).tolist() == [
+            assert seq.values(2).tolist() == [
                 expected_utility(lot, utility) for lot in lots
             ]
-        linear = ExpectedUtilitySeq.from_family(
-            GameFamily.bernoulli(), UtilitySpec("linear")
-        )
-        assert linear.values(1, 6).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        linear = ExpectedUtilitySeq.from_family(GameFamily(), UtilitySpec("linear"))
+        assert linear.values(5).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert not linear.finite and linear.identity
 
     def test_bernoulli_utilities_closed_form(self):
         seq = bernoulli_utilities()
-        assert seq.values(10 ** 6, 10 ** 6 + 2).tolist() == [1e6, 1e6 + 1]
+        assert seq.values(10 ** 6 + 1)[-2:].tolist() == [1e6, 1e6 + 1]
         assert not seq.finite and seq.identity
 
     @pytest.mark.parametrize("beta", (-np.geomspace(1e-4, 50.0, 16)).tolist())
@@ -345,11 +346,11 @@ class TestExpectedUtilitySeq:
         if isinstance(declared, float):
             # the sums rise to the limit the refusal names (2^-0.01 slowest)
             with pytest.raises(DomainError, match=re.escape(f"U_n -> {declared:.12g})")):
-                ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
+                ExpectedUtilitySeq.from_family(GameFamily(), utility)
             assert sums[1023] == pytest.approx(declared, rel=1e-3)
             assert max(sums.values()) <= declared * (1.0 + 1e-12)
             return
-        u = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility).values(1, 2000)
+        u = ExpectedUtilitySeq.from_family(GameFamily(), utility).values(1999)
         for n, value in sums.items():
             # U_n = n exactly; the closed forms to the mpmath tolerance below
             if declared != "identity":
@@ -361,32 +362,60 @@ class TestExpectedUtilitySeq:
     def test_unbounded_geometric_ratio_is_ln_of_half_the_base(self, base):
         # ln(base/2), not ln(base) - ln 2, which moves the last bit of U_n
         # for about half of the bases in (1, 10)
-        seq = ExpectedUtilitySeq.from_family(
-            GameFamily.bernoulli(), UtilitySpec("geometric", base=base))
+        seq = ExpectedUtilitySeq.from_family(GameFamily(), UtilitySpec("geometric", base=base))
         n = np.arange(1.0, 60.0)
         want = geometric_expected_utility(n, log_ratio=math.log(base / 2.0))
-        assert seq.values(1, 60).tolist() == want.tolist()
+        assert seq.values(59).tolist() == want.tolist()
 
     def test_coin_toss_declarations(self):
         for utility, declared in COIN_TOSS_DECLARATIONS:
             if isinstance(declared, float):
                 with pytest.raises(DomainError, match="bounds the coin-toss"):
-                    ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
+                    ExpectedUtilitySeq.from_family(GameFamily(), utility)
                 continue
-            seq = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
+            seq = ExpectedUtilitySeq.from_family(GameFamily(), utility)
             assert not seq.finite, utility
             assert seq.identity is (declared == "identity"), utility
 
     def test_values_stop_short_at_a_non_finite_value(self):
         for end in (math.nan, math.inf, -math.inf):
             seq = ExpectedUtilitySeq(lambda n: np.where(n < 5, n, end))
-            assert seq.values(2, 10).tolist() == [2.0, 3.0, 4.0]
-            assert seq.values(1, 4).tolist() == [1.0, 2.0, 3.0]
-            with pytest.raises(DomainError):
-                seq.values(5, 10)
+            assert seq.values(9).tolist() == [1.0, 2.0, 3.0, 4.0]
+            assert seq.values(3).tolist() == [1.0, 2.0, 3.0]
+        # a sequence that ends before U_1 holds no value
+        for end in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="^the sequence ends before index 1$"):
+                ExpectedUtilitySeq(lambda n: np.full_like(n, end)).values(5)
         # values near the binary64 limit are finite: no end, no warning
         huge = ExpectedUtilitySeq(lambda n: np.full_like(n, 1e308))
-        assert len(huge.values(1, 10)) == 9
+        assert len(huge.values(9)) == 9
+
+
+FIVE = np.array([1.0, 3.0, 2.0, 0.5, 7.0])
+# each sequence with the array function of n it holds, nan where it ends
+PREFIX_CASES = {
+    "bernoulli": (bernoulli_utilities, lambda n: n),
+    "geometric": (  # rho = 4: U_n overflows at n = 512
+        lambda: ExpectedUtilitySeq.from_family(GameFamily(), UtilitySpec("power", exponent=3.0)),
+        lambda n: geometric_expected_utility(n, log_ratio=2.0 * math.log(2.0))),
+    "run_length": (repeated_game_utilities, lambda n: 1.0 + np.log2(n)),
+    "finite": (lambda: ExpectedUtilitySeq.from_values(FIVE),
+               lambda n: np.concatenate((FIVE, np.full(max(len(n) - 5, 0), np.nan)))[: len(n)]),
+    "ends_at_40": (lambda: ExpectedUtilitySeq(lambda n: np.where(n <= 40, np.sqrt(n), np.nan)),
+                   lambda n: np.where(n <= 40, np.sqrt(n), np.nan)),
+}
+
+
+@pytest.mark.parametrize("case", PREFIX_CASES)
+@pytest.mark.parametrize("m", [1, 2, 5, 6, 39, 40, 41, 511, 512, 4096])
+def test_values_read_the_prefix(case, m):
+    # values(m) is fn over 1..m, cut at the first non-finite value, bit for bit
+    build, fn = PREFIX_CASES[case]
+    want = fn(np.arange(1.0, m + 1))
+    cut = np.flatnonzero(~np.isfinite(want))
+    want = want[: cut[0]] if cut.size else want
+    got = build().values(m)
+    assert got.dtype == np.float64 and got.tolist() == want.tolist()
 
 
 # the grid of ratios rho: power e has rho = 2^(e-1), geometric x has x/2
@@ -416,13 +445,18 @@ def test_closed_forms_against_mpmath(kind, param):
                 oracle[n] = rho * (rho ** n - 1) / (rho - 1)
         assert rho <= 1 or rho * (rho ** end - 1) / (rho - 1) > top >= oracle[end - 1]
     ns = np.array(sorted(oracle), dtype=float)
+    log_ratio = (param - 1.0) * math.log(2.0) if kind == "power" else math.log(param / 2.0)
+    got = geometric_expected_utility(ns, log_ratio=log_ratio)
     if rho > 1:
+        # the sequence reads that closed form: its prefix holds it bit for
+        # bit and ends, with no warning, at the first overflow (within 2^21)
         utility = UtilitySpec(kind, **{"exponent" if kind == "power" else "base": param})
-        seq = ExpectedUtilitySeq.from_family(GameFamily.bernoulli(), utility)
-        got = np.array([seq.values(n, n + 1)[0] for n in sorted(oracle)])
-        # the sequence ends, with no warning, at the first overflow
-        assert len(seq.values(end - 1, end + 1)) == 1
-    else:  # a bounded family is refused; the closed form itself still holds
-        got = geometric_expected_utility(ns, log_ratio=math.log(param / 2.0))
+        prefix = ExpectedUtilitySeq.from_family(GameFamily(), utility).values(min(end, 2 ** 21))
+        assert len(prefix) == min(end - 1, 2 ** 21)
+        n = np.arange(1.0, len(prefix) + 1)
+        assert np.array_equal(prefix, geometric_expected_utility(n, log_ratio=log_ratio))
+        past = geometric_expected_utility(np.array([end - 1.0, end]), log_ratio=log_ratio)
+        assert np.isfinite(past).tolist() == [True, False]
+    # a bounded family is refused, but the closed form itself still holds
     want = np.array([float(oracle[n]) for n in sorted(oracle)])
     assert np.max(np.abs(got / want - 1.0)) <= 2e-13

@@ -25,7 +25,7 @@ from petersburg import (
 )
 from petersburg.cli import main
 
-LUCE = PriorSpec.luce()
+LUCE = PriorSpec("luce")
 
 
 def run_cli(capsys, *argv) -> str:
@@ -85,8 +85,8 @@ class TestPosteriorConstruction:
             "log": np.log1p(values),
             "logit": np.exp(np.sqrt(values)),
         }
-        for prior in (LUCE, PriorSpec.power(2.0), PriorSpec.log_shape(1.0),
-                      PriorSpec.logit(1.0, 0.0, 0.5)):
+        for prior in (LUCE, PriorSpec("power", alpha=2.0), PriorSpec("log", u0=1.0),
+                      PriorSpec("logit", b=1.0, c=0.0, gamma=0.5)):
             dist = posterior(prior, seq, 0.0)
             weights = prior_weights[prior.kind]
             np.testing.assert_allclose(
@@ -150,7 +150,8 @@ class TestPosteriorConstruction:
 
     @pytest.mark.parametrize(
         "prior",
-        [PriorSpec.power(2.0), PriorSpec.power(0.5), PriorSpec.logit(1.0, 0.0, 0.5)],
+        [PriorSpec("power", alpha=2.0), PriorSpec("power", alpha=0.5),
+         PriorSpec("logit", b=1.0, c=0.0, gamma=0.5)],
     )
     @pytest.mark.parametrize("beta", [-0.5, -1.5])
     def test_truncated_sums_match_brute_force(self, prior, beta):
@@ -328,8 +329,8 @@ class TestTruncationPolicyValidation:
 # the calibration grid, and |beta| at which every weight but the top one
 # underflows
 VECTOR_BETAS = np.concatenate((-np.geomspace(1e-6, 50.0, 60), [-1e4, -1e3, 1e3, 1e4]))
-VECTOR_PRIORS = [LUCE, PriorSpec.power(2.0), PriorSpec.log_shape(1.0),
-                 PriorSpec.logit(1.0, 0.0, 0.5)]
+VECTOR_PRIORS = [LUCE, PriorSpec("power", alpha=2.0), PriorSpec("log", u0=1.0),
+                 PriorSpec("logit", b=1.0, c=0.0, gamma=0.5)]
 
 
 @st.composite
@@ -376,7 +377,7 @@ class TestVectorBeta:
         # beta * U_1 overflows past |beta| = 17.97, at the grid's far end only
         (LUCE, [-1e307, 1.0]),
         # the log weight of U_1 is inf, and inf - inf = nan past |beta| = 17.97
-        (PriorSpec.logit(1e300, 0.0, 0.5), [1e307, 1.0]),
+        (PriorSpec("logit", b=1e300, c=0.0, gamma=0.5), [1e307, 1.0]),
     ], ids=["luce", "logit"])
     def test_an_overflow_at_one_beta_is_the_scalar_error(self, prior, values):
         seq = ExpectedUtilitySeq.from_values(values)
@@ -389,7 +390,7 @@ class TestVectorBeta:
             posterior_moments(prior, seq, betas)
 
     # the coin toss declares its luce moments and sums them under power
-    @pytest.mark.parametrize("prior", [LUCE, PriorSpec.power(2.0)], ids=repr)
+    @pytest.mark.parametrize("prior", [LUCE, PriorSpec("power", alpha=2.0)], ids=repr)
     def test_an_array_on_an_infinite_sequence_is_a_domain_error(self, prior):
         betas = np.array([-1.0, -2.0])
         with pytest.raises(DomainError, match="array of beta needs a finite sequence"):

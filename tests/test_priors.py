@@ -27,16 +27,16 @@ def _weight_curve(prior: PriorSpec, u: np.ndarray) -> np.ndarray:
 
 
 ALL_PRIORS = [
-    PriorSpec.luce(),
-    PriorSpec.power(0.5),
-    PriorSpec.power(1.0),
-    PriorSpec.power(3.0),
-    PriorSpec.log_shape(0.5),
-    PriorSpec.log_shape(1.0),
-    PriorSpec.log_shape(2.0),
-    PriorSpec.logit(1.0, 0.0, 0.3),
-    PriorSpec.logit(1.0, 0.0, 0.5),
-    PriorSpec.logit(1.0, 0.0, 0.8),
+    PriorSpec("luce"),
+    PriorSpec("power", alpha=0.5),
+    PriorSpec("power", alpha=1.0),
+    PriorSpec("power", alpha=3.0),
+    PriorSpec("log", u0=0.5),
+    PriorSpec("log", u0=1.0),
+    PriorSpec("log", u0=2.0),
+    PriorSpec("logit", b=1.0, c=0.0, gamma=0.3),
+    PriorSpec("logit", b=1.0, c=0.0, gamma=0.5),
+    PriorSpec("logit", b=1.0, c=0.0, gamma=0.8),
 ]
 
 
@@ -47,24 +47,24 @@ def _weight(prior: PriorSpec, u: float) -> float:
 
 class TestAttributeWeight:
     def test_luce_identity_branch(self):
-        assert log_attribute_weights(PriorSpec.luce(), np.array([5.0]))[0] == np.log(5.0)
+        assert log_attribute_weights(PriorSpec("luce"), np.array([5.0]))[0] == np.log(5.0)
 
     def test_luce_inverse_branch(self):
         u = -0.05263157894736842  # one-stage roulette expected value
-        np.testing.assert_allclose(_weight(PriorSpec.luce(), u), 19.0, rtol=1e-12)
+        np.testing.assert_allclose(_weight(PriorSpec("luce"), u), 19.0, rtol=1e-12)
 
     def test_luce_weighs_zero_at_zero(self):
-        assert _weight(PriorSpec.luce(), 0.0) == 0.0
+        assert _weight(PriorSpec("luce"), 0.0) == 0.0
 
     def test_power_alpha_one_equals_luce_on_nonnegative(self):
         u = np.linspace(0.0, 12.0, 25)
         np.testing.assert_array_equal(
-            log_attribute_weights(PriorSpec.power(1.0), u),
-            log_attribute_weights(PriorSpec.luce(), u),
+            log_attribute_weights(PriorSpec("power", alpha=1.0), u),
+            log_attribute_weights(PriorSpec("luce"), u),
         )
 
     @pytest.mark.parametrize(
-        "prior", [PriorSpec.power(2.0), PriorSpec.log_shape(), PriorSpec.logit(1.0)]
+        "prior", [PriorSpec("power", alpha=2.0), PriorSpec("log"), PriorSpec("logit", b=1.0)]
     )
     def test_negative_utility_rejected(self, prior):
         with pytest.raises(DomainError):
@@ -88,8 +88,8 @@ class TestAttributeWeight:
 
     def test_log_weight_of_zero_weight(self):
         zero = np.array([0.0])
-        assert log_attribute_weights(PriorSpec.luce(), zero)[0] == -math.inf
-        assert log_attribute_weights(PriorSpec.power(2.0), zero)[0] == -math.inf
+        assert log_attribute_weights(PriorSpec("luce"), zero)[0] == -math.inf
+        assert log_attribute_weights(PriorSpec("power", alpha=2.0), zero)[0] == -math.inf
 
     @given(
         u=st.floats(0.01, 50.0),
@@ -98,21 +98,21 @@ class TestAttributeWeight:
     )
     @settings(max_examples=200)
     def test_monotone_property(self, u, delta, alpha):
-        prior = PriorSpec.power(alpha)
+        prior = PriorSpec("power", alpha=alpha)
         assert _weight(prior, u + delta) > _weight(prior, u)
 
 
 class TestContinuousOptimum:
     def test_luce_inverse_beta(self):
-        assert continuous_optimum(PriorSpec.luce(), -1.0) == 1.0
-        assert continuous_optimum(PriorSpec.luce(), -0.25) == 4.0
+        assert continuous_optimum(PriorSpec("luce"), -1.0) == 1.0
+        assert continuous_optimum(PriorSpec("luce"), -0.25) == 4.0
 
     def test_power_example(self):
-        got = continuous_optimum(PriorSpec.power(3.0), -0.5)
+        got = continuous_optimum(PriorSpec("power", alpha=3.0), -0.5)
         np.testing.assert_allclose(got, 6.0, rtol=1e-12)
 
     def test_logit_example(self):
-        got = continuous_optimum(PriorSpec.logit(1.0, 0.0, 0.5), -0.25)
+        got = continuous_optimum(PriorSpec("logit", b=1.0, c=0.0, gamma=0.5), -0.25)
         np.testing.assert_allclose(got, 4.0, rtol=1e-12)
 
     def test_log_example_against_bisection_oracle(self):
@@ -125,21 +125,21 @@ class TestContinuousOptimum:
             else:
                 hi = mid
         oracle = 0.5 * (lo + hi)
-        got = continuous_optimum(PriorSpec.log_shape(1.0), -1.0)
+        got = continuous_optimum(PriorSpec("log", u0=1.0), -1.0)
         np.testing.assert_allclose(got, oracle, atol=1e-9)
         np.testing.assert_allclose(got, 0.7632, atol=1e-4)
 
     @pytest.mark.parametrize("u0", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("beta", [-0.4, -1.0, -2.0])
     def test_log_family_defining_equation(self, u0, beta):
-        x = continuous_optimum(PriorSpec.log_shape(u0), beta) / u0
+        x = continuous_optimum(PriorSpec("log", u0=u0), beta) / u0
         residual = (1.0 + x) * math.log1p(x) - 1.0 / (abs(beta) * u0)
         assert abs(residual) < 1e-10
 
     def test_power_one_matches_luce(self):
         for beta in (-0.3, -1.0, -2.5):
-            assert continuous_optimum(PriorSpec.power(1.0), beta) == continuous_optimum(
-                PriorSpec.luce(), beta
+            assert continuous_optimum(PriorSpec("power", alpha=1.0), beta) == continuous_optimum(
+                PriorSpec("luce"), beta
             )
 
     @pytest.mark.parametrize("prior", ALL_PRIORS)
@@ -179,7 +179,7 @@ class TestContinuousOptimum:
     def test_nonnegative_beta_rejected(self):
         for beta in (0.0, 0.7):
             with pytest.raises(DomainError):
-                continuous_optimum(PriorSpec.luce(), beta)
+                continuous_optimum(PriorSpec("luce"), beta)
 
     @pytest.mark.parametrize(
         "beta,u0", [(-1.0, 1.0), (-0.0435, 0.0598), (-1e-3, 0.02), (-1e-6, 1.0), (-1e300, 1.0)]
@@ -192,7 +192,7 @@ class TestContinuousOptimum:
         with mpmath.workdps(40):
             y = mpmath.lambertw(1 / (mpmath.mpf(-beta) * u0)).real
             reference = float(u0 * mpmath.expm1(y))
-        got = continuous_optimum(PriorSpec.log_shape(u0), beta)
+        got = continuous_optimum(PriorSpec("log", u0=u0), beta)
         assert abs(got - reference) <= 1e-14 * reference
 
     def test_log_optimum_newton_steps_against_lambert_w(self, monkeypatch):
@@ -209,7 +209,7 @@ class TestContinuousOptimum:
 
         monkeypatch.setattr(petersburg.priors, "bisect_root", counted)
         for abs_beta in np.geomspace(1e-18, 1e12, 200).tolist():
-            continuous_optimum(PriorSpec.log_shape(1.0), -abs_beta)
+            continuous_optimum(PriorSpec("log", u0=1.0), -abs_beta)
         assert len(solves) == 200
         with mpmath.workdps(40):
             for target, y, evals in solves:
@@ -221,9 +221,9 @@ class TestContinuousOptimum:
         "prior,beta,expected",
         [
             # each once failed a finite-difference "is it a maximum" check
-            (PriorSpec.power(300.0), -0.5, 600.0),
-            (PriorSpec.power(6.77), -1e12, 6.77e-12),
-            (PriorSpec.luce(), -1e-300, 1.0 / 1e-300),
+            (PriorSpec("power", alpha=300.0), -0.5, 600.0),
+            (PriorSpec("power", alpha=6.77), -1e12, 6.77e-12),
+            (PriorSpec("luce"), -1e-300, 1.0 / 1e-300),
         ],
     )
     def test_extreme_closed_forms(self, prior, beta, expected):
@@ -232,9 +232,9 @@ class TestContinuousOptimum:
     @pytest.mark.parametrize(
         "prior,beta",
         [
-            (PriorSpec.logit(1e3, 0.0, 0.99), -1e-3),  # (1e6)**100 overflows
-            (PriorSpec.logit(1e-3, 0.0, 0.99), -1e3),  # (1e-6)**100 is 0
-            (PriorSpec.log_shape(1e-300), -1e-300),  # |beta| U0 is 0
+            (PriorSpec("logit", b=1e3, c=0.0, gamma=0.99), -1e-3),  # (1e6)**100 overflows
+            (PriorSpec("logit", b=1e-3, c=0.0, gamma=0.99), -1e3),  # (1e-6)**100 is 0
+            (PriorSpec("log", u0=1e-300), -1e-300),  # |beta| U0 is 0
         ],
     )
     def test_optimum_outside_binary64_is_a_domain_error(self, prior, beta):
@@ -244,14 +244,14 @@ class TestContinuousOptimum:
 
 class TestPairProbabilities:
     def test_neutral_pair_from_inverse_attributes(self):
-        p1, p2 = pair_probabilities(PriorSpec.luce(), -0.5, -1.0, 0.0)
+        p1, p2 = pair_probabilities(PriorSpec("luce"), -0.5, -1.0, 0.0)
         # weights 2 and 1
         np.testing.assert_allclose([p1, p2], [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
     def test_arrays_match_the_scalar_log_weights(self):
         u_first = np.array([-0.05, -1.5, -30.0, -1e5])
         u_second = 1.05 * u_first - 0.05
-        luce = PriorSpec.luce()
+        luce = PriorSpec("luce")
         for beta in (0.0, -1.0, 2.0, -0.3):
             p_first, p_second = pair_probabilities(luce, u_first, u_second, beta)
             for i, (u, v) in enumerate(zip(u_first, u_second)):
@@ -269,11 +269,11 @@ class TestPairProbabilities:
     def test_weights_outside_binary64_are_a_domain_error(self, u_first, u_second):
         # beta * U is -inf for both (both weights 0) or +inf (overflow)
         with pytest.raises(DomainError):
-            pair_probabilities(PriorSpec.luce(), u_first, u_second, 1e300)
+            pair_probabilities(PriorSpec("luce"), u_first, u_second, 1e300)
 
     def test_logit_offset_cancels(self):
-        base = pair_probabilities(PriorSpec.logit(1.0, 0.0, 0.5), 1.0, 3.0, -0.5)
-        shifted = pair_probabilities(PriorSpec.logit(1.0, 7.5, 0.5), 1.0, 3.0, -0.5)
+        base = pair_probabilities(PriorSpec("logit", b=1.0, c=0.0, gamma=0.5), 1.0, 3.0, -0.5)
+        shifted = pair_probabilities(PriorSpec("logit", b=1.0, c=7.5, gamma=0.5), 1.0, 3.0, -0.5)
         np.testing.assert_allclose(base, shifted, rtol=1e-12)
 
 
@@ -281,12 +281,12 @@ class TestPriorSpecValidation:
     @pytest.mark.parametrize(
         "bad",
         [
-            lambda: PriorSpec.power(0.0),
-            lambda: PriorSpec.power(-1.0),
-            lambda: PriorSpec.log_shape(0.0),
-            lambda: PriorSpec.logit(0.0),
-            lambda: PriorSpec.logit(1.0, 0.0, 1.0),
-            lambda: PriorSpec.logit(1.0, 0.0, 0.0),
+            lambda: PriorSpec("power", alpha=0.0),
+            lambda: PriorSpec("power", alpha=-1.0),
+            lambda: PriorSpec("log", u0=0.0),
+            lambda: PriorSpec("logit", b=0.0),
+            lambda: PriorSpec("logit", b=1.0, c=0.0, gamma=1.0),
+            lambda: PriorSpec("logit", b=1.0, c=0.0, gamma=0.0),
             lambda: PriorSpec("mystery"),
         ],
     )
@@ -305,6 +305,14 @@ class TestPriorSpecValidation:
         assert RunConfig(prior=json.loads(json.dumps(doc))).prior_spec() == prior
 
     def test_defaults(self):
-        assert PriorSpec.log_shape() == PriorSpec("log") == PriorSpec("log", u0=1.0)
-        logit = PriorSpec("logit", b=2.0, c=0.0, gamma=0.5)
-        assert PriorSpec.logit(2.0) == PriorSpec("logit", b=2.0) == logit
+        # a parameter left out takes its default from the one table, as the
+        # README states them: log u0 = 1, logit c = 0 and gamma = 0.5
+        defaults = petersburg.priors._PARAMETERS
+        log, logit = PriorSpec("log"), PriorSpec("logit", b=2.0)
+        assert log == PriorSpec("log", u0=1.0) and log.u0 == defaults["log"]["u0"]
+        assert logit == PriorSpec("logit", b=2.0, c=0.0, gamma=0.5)
+        assert (logit.c, logit.gamma) == (defaults["logit"]["c"], defaults["logit"]["gamma"])
+        # the CLI's default prior, and documents that leave the defaults out
+        assert RunConfig().prior_spec() == PriorSpec("luce")
+        assert RunConfig(prior={"kind": "log"}).prior_spec() == log
+        assert RunConfig(prior={"kind": "logit", "b": 2.0}).prior_spec() == logit

@@ -209,7 +209,7 @@ def reference_optimal(fmt: str, beta=None, game=None) -> str:
     if beta is None:
         calib = calibrate_bernoulli_disbelief()
         beta = -calib.abs_beta
-    prior = PriorSpec.luce()
+    prior = PriorSpec("luce")
     if game is None:
         utilities = bernoulli_utilities()
         bracket = integer_bracket(continuous_optimum(prior, beta))
@@ -335,7 +335,7 @@ def test_distribution_matches_reference(capsys, kind, beta):
 
 def test_calibrated_distribution_matches_reference(capsys):
     calib = calibrate_bernoulli_disbelief()
-    dist = posterior(PriorSpec.luce(), bernoulli_utilities(), -calib.abs_beta)
+    dist = posterior(PriorSpec("luce"), bernoulli_utilities(), -calib.abs_beta)
     out = run(capsys, "distribution", "--format", "json", "--no-timestamp")
     assert out == reference_distribution_json(dist, calib)
     assert '"calibration"' in out
@@ -350,7 +350,7 @@ class _FixedClock:
 def test_timestamp_after_rows(capsys, monkeypatch):
     monkeypatch.setattr(cli, "datetime", _FixedClock)
     stamp = _FixedClock.now(timezone.utc).isoformat()
-    dist = posterior(PriorSpec.luce(), bernoulli_utilities(), -0.5)
+    dist = posterior(PriorSpec("luce"), bernoulli_utilities(), -0.5)
     out = run(capsys, "distribution", "--beta=-0.5", "--format", "json")
     assert out == reference_distribution_json(dist, timestamp=stamp)
     assert out.index('"rows"') < out.index('"timestamp"')
@@ -386,7 +386,7 @@ def test_geometric_custom_family_past_1e12(capsys, tmp_path):
     seq = ExpectedUtilitySeq.from_family(
         GameFamily.from_json(doc), UtilitySpec("geometric", base=1000.0)
     )
-    dist = posterior(PriorSpec.luce(), seq, -1e-16)
+    dist = posterior(PriorSpec("luce"), seq, -1e-16)
     assert dist.utilities.max() > 1e17
     argv = ("distribution", "--game", str(path), "--utility", "geometric",
             "--base", "1000", "--beta=-1e-16", "--no-timestamp")
@@ -445,7 +445,7 @@ def test_command_matches_reference(capsys, monkeypatch, tmp_path, name, fmt, blo
 @pytest.mark.parametrize("rows", [0, 2, 3, 7, 40])
 def test_long_tables_across_blocks(capsys, monkeypatch, rows):
     monkeypatch.setattr(cli, "_ROW_BLOCK", 3)
-    dist = posterior(PriorSpec.luce(), bernoulli_utilities(), -0.3)
+    dist = posterior(PriorSpec("luce"), bernoulli_utilities(), -0.3)
     argv = ("distribution", "--beta=-0.3", "--no-timestamp", "--rows", str(rows))
     assert run(capsys, *argv) == reference_distribution_table(dist, rows)
     assert run(capsys, *argv, "--format", "csv") == reference_distribution_csv(dist)
@@ -470,7 +470,7 @@ class RecordingSink(io.TextIOBase):
 def test_long_tables_stream_in_blocks(fmt):
     # 28,734 rows span two row blocks; each block is its own write, and
     # nothing joins the whole table before it is written
-    dist = posterior(PriorSpec.luce(), bernoulli_utilities(), -0.001)
+    dist = posterior(PriorSpec("luce"), bernoulli_utilities(), -0.001)
     assert dist.n_trunc == 28_734
     sink = RecordingSink()
     with contextlib.redirect_stdout(sink):
@@ -669,7 +669,7 @@ def test_printed_columns_take_the_new_slots():
     # the coin toss's U_n = n prints through %d, and the probabilities
     # through %.12g in JSON; the run-length values 1 + log2 N, whole at
     # N = 1, 2, 4, ..., keep the per-value path
-    dist = posterior(PriorSpec.luce(), bernoulli_utilities(), -0.001)
+    dist = posterior(PriorSpec("luce"), bernoulli_utilities(), -0.001)
     _, u, p = dist.columns(dist.n_trunc)
     assert csv_kind(u) == json_kind(u) == "d" and json_kind(p) == "g"
     assert csv_kind(p) == "f"  # CSV's slot is %.12g already

@@ -49,7 +49,7 @@ def _stage_value_series(n: int, x0: float, p: float) -> float:
 
 def run_length_value(n: int) -> float:
     """U_n of the run-length sequence."""
-    return float(repeated_game_utilities().values(n, n + 1)[0])
+    return float(repeated_game_utilities().values(n)[-1])
 
 
 class TestRepeatedGameValue:
@@ -126,7 +126,7 @@ def _posterior_sign_message(beta):
     """``posterior``'s SignError message on the run-length sequence at beta,
     as an anchored pattern."""
     with pytest.raises(SignError) as refused:
-        posterior(PriorSpec.luce(), repeated_game_utilities(), beta)
+        posterior(PriorSpec("luce"), repeated_game_utilities(), beta)
     return f"^{re.escape(str(refused.value))}$"
 
 
@@ -200,7 +200,7 @@ class TestRepeatedGamePosterior:
             RunLengthPosterior(-1.0, 10, 0.0, 1.0, "anything")
         # one tuple names every rule a posterior reports
         reported = {dist.tail_rule} | {
-            posterior(PriorSpec.luce(), seq, beta).tail_rule for seq, beta in (
+            posterior(PriorSpec("luce"), seq, beta).tail_rule for seq, beta in (
                 (ExpectedUtilitySeq.from_values([1.0, 2.0]), 0.5),
                 (bernoulli_utilities(), -0.5),
                 (bernoulli_utilities(), -1e-3),
@@ -290,7 +290,7 @@ class TestRepeatedGamePosterior:
 
     def test_utilities_sequence(self):
         seq = repeated_game_utilities()
-        assert seq.values(1, 5).tolist() == [1.0, 2.0, 1.0 + math.log2(3), 3.0]
+        assert seq.values(4).tolist() == [1.0, 2.0, 1.0 + math.log2(3), 3.0]
         assert not seq.finite and not seq.identity
 
 
@@ -315,7 +315,7 @@ class TestRepeatedOptimal:
     @pytest.mark.parametrize("beta", [-1.0, -0.5, -0.25, -0.7])
     def test_willingness_matches_single_game_optimum(self, beta):
         result = repeated_optimal(beta)
-        assert result.u_opt == continuous_optimum(PriorSpec.luce(), beta)
+        assert result.u_opt == continuous_optimum(PriorSpec("luce"), beta)
         assert abs(result.u_opt * abs(beta) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("beta", [-1.0, -0.5])

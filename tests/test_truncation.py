@@ -26,10 +26,10 @@ from petersburg.posteriors import _stream_truncated
 from petersburg.priors import log_attribute_weights
 
 PRIORS = [
-    PriorSpec.luce(),
-    PriorSpec.power(2.0),
-    PriorSpec.log_shape(1.0),
-    PriorSpec.logit(1.0, 0.0, 0.5),
+    PriorSpec("luce"),
+    PriorSpec("power", alpha=2.0),
+    PriorSpec("log", u0=1.0),
+    PriorSpec("logit", b=1.0, c=0.0, gamma=0.5),
 ]
 BETAS = [-3.0, -1.0, -0.3, -0.05, -0.01, -0.003, -0.001]
 
@@ -75,13 +75,13 @@ def reference_stream(prior, utilities, beta, policy):
     monotone = incs_nondecreasing = ratios_nonincreasing = True
     prev_u = prev_la = prev_lw = prev_inc = prev_ratio = None
     small_run = 0
+    head = np.empty(0)
     for n in range(1, policy.max_index + 1):
-        try:
-            u = float(utilities.values(n, n + 1)[0])
-        except DomainError as exc:
-            if n == 1:
-                raise
-            raise TruncationError(f"family ended at {n - 1}") from exc
+        if n > len(head):  # read the prefix through 2n, once per doubling
+            head = utilities.values(2 * n)
+            if n > len(head):
+                raise TruncationError(f"family ended at {n - 1}")
+        u = float(head[n - 1])
         la = log_attribute_weight(prior, u)
         lw = la + beta * u
         log_weights.append(lw)
@@ -165,14 +165,14 @@ class TestEngineMatchesReferenceLoop:
 
     @pytest.mark.parametrize("prior, beta, n_trunc, rule", [
         # no rule is tested before the fourth term
-        (PriorSpec.luce(), -30.0, 4, "majorant"),
-        (PriorSpec.power(2.0), -30.0, 4, "majorant"),
+        (PriorSpec("luce"), -30.0, 4, "majorant"),
+        (PriorSpec("power", alpha=2.0), -30.0, 4, "majorant"),
         # stops just inside the first prefix, sized from the optimum: 17 of
         # 19 terms at beta = -2, 49 of 56 at -0.7
-        (PriorSpec.power(0.5), -2.0, 17, "majorant"),
-        (PriorSpec.power(0.5), -0.7, 49, "majorant"),
+        (PriorSpec("power", alpha=0.5), -2.0, 17, "majorant"),
+        (PriorSpec("power", alpha=0.5), -0.7, 49, "majorant"),
         # both rules fire at n = 606; the certificate wins the tie
-        (PriorSpec.luce(), -0.0591, 606, "majorant"),
+        (PriorSpec("luce"), -0.0591, 606, "majorant"),
     ])
     def test_edge_stops(self, prior, beta, n_trunc, rule):
         policy = TruncationPolicy()
@@ -187,7 +187,7 @@ class TestEngineMatchesReferenceLoop:
         # logit (3,760 terms past a first prefix of 3,184); the tail is the
         # majorant's
         policy = TruncationPolicy()
-        for prior, beta in ((PriorSpec.luce(), -0.02), (PriorSpec.logit(1.0), -0.02)):
+        for prior, beta in ((PriorSpec("luce"), -0.02), (PriorSpec("logit", b=1.0), -0.02)):
             ref_lw, _, ref_tail = reference_stream(prior, bernoulli_utilities(), beta, policy)
             lw, _, tail, rule = _stream_truncated(prior, bernoulli_utilities(), beta, policy)
             assert len(lw) == len(ref_lw)
@@ -206,10 +206,10 @@ class TestEngineMatchesReferenceLoop:
 
         policy = TruncationPolicy()
         ref_lw, _, ref_tail = reference_stream(
-            PriorSpec.luce(), ExpectedUtilitySeq(fn), -1.0, policy
+            PriorSpec("luce"), ExpectedUtilitySeq(fn), -1.0, policy
         )
         lw, _, tail, rule = _stream_truncated(
-            PriorSpec.luce(), ExpectedUtilitySeq(fn), -1.0, policy
+            PriorSpec("luce"), ExpectedUtilitySeq(fn), -1.0, policy
         )
         assert len(lw) == len(ref_lw) == 53
         assert rule == "heuristic"
@@ -221,20 +221,20 @@ class TestEngineMatchesReferenceLoop:
         # tested, until the retained sum is positive
         seq = ExpectedUtilitySeq(lambda n: np.where(n <= zeros, 0.0, 2.0 * n))
         policy = TruncationPolicy()
-        ref_lw, _, ref_tail = reference_stream(PriorSpec.luce(), seq, -1.0, policy)
-        lw, _, tail, rule = _stream_truncated(PriorSpec.luce(), seq, -1.0, policy)
+        ref_lw, _, ref_tail = reference_stream(PriorSpec("luce"), seq, -1.0, policy)
+        lw, _, tail, rule = _stream_truncated(PriorSpec("luce"), seq, -1.0, policy)
         assert len(lw) == len(ref_lw)
         np.testing.assert_allclose(tail, ref_tail, rtol=1e-12)
 
     def test_family_that_ends_before_the_tail_bound(self):
         seq = ExpectedUtilitySeq(lambda n: np.where(n <= 40, 1.0, math.inf))
         with pytest.raises(TruncationError, match="ended at index 40"):
-            _stream_truncated(PriorSpec.luce(), seq, -0.5, TruncationPolicy())
+            _stream_truncated(PriorSpec("luce"), seq, -0.5, TruncationPolicy())
 
     def test_error_at_the_first_index_propagates(self):
         seq = ExpectedUtilitySeq(lambda n: np.full_like(n, math.nan))
         with pytest.raises(DomainError):
-            posterior(PriorSpec.luce(), seq, -0.5)
+            posterior(PriorSpec("luce"), seq, -0.5)
 
     def test_rule_fires_before_a_later_evaluation_error(self, monkeypatch):
         # the family ends at index 80, inside a first prefix of 128 terms;
@@ -246,10 +246,10 @@ class TestEngineMatchesReferenceLoop:
 
         policy = TruncationPolicy(rel_tol=1e-3)
         ref_lw, _, ref_tail = reference_stream(
-            PriorSpec.luce(), ExpectedUtilitySeq(fn), -3.0, policy
+            PriorSpec("luce"), ExpectedUtilitySeq(fn), -3.0, policy
         )
         lw, _, tail, rule = _stream_truncated(
-            PriorSpec.luce(), ExpectedUtilitySeq(fn), -3.0, policy
+            PriorSpec("luce"), ExpectedUtilitySeq(fn), -3.0, policy
         )
         assert 49 <= len(lw) == len(ref_lw) < 80
         assert rule == "heuristic"
@@ -296,7 +296,7 @@ class TestFirstPrefixSize:
         for beta in BETAS:
             seq, his = bernoulli_utilities(), []
             values = seq.values
-            seq.values = lambda lo, hi: his.append(hi) or values(lo, hi)
+            seq.values = lambda m: his.append(m) or values(m)
             posterior(prior, seq, beta)
             assert len(his) <= rounds, (beta, his)
 
@@ -313,14 +313,14 @@ class TestFirstPrefixSize:
         # whatever the first prefix, a prefix that holds n = 60 ends before
         # it, and the rule fires in what is left
         monkeypatch.setattr(posteriors, "_first_size", lambda *args: first)
-        dist = posterior(PriorSpec.luce(), self._overflow_at(60), -2.0)
+        dist = posterior(PriorSpec("luce"), self._overflow_at(60), -2.0)
         assert (dist.n_trunc, dist.tail_rule) == (53, "heuristic")
 
     @pytest.mark.parametrize("first", [1, 16, 64, 128])
     def test_an_overflow_before_the_stop_is_a_domain_error(self, monkeypatch, first):
         monkeypatch.setattr(posteriors, "_first_size", lambda *args: first)
         with pytest.raises(DomainError, match="a posterior log weight is inf; the weights overflow"):
-            posterior(PriorSpec.luce(), self._overflow_at(40), -2.0)
+            posterior(PriorSpec("luce"), self._overflow_at(40), -2.0)
 
 
 class TestDeclaredCertificates:
@@ -329,24 +329,25 @@ class TestDeclaredCertificates:
         for prior in PRIORS:
             assert posterior(prior, seq, -1.0).tail_rule == "majorant"
         # small |beta|: fifty small terms come before the certificate
-        assert posterior(PriorSpec.luce(), seq, -0.001).tail_rule == "heuristic"
+        assert posterior(PriorSpec("luce"), seq, -0.001).tail_rule == "heuristic"
 
     def test_tail_is_inf_while_the_weights_still_rise(self):
         # a large rel_tol stops the sum at n = 126, far below the mode near
         # n = 3,000: no ratio below 1 bounds the terms past the stop
-        policy = TruncationPolicy(rel_tol=0.05)
-        dist = posterior(PriorSpec.power(3.0), bernoulli_utilities(), -0.001, policy)
+        policy, prior = TruncationPolicy(rel_tol=0.05), PriorSpec("power", alpha=3.0)
+        dist = posterior(prior, bernoulli_utilities(), -0.001, policy)
         assert (dist.n_trunc, dist.tail_rule, dist.tail_bound) == (126, "heuristic", math.inf)
-        ref = reference_stream(PriorSpec.power(3.0), bernoulli_utilities(), -0.001, policy)
+        ref = reference_stream(prior, bernoulli_utilities(), -0.001, policy)
         assert (len(ref[0]), ref[2]) == (126, math.inf)
 
     def test_undeclared_sequences_get_the_heuristic(self):
         doubled = ExpectedUtilitySeq(lambda n: 2.0 * n)
-        assert posterior(PriorSpec.luce(), doubled, -1.0).tail_rule == "heuristic"
-        assert posterior(PriorSpec.luce(), repeated_game_utilities(), -6.0).tail_rule == "heuristic"
+        assert posterior(PriorSpec("luce"), doubled, -1.0).tail_rule == "heuristic"
+        dist = posterior(PriorSpec("luce"), repeated_game_utilities(), -6.0)
+        assert dist.tail_rule == "heuristic"
 
     def test_finite_family(self):
-        dist = posterior(PriorSpec.luce(), ExpectedUtilitySeq.from_values([1.0, 2.0]), 0.0)
+        dist = posterior(PriorSpec("luce"), ExpectedUtilitySeq.from_values([1.0, 2.0]), 0.0)
         assert dist.tail_rule == "finite" and dist.tail_bound == 0.0
 
     def test_plateau_family_never_claims_a_certified_tail(self):
@@ -355,7 +356,7 @@ class TestDeclaredCertificates:
         # with a bound of 5.5e-15.
         plateau = ExpectedUtilitySeq(lambda n: np.where(n <= 100, n, 1.0))
         try:
-            dist = posterior(PriorSpec.power(1.0), plateau, -1.0)
+            dist = posterior(PriorSpec("power", alpha=1.0), plateau, -1.0)
         except TruncationError:
             return
         assert dist.tail_rule == "heuristic"
@@ -376,8 +377,9 @@ class TestDeclaredCertificates:
 class TestArrayLogWeight:
     GRID = np.array([0.0, 1e-300, 1e-8, 0.3, 1.0, 2.5, 17.0, 1e3, 123456.0, 1e12])
 
-    @pytest.mark.parametrize("prior", PRIORS + [PriorSpec.power(0.5), PriorSpec.log_shape(0.3),
-                                                PriorSpec.logit(0.7, -0.4, 0.3)],
+    @pytest.mark.parametrize("prior", PRIORS + [
+                                 PriorSpec("power", alpha=0.5), PriorSpec("log", u0=0.3),
+                                 PriorSpec("logit", b=0.7, c=-0.4, gamma=0.3)],
                              ids=lambda p: repr(_document(p)))
     def test_matches_scalar(self, prior):
         u = self.GRID
@@ -405,7 +407,7 @@ class TestHighPrecisionOracle:
         with mpmath.workdps(40):
             r = mpmath.exp(beta)
             full = r / (1 - r) ** 2  # sum_{n>=1} n r^n
-            dist = posterior(PriorSpec.luce(), bernoulli_utilities(), beta)
+            dist = posterior(PriorSpec("luce"), bernoulli_utilities(), beta)
             n = dist.n_trunc
             # sum_{k<=n} k r^k in closed form
             retained = r * (1 - (n + 1) * r ** n + n * r ** (n + 1)) / (1 - r) ** 2
@@ -421,7 +423,7 @@ class TestHighPrecisionOracle:
         mpmath = pytest.importorskip("mpmath")
         rules = set()
         for beta in (-np.geomspace(1e-3, 40.0, 25)).tolist():
-            dist = posterior(PriorSpec.luce(), bernoulli_utilities(), beta)
+            dist = posterior(PriorSpec("luce"), bernoulli_utilities(), beta)
             rules.add(dist.tail_rule)
             n = dist.n_trunc
             with mpmath.workdps(40):
@@ -457,7 +459,7 @@ class TestHighPrecisionOracle:
     @pytest.mark.parametrize("beta", [-1e-3, -0.1, -1.0])
     def test_posterior_variance(self, beta):
         mpmath = pytest.importorskip("mpmath")
-        dist = posterior(PriorSpec.luce(), bernoulli_utilities(), beta)
+        dist = posterior(PriorSpec("luce"), bernoulli_utilities(), beta)
         mean = float(np.dot(dist.probs, dist.utilities))
         var = float(np.dot(dist.probs, (dist.utilities - mean) ** 2))
         closed = bernoulli_utilities().luce_moments(beta)[1]
